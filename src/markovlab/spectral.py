@@ -15,10 +15,14 @@ exponential decay exp(-i (e_s - i J0) (t - t0)).  A Lorentzian resonance
 of strength J1, centre E0 and width Gamma contributes the smooth kernel
 (J1 Gamma / 2) exp(-(i E0 + Gamma) s) once the band cut-off is infinite.
 
-The module provides a trapezoidal (Crank-Nicolson) Volterra marcher for
-arbitrary kernels, closed forms for the flat and resonant cases, and the
-amplitude/phase decomposition of the resonant propagator used to map the
-crossover between decaying and oscillating regimes.
+The module provides a trapezoidal (Crank-Nicolson) Volterra march, closed
+forms for the flat and resonant cases, and the amplitude/phase
+decomposition of the resonant propagator used to map the crossover
+between decaying and oscillating regimes.  The march costs O(n), as a
+per-level recursive filter, when the smooth kernel is zero or a single
+exponential (flat background, resonance with infinite cut-off); tabulated
+and finite cut-off kernels take the O(n^2) reference march.  The tabulated
+kernel is exact; only the finite cut-off uses adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.integrate
 import scipy.signal
+from numpy.polynomial import polynomial as npp
 
 GREEN_CONVENTION = "G1 = i * G_retarded, G2 = -i * G_lesser"
 
@@ -142,18 +147,11 @@ class KernelValue:
     delta_weight: float
 
 
-def _quad_fourier(f, lo: float, hi: float, dt: float, points=None) -> complex:
+def _quad_fourier(f, lo: float, hi: float, dt: float) -> complex:
     """(1/2pi) * integral of f(w) exp(-i w dt) over [lo, hi], adaptive."""
     kwargs = {"limit": 400}
-    if points is not None and len(points) < 100 and dt * (hi - lo) < 1e3:
-        # plain quad tolerates a few breakpoints; the weighted rule does not
-        re, re_err = scipy.integrate.quad(
-            lambda w: f(w) * math.cos(w * dt), lo, hi, points=points, **kwargs)
-        im, im_err = scipy.integrate.quad(
-            lambda w: f(w) * math.sin(w * dt), lo, hi, points=points, **kwargs)
-    else:
-        re, re_err = scipy.integrate.quad(f, lo, hi, weight="cos", wvar=dt, **kwargs)
-        im, im_err = scipy.integrate.quad(f, lo, hi, weight="sin", wvar=dt, **kwargs)
+    re, re_err = scipy.integrate.quad(f, lo, hi, weight="cos", wvar=dt, **kwargs)
+    im, im_err = scipy.integrate.quad(f, lo, hi, weight="sin", wvar=dt, **kwargs)
     err = max(re_err, im_err)
     scale = max(abs(re), abs(im), 1e-12)
     if err > 1e-6 * scale and err > 1e-9:
@@ -163,37 +161,55 @@ def _quad_fourier(f, lo: float, hi: float, dt: float, points=None) -> complex:
     return (re - 1j * im) / (2.0 * math.pi)
 
 
-def _quad_fourier_table(om: np.ndarray, va: np.ndarray, dt: float) -> complex:
-    """Fourier integral of a piecewise-linear table, chunked adaptive quadrature.
+#: Below this |theta| the segment transform uses its Taylor series: the
+#: closed form (sin t - t cos t) / t^2 cancels to a relative error of about
+#: 3 eps / t^2, and eight series terms stay within 2.2e-16 up to t = 0.5.
+_SERIES_THETA = 0.5
+_SINC_SERIES = [(-1) ** n / math.factorial(2 * n + 1) for n in range(7, -1, -1)]
+_ODD_SERIES = [(-1) ** (n + 1) * 2 * n / math.factorial(2 * n + 1) for n in range(8, 0, -1)]
+#: Lags x segments evaluated at once; bounds the temporaries of long tables.
+_TABLE_BLOCK = 1 << 18
 
-    Chunks are aligned to table nodes and kept below 100 breakpoints and
-    a few oscillation periods each, so plain adaptive quadrature resolves
-    every chunk to near machine precision.
+
+def _table_kernel(om: np.ndarray, va: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """Exact (1/2pi) * integral of the piecewise-linear table times exp(-i w s).
+
+    On a segment of width L, centre c, mean value f and rise df the
+    integral is exp(-i c s) [L f sinc(theta) - i (df L / 2) (sin theta -
+    theta cos theta) / theta^2] with theta = L s / 2; the table is zero
+    outside its nodes.  Vectorised over lags x segments.
     """
-    interp = lambda w: np.interp(w, om, va)
-    max_width = 30.0 / dt if dt > 0 else math.inf
-    total = 0.0j
-    total_err = 0.0
-    start = 0
-    n = len(om)
-    while start < n - 1:
-        stop = start + 1
-        while (stop < n - 1 and stop - start < 80
-               and om[stop + 1] - om[start] <= max_width):
-            stop += 1
-        lo, hi = float(om[start]), float(om[stop])
-        pts = list(om[start + 1:stop])
-        re, re_err = scipy.integrate.quad(
-            lambda w: interp(w) * math.cos(w * dt), lo, hi, points=pts, limit=200)
-        im, im_err = scipy.integrate.quad(
-            lambda w: interp(w) * math.sin(w * dt), lo, hi, points=pts, limit=200)
-        total += re - 1j * im
-        total_err += re_err + im_err
-        start = stop
-    if total_err > 1e-6 * max(abs(total), 1e-12) and total_err > 1e-9:
-        raise RuntimeError(
-            f"table kernel quadrature did not converge: error estimate {total_err:.2e}")
-    return total / (2.0 * math.pi)
+    width = np.diff(om)
+    centre = 0.5 * (om[1:] + om[:-1])
+    mean_part = width * 0.5 * (va[1:] + va[:-1])
+    rise_part = 0.5 * width * np.diff(va)
+    out = np.empty(lags.shape, dtype=complex)
+    rows = max(1, _TABLE_BLOCK // width.size)
+    for start in range(0, lags.size, rows):
+        s = lags[start:start + rows, None]
+        theta = 0.5 * width * s
+        small = np.abs(theta) < _SERIES_THETA
+        safe = np.where(small, 1.0, theta)
+        sin, cos, t2 = np.sin(safe), np.cos(safe), theta * theta
+        sinc = np.where(small, np.polyval(_SINC_SERIES, t2), sin / safe)
+        odd = np.where(small, theta * np.polyval(_ODD_SERIES, t2),
+                       (sin - safe * cos) / (safe * safe))
+        terms = np.exp(-1j * centre * s) * (mean_part * sinc - 1j * rise_part * odd)
+        out[start:start + rows] = terms.sum(axis=1)
+    return out / (2.0 * math.pi)
+
+
+def _exponential_form(density: SpectralDensity) -> tuple[complex, complex] | None:
+    """(a, r) when the smooth kernel is a * exp(-r s), else None.
+
+    The flat background has no smooth part (a = 0); the resonance with
+    infinite cut-off has a = j1 gamma / 2 and r = i e0 + gamma.
+    """
+    if density.kind == "constant":
+        return 0j, 0j
+    if density.kind == "lorentzian" and math.isinf(density.omega_cut):
+        return 0.5 * density.j1 * density.gamma, 1j * density.e0 + density.gamma
+    return None
 
 
 def memory_kernel(density: SpectralDensity, dt: float) -> KernelValue:
@@ -201,35 +217,29 @@ def memory_kernel(density: SpectralDensity, dt: float) -> KernelValue:
 
     The flat background never enters the smooth part; it is returned as
     ``delta_weight``.  The resonance with infinite cut-off uses the
-    closed form (j1 gamma / 2) exp(-(i e0 + gamma) dt); finite cut-offs
-    and tabulated densities are integrated by adaptive quadrature.
+    closed form (j1 gamma / 2) exp(-(i e0 + gamma) dt) and a tabulated
+    density the exact transform of its piecewise-linear interpolant;
+    only a finite cut-off is integrated by adaptive quadrature.
     """
     if dt < 0:
         raise ValueError("kernel lag must be nonnegative")
-    if density.kind == "constant":
-        return KernelValue(0.0j, density.j0)
-    if density.kind == "lorentzian":
-        if math.isinf(density.omega_cut):
-            smooth = 0.5 * density.j1 * density.gamma * np.exp(
-                -(1j * density.e0 + density.gamma) * dt)
-            return KernelValue(complex(smooth), density.j0)
-        j1, g, e0 = density.j1, density.gamma, density.e0
-        bump = lambda w: j1 * g * g / ((w - e0) ** 2 + g * g)
-        smooth = _quad_fourier(bump, e0 - density.omega_cut, e0 + density.omega_cut, dt)
-        return KernelValue(smooth, density.j0)
-    smooth = _quad_fourier_table(*density.table, dt)
-    return KernelValue(smooth, 0.0)
+    smooth = kernel_on_grid(density, np.array([dt]))[0]
+    return KernelValue(complex(smooth), density.delta_weight())
 
 
 def kernel_on_grid(density: SpectralDensity, lags: np.ndarray) -> np.ndarray:
     """Smooth kernel part sampled on an array of lags."""
     lags = np.asarray(lags, dtype=float)
-    if density.kind == "constant":
-        return np.zeros(lags.shape, dtype=complex)
-    if density.kind == "lorentzian" and math.isinf(density.omega_cut):
-        return 0.5 * density.j1 * density.gamma * np.exp(
-            -(1j * density.e0 + density.gamma) * lags)
-    return np.array([memory_kernel(density, s).smooth for s in lags], dtype=complex)
+    form = _exponential_form(density)
+    if form is not None:
+        amp, rate = form
+        return amp * np.exp(-rate * lags)
+    if density.kind == "tabulated":
+        return _table_kernel(*density.table, lags)
+    j1, g, e0, cut = density.j1, density.gamma, density.e0, density.omega_cut
+    bump = lambda w: j1 * g * g / ((w - e0) ** 2 + g * g)
+    return np.array([_quad_fourier(bump, e0 - cut, e0 + cut, s) for s in lags],
+                    dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -341,6 +351,88 @@ def _trapezoid_convolution(kern: np.ndarray, sig: np.ndarray, h: float) -> np.nd
     return out
 
 
+def _march_levels(m_coef: np.ndarray, kern: np.ndarray, h: float,
+                  j0: float) -> tuple[np.ndarray, np.ndarray]:
+    """g1 and g2 of every level by the O(n^2) reference march, for any kernel."""
+    ones = np.ones(m_coef.size, dtype=complex)
+    g1 = _volterra_march(m_coef, kern, h, ones, None)
+    h1 = g1.conj()
+    forcing = j0 * h1
+    if np.any(kern):
+        forcing = forcing + _trapezoid_convolution(kern, h1, h)
+    g2 = _volterra_march(m_coef, kern, h, np.zeros_like(ones), forcing)
+    return g1, g2
+
+
+def _recursive_levels(m_coef: np.ndarray, amp: complex, rate: complex, h: float,
+                      j0: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The march of :func:`_march_levels` for the kernel amp * exp(-rate s), in O(n).
+
+    On the grid the kernel is amp q^j, q = exp(-rate h), so the history sum
+    H_k = sum_{j<k} amp q^(k-j) g_j obeys H_k = q (H_{k-1} + amp g_{k-1})
+    and the march is a constant-coefficient recurrence.  In powers of the
+    delay z, with p = h / 2, P = 1 - q z and Q = p amp (1 + q z) (Q / P is
+    the trapezoid kernel sum), g_{k+1} - g_k = p (f_k + f_{k+1}) reads
+
+        [(1 - z) P - p (1 + z) (m P - Q)] g = r P + p (1 + z) (Q_0 g_0 + P d)
+
+    with forcing d and r = g_0 - p f_0: g1 has g_0 = 1, d = 0; g2 has
+    g_0 = 0, d = j0 h1 + the trapezoid convolution of the kernel with
+    h1 = conj(g1).  Without a kernel P = 1, Q = 0 (the Cayley filter).
+    The poles lie O(h) from z = 1, where a direct-form denominator loses
+    its O(h^2) coefficients to rounding, so the filter runs as first-order
+    sections with poles (1 + p mu) / (1 - p mu): mu = m without a kernel,
+    else the roots of mu^2 + (kappa (1 + amp p^2) - m) mu + amp - m kappa,
+    q = (1 - p kappa) / (1 + p kappa), whose coefficients are O(1).
+    """
+    p = 0.5 * h
+    if amp == 0:
+        big_p, big_q = np.ones(1), np.zeros(1)
+    else:
+        q = np.exp(-rate * h)
+        kappa = np.tanh(0.5 * rate * h) / p
+        big_p, big_q = np.array([1.0, -q]), p * amp * np.array([1.0, q])
+    edge = npp.polymul((1.0, 1.0), big_q[:1])          # Q_0 (1 + z)
+    impulse = np.zeros(steps + 1)
+    impulse[0] = 1.0
+    g1 = np.empty((steps + 1, m_coef.size), dtype=complex)
+    g2 = np.empty_like(g1)
+    for lev, m in enumerate(m_coef):
+        mu = np.array([m]) if amp == 0 else _quadratic_roots(
+            kappa * (1.0 + amp * p * p) - m, amp - m * kappa)
+        poles = (1.0 + p * mu) / (1.0 - p * mu)
+        lead = 1.0 - p * (m - big_q[0])                # the z^0 coefficient
+        g = _pole_cascade(npp.polyadd((1.0 - p * m) * big_p, p * edge), lead, poles,
+                          impulse)
+        g[0] = 1.0
+        h1 = g.conj()
+        g2[:, lev] = (
+            _pole_cascade(p * npp.polymul((1.0, 1.0), j0 * big_p + big_q), lead, poles, h1)
+            - p * h1[0] * _pole_cascade(npp.polyadd(j0 * big_p, edge), lead, poles, impulse))
+        g1[:, lev] = g
+    return g1, g2
+
+
+def _pole_cascade(numer: np.ndarray, lead: complex, poles: np.ndarray,
+                  signal: np.ndarray) -> np.ndarray:
+    """Filter numer(z) / (lead * prod(1 - pole z)), one first-order section per pole."""
+    sos = np.zeros((poles.size, 6), dtype=complex)
+    sos[0, :len(numer)] = numer / lead
+    sos[1:, 0] = 1.0
+    sos[:, 3] = 1.0
+    sos[:, 4] = -poles
+    return scipy.signal.sosfilt(sos, signal)
+
+
+def _quadratic_roots(b: complex, c: complex) -> np.ndarray:
+    """Both roots of mu^2 + b mu + c, without cancellation."""
+    s = np.sqrt(b * b - 4.0 * c)
+    if (np.conj(b) * s).real < 0:
+        s = -s
+    big = -0.5 * (b + s)
+    return np.array([big, c / big if big != 0 else 0.0], dtype=complex)
+
+
 def solve_green(problem: GreenProblem, strict: bool = False) -> GreenSolution:
     """Numerical solution of the two memory-kernel equations.
 
@@ -348,7 +440,8 @@ def solve_green(problem: GreenProblem, strict: bool = False) -> GreenSolution:
     full weight from the first step on, so a flat spectral density
     reproduces the pure exponential solution to discretisation accuracy.
     The G2 equation is driven by the conjugate of the already computed
-    G1 history.
+    G1 history.  Both use the trapezoid march: in O(n) for a single
+    exponential or zero smooth kernel, else the O(n^2) reference march.
     """
     grid = problem.grid
     h = grid.h
@@ -359,20 +452,14 @@ def solve_green(problem: GreenProblem, strict: bool = False) -> GreenSolution:
         if strict:
             raise StepSizeError(msg)
         warnings.warn(msg, StepSizeWarning, stacklevel=2)
-    lags = h * np.arange(grid.steps + 1)
-    kern = kernel_on_grid(problem.density, lags)
     j0 = problem.density.delta_weight()
     m_coef = -(1j * problem.es + j0)
-
-    ones = np.ones(problem.es.size, dtype=complex)
-    g1 = _volterra_march(m_coef, kern, h, ones, None)
-
-    h1 = g1.conj()
-    forcing = j0 * h1
-    if np.any(kern):
-        forcing = forcing + _trapezoid_convolution(kern, h1, h)
-    g2 = _volterra_march(m_coef, kern, h, np.zeros_like(ones), forcing)
-
+    form = _exponential_form(problem.density)
+    if form is None:
+        kern = kernel_on_grid(problem.density, h * np.arange(grid.steps + 1))
+        g1, g2 = _march_levels(m_coef, kern, h, j0)
+    else:
+        g1, g2 = _recursive_levels(m_coef, *form, h, j0, grid.steps)
     g1[0] = 1.0
     g2[0] = 0.0
     return GreenSolution(grid=grid, g1=_embed_diagonal(g1), g2=_embed_diagonal(g2))
@@ -381,16 +468,21 @@ def solve_green(problem: GreenProblem, strict: bool = False) -> GreenSolution:
 def analytic_green_const(es, j0: float, grid: TimeGrid) -> GreenSolution:
     """Closed form for a flat spectral density.
 
-    g1 = exp(-i (e - i j0) dt) decays at rate j0; g2 carries the printed
-    linear-in-time prefactor j0 * dt on the same exponential.
+    g1 = exp(-i (e - i j0) dt) decays at rate j0.  g2 solves the g2
+    equation driven by j0 conj(g1):
+
+        g2 = j0 exp(-j0 dt) sin(e dt) / e,
+
+    which is j0 dt exp(-j0 dt) at e = 0.  Only there does it equal the
+    linear-in-time form j0 dt g1.
     """
     if j0 < 0:
         raise ValueError("j0 must be nonnegative")
     es = np.asarray(es, dtype=float)
     dt = grid.times() - grid.t0
-    phase = np.exp(-1j * np.outer(dt, es - 1j * j0))
-    g1 = phase
-    g2 = j0 * dt[:, None] * phase
+    g1 = np.exp(-1j * np.outer(dt, es - 1j * j0))
+    # sin(e dt) / e = dt sinc(e dt / pi), exact at e = 0
+    g2 = (j0 * dt * np.exp(-j0 * dt))[:, None] * np.sinc(np.outer(dt, es) / np.pi)
     g1[0] = 1.0
     g2[0] = 0.0
     return GreenSolution(grid=grid, g1=_embed_diagonal(g1), g2=_embed_diagonal(g2))
@@ -464,6 +556,16 @@ class AmplitudePhase:
     def decays(self) -> bool:
         return self.w > self.c_mag
 
+    @property
+    def upper_branch(self) -> bool:
+        """Level above the resonance: (a1, a2) = (1, 0) at j1 = 0, else (0, 1)."""
+        return _upper_branch(self.e_minus, self.v)
+
+
+def _upper_branch(e_minus: float, v: float) -> bool:
+    """Whether the principal sqrt(z^2) is z for z = e_minus - i v (closed right half plane)."""
+    return e_minus > 0 or (e_minus == 0 and -v >= 0)
+
 
 def amplitude_phase(es_level: float, j0: float, j1: float, e0: float,
                     gamma: float) -> AmplitudePhase:
@@ -489,7 +591,7 @@ def amplitude_phase(es_level: float, j0: float, j1: float, e0: float,
     z = e_minus - 1j * v
     if j1 == 0:
         # principal sqrt(z^2) equals z in the closed right half plane
-        sign = 1.0 if (e_minus > 0 or (e_minus == 0 and -v >= 0)) else -1.0
+        sign = 1.0 if _upper_branch(e_minus, v) else -1.0
         r = sign * z
         ratio = sign
     else:

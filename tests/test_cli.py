@@ -129,6 +129,22 @@ out = amp.csv
     assert abs(float(last[1]) - 0.5) < 1e-2
 
 
+def test_amp_phase_level_below_resonance(tmp_path):
+    # below e0 the j1 = 0 endpoint lies on the other branch: (|a1|, |a2|) = (0, 1)
+    text = """
+scenario = amp-phase
+es_level = 0.2
+j0 = 0.1
+e0 = 0.8
+gamma = 0.2
+j1_values = [0.0, 0.1, 1.0, 100.0, 1000000.0]
+out = amp.csv
+"""
+    assert run_cli(tmp_path, text) == 0
+    first = (tmp_path / "out" / "amp.csv").read_text().splitlines()[1].split(",")
+    assert float(first[1]) == 0.0 and float(first[2]) == 1.0
+
+
 def test_master_check_scenario(tmp_path):
     text = """
 scenario = master-check

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovlab.spectral import (
     BranchSingularityError,
@@ -20,6 +22,7 @@ from markovlab.spectral import (
     solve_green,
     spectral_eval,
 )
+from markovlab.spectral import _SERIES_THETA, _march_levels
 
 
 # ------------------------------------------------------- spectral density
@@ -108,6 +111,38 @@ def test_kernel_tabulated_matches_lorentzian_samples():
     assert abs(k_tab.smooth - k_ref.smooth) < 5e-3
 
 
+def _table_quadrature(om, va, lag):
+    # independent oracle: adaptive quadrature of each linear segment
+    total = 0.0j
+    for a, b, fa, fb in zip(om[:-1], om[1:], va[:-1], va[1:]):
+        line = lambda w: fa + (fb - fa) * (w - a) / (b - a)
+        opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+        re = scipy.integrate.quad(lambda w: line(w) * math.cos(w * lag), a, b, **opts)[0]
+        im = scipy.integrate.quad(lambda w: line(w) * math.sin(w * lag), a, b, **opts)[0]
+        total += re - 1j * im
+    return total / (2 * math.pi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(start=st.floats(-5.0, 5.0),
+       widths=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=6),
+       data=st.data())
+def test_kernel_tabulated_closed_form_matches_quadrature(start, widths, data):
+    om = start + np.concatenate(([0.0], np.cumsum(widths)))
+    va = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=om.size,
+                                     max_size=om.size)))
+    d = SpectralDensity.tabulated(om, va)
+    # lag 0, then each segment just below and just above the series branch
+    w = np.diff(om)
+    lags = np.concatenate(([0.0], 2 * _SERIES_THETA * (1 - 1e-9) / w,
+                           2 * _SERIES_THETA * (1 + 1e-9) / w, [20.0 / w.max()]))
+    on_grid = kernel_on_grid(d, lags)
+    scale = 1e-13 * (1.0 + np.sum(w * np.maximum(va[1:], va[:-1])))
+    for lag, val in zip(lags, on_grid):
+        assert abs(val - _table_quadrature(om, va, lag)) < scale
+        assert abs(memory_kernel(d, lag).smooth - val) < 1e-14
+
+
 def test_kernel_rejects_negative_lag():
     with pytest.raises(ValueError, match="nonnegative"):
         memory_kernel(SpectralDensity.constant(0.1), -0.1)
@@ -165,14 +200,34 @@ def test_solve_green_second_order_convergence():
 
 
 def test_solve_green_constant_g2_matches_printed_form():
-    # with zero level energy the conjugated drive equals the plain one,
-    # so the numerical g2 must land on j0 * dt * g1
+    # the numerical g2 must land on j0 exp(-j0 dt) sin(e dt) / e, which at
+    # zero level energy is the printed form j0 * dt * g1
     j0 = 0.25
+    es = np.array([0.0, 0.7, -1.3])
     grid = TimeGrid(0.0, 6.0, 6000)
-    sol = solve_green(GreenProblem(es=np.array([0.0]),
-                                   density=SpectralDensity.constant(j0), grid=grid))
-    ana = analytic_green_const(np.array([0.0]), j0, grid)
+    sol = solve_green(GreenProblem(es=es, density=SpectralDensity.constant(j0), grid=grid))
+    ana = analytic_green_const(es, j0, grid)
     assert np.abs(sol.g2 - ana.g2).max() < 1e-5
+
+
+@settings(max_examples=25, deadline=None)
+@given(es=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+       j0=st.floats(0.0, 1.0), j1=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+       e0=st.floats(-3.0, 3.0), gamma=st.floats(0.05, 3.0),
+       steps=st.integers(2, 2000), h_frac=st.floats(0.001, 0.999))
+def test_recursive_march_matches_reference_march(es, j0, j1, e0, gamma, steps, h_frac):
+    # the O(n) march for flat and single-exponential kernels runs the same
+    # trapezoid scheme as the O(n^2) reference march
+    es = np.array(es)
+    density = (SpectralDensity.constant(j0) if j1 == 0.0
+               else SpectralDensity.lorentzian(j0, j1, e0, gamma))
+    scale = max(float(np.abs(es).max() + density.peak()), 1.0)
+    grid = TimeGrid(0.0, h_frac * 0.1 / scale * steps, steps)
+    sol = solve_green(GreenProblem(es=es, density=density, grid=grid), strict=True)
+    kern = kernel_on_grid(density, grid.h * np.arange(steps + 1))
+    ref = _march_levels(-(1j * es + j0), kern, grid.h, j0)
+    for got, want in zip((sol.g1, sol.g2), ref):
+        assert np.abs(np.diagonal(got, axis1=1, axis2=2) - want).max() < 1e-10
 
 
 def test_solve_green_step_guard():
@@ -209,8 +264,8 @@ def test_const_form_decay_value():
     sol = analytic_green_const(np.array([1.0]), 0.5, grid)
     g1, g2 = sol.level(0)
     assert abs(abs(g1[-1]) - math.exp(-1.0)) < 1e-14
-    # printed lesser form: j0 * dt on the same exponential
-    assert abs(g2[-1] - 0.5 * 2.0 * g1[-1]) < 1e-14
+    # g2 = j0 exp(-j0 dt) sin(e dt) / e
+    assert abs(g2[-1] - 0.5 * math.exp(-1.0) * math.sin(2.0)) < 1e-14
 
 
 def test_lorentzian_form_j1_zero_is_exact_constant_form():
