@@ -68,6 +68,7 @@ from markovlab.master import (
     SufficientConditions,
     classify_sufficient_conditions,
     commuting_block_evolution,
+    commutator_residuals,
     effective_commutator_rhs,
     exact_rho_dot,
     maximally_mixed_invariance,

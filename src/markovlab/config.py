@@ -335,6 +335,13 @@ def _check_grid(cfg: ScenarioConfig):
         raise ConfigError("need t1 > t0", key="t1")
     if steps is not None and steps < 2:
         raise ConfigError("need steps >= 2", key="steps")
+    for key in ("n_triples", "n_times"):
+        count = cfg.get_int(key)
+        if count is not None and count < 1:
+            raise ConfigError(f"need {key} >= 1", key=key)
+    t_max = cfg.get_float("t_max")
+    if t_max is not None and not t_max > 0:
+        raise ConfigError("need t_max > 0", key="t_max")
 
 
 # -------------------------------------------------------------- rendering

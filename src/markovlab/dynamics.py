@@ -15,11 +15,21 @@ middle-segment map is always rebuilt from the initial environment
 weights, which is exactly the relation under test: it holds identically
 when the environment amounts to a single never-excited state, and fails
 otherwise.
+
+Trajectories share one engine.  Each spec eigendecomposes H once (the
+``CompositeSpec.propagator``), the initial state enters as a rank factor
+F with F F^dag = rho(0), and the states on a time grid form the stack
+psi(t) = V (exp(-i E t) * V^dag F) of shape (T, d, r).  Reduced states
+of S and E are a reshape and one batched matmul of that stack, and the
+time axis is walked in blocks of at most ``_TIME_BLOCK`` complex entries
+so memory stays flat on long grids.  The super matrix is one batched
+matmul, and maps compose as (d_s^2, d_s^2) matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -32,12 +42,24 @@ from markovlab.linalg import (
     require_hermitian,
     tensor_product,
     trace_distance,
+    trace_env_factored,
+    trace_sys_factored,
     validate_density_matrix,
     von_neumann_entropy,
 )
 from markovlab.spectral import TimeGrid
 
 _AMP_TOL = 1e-12
+
+#: Complex entries of the evolved-state stacks one trajectory block holds.
+_TIME_BLOCK = 1 << 13
+
+
+def _psd_factor(m: np.ndarray) -> np.ndarray:
+    """G with G G^dag = m for positive semidefinite m; columns of weight > 0 only."""
+    w, v = np.linalg.eigh(m)
+    keep = w > 0.0
+    return v[:, keep] * np.sqrt(w[keep])
 
 
 @dataclass(frozen=True)
@@ -105,6 +127,18 @@ class InitialState:
             return np.outer(psi, psi.conj())
         return tensor_product(self.rho_s0(), self.d_mat)
 
+    def factor(self) -> np.ndarray:
+        """Rank factor F of the composite state: F F^dag = rho_full().
+
+        ``product`` gives c x sqrt(d_mat), ``mixed-product``
+        sqrt(s_weights) x sqrt(d_mat) and ``entangled`` the column vec(a);
+        the square roots keep only the eigenvectors of positive weight.
+        """
+        if self.kind == "entangled":
+            return self.a.reshape(-1, 1)
+        sys = self.c[:, None] if self.kind == "product" else _psd_factor(self.s_weights)
+        return np.kron(sys, _psd_factor(self.d_mat))
+
     def env_weights(self) -> np.ndarray:
         """Initial environment statistics (reduced state of E at t0)."""
         if self.kind == "entangled":
@@ -147,6 +181,11 @@ class CompositeSpec:
         if self.initial.d_s != self.d_s or self.initial.d_e != self.d_e:
             raise ValueError("initial state dimensions do not match the spec")
 
+    @cached_property
+    def propagator(self) -> "Propagator":
+        """The one eigendecomposition of H that every evolution of this spec uses."""
+        return Propagator(self)
+
 
 def build_total_hamiltonian(spec: CompositeSpec) -> np.ndarray:
     eye_s = np.eye(spec.d_s)
@@ -170,11 +209,27 @@ class Propagator:
         v = self.eigvecs
         return (v * np.exp(-1j * self.eigvals * dt)) @ v.conj().T
 
-    def rho_full(self, dt: float, rho0: np.ndarray | None = None) -> np.ndarray:
+    def rho_full(self, dt: float) -> np.ndarray:
         u = self.unitary(dt)
-        if rho0 is None:
-            rho0 = self.spec.initial.rho_full()
-        return u @ rho0 @ u.conj().T
+        return u @ self.spec.initial.rho_full() @ u.conj().T
+
+    def states(self, dts: np.ndarray, *factors: np.ndarray):
+        """Yield the evolved factors U(dt) F for consecutive blocks of dts.
+
+        Each item is a list with one (T_block, d, r) stack per factor,
+        psi[k] = V (exp(-i E dts[k]) * V^dag F), so psi psi^dag is the
+        evolved rho.  A block holds at most ``_TIME_BLOCK`` complex
+        entries over all factors, and as many in a stack of reduced
+        states of S or E (but at least one time).
+        """
+        v = self.eigvecs
+        coeffs = [v.conj().T @ f for f in factors]
+        width = max(v.shape[0] * sum(c.shape[1] for c in coeffs),
+                    self.spec.d_s ** 2, self.spec.d_e ** 2)
+        step = max(1, _TIME_BLOCK // width)
+        for start in range(0, dts.size, step):
+            phases = np.exp(-1j * self.eigvals * dts[start:start + step, None])[:, :, None]
+            yield [v @ (phases * c) for c in coeffs]
 
 
 class EvolveResult(NamedTuple):
@@ -187,7 +242,7 @@ def evolve(spec: CompositeSpec, t: float, t0: float = 0.0) -> EvolveResult:
     """Exact state of S, E and S+E at time t from the initial data at t0."""
     if t < t0:
         raise ValueError(f"need t >= t0, got t = {t}, t0 = {t0}")
-    rho = Propagator(spec).rho_full(t - t0)
+    rho = spec.propagator.rho_full(t - t0)
     rho_s = partial_trace_env(rho, spec.d_s, spec.d_e)
     rho_e = partial_trace_sys(rho, spec.d_s, spec.d_e)
     validate_density_matrix(rho, name="rho_full")
@@ -202,7 +257,8 @@ class SuperMap:
 
     ``entries[i1, i2, j1, j2]`` maps initial system weights to
     rho_S(t)[j1, j2]; at t = t0 it is the identity map
-    delta_{i1 j1} delta_{i2 j2}.
+    delta_{i1 j1} delta_{i2 j2}.  ``matrix`` is the same data as a
+    (d_s^2, d_s^2) matrix acting on row-vectorised weights from the right.
     """
 
     d_s: int
@@ -210,30 +266,37 @@ class SuperMap:
     t0: float
     entries: np.ndarray
 
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.entries.reshape(self.d_s ** 2, self.d_s ** 2)
+
     def apply(self, rho_s0) -> np.ndarray:
         rho_s0 = as_complex_matrix(rho_s0)
-        return np.einsum("ij,ijxy->xy", rho_s0, self.entries)
+        return (rho_s0.reshape(-1) @ self.matrix).reshape(self.d_s, self.d_s)
 
 
 def _supermatrix_entries(u: np.ndarray, d_weights: np.ndarray,
                          d_s: int, d_e: int) -> np.ndarray:
-    ur = u.reshape(d_s, d_e, d_s, d_e)
-    return np.einsum("ab,xgia,ygjb->ijxy", d_weights, ur, ur.conj())
+    """C[(i1, i2), (j1, j2)] as a (d_s^2, d_s^2) matrix.
+
+    With y[j1, g, i1, a2] = sum_a1 U[j1 g, i1 a1] d[a1, a2], the entry
+    C[i1, i2, j1, j2] = sum_{g, a2} y[j1, g, i1, a2] U[j2 g, i2 a2]^*
+    is one batched matmul over (i1, i2) that writes C in place, without
+    a transposed copy of the d_s^4 result.
+    """
+    y = (u.reshape(-1, d_e) @ d_weights).reshape(d_s, d_e, d_s, d_e)
+    left = y.transpose(2, 0, 1, 3).reshape(d_s, 1, d_s, d_e * d_e)
+    right = u.conj().reshape(d_s, d_e, d_s, d_e).transpose(2, 1, 3, 0)
+    return (left @ right.reshape(1, d_s, d_e * d_e, d_s)).reshape(d_s * d_s, -1)
 
 
 def supermatrix(spec: CompositeSpec, t: float, t0: float = 0.0) -> SuperMap:
     """Reduced dynamical map for product-type initial environments."""
     if spec.initial.kind == "entangled":
         raise ValueError("the super matrix needs a product-type initial state")
-    prop = Propagator(spec)
-    entries = _supermatrix_entries(prop.unitary(t - t0), spec.initial.d_mat,
+    entries = _supermatrix_entries(spec.propagator.unitary(t - t0), spec.initial.d_mat,
                                    spec.d_s, spec.d_e)
-    return SuperMap(d_s=spec.d_s, t=t, t0=t0, entries=entries)
-
-
-def compose_supermaps(first: SuperMap, second: SuperMap) -> np.ndarray:
-    """Entries of (second after first): sum_j C1[i, j] C2[j, k]."""
-    return np.einsum("ijab,abkl->ijkl", first.entries, second.entries)
+    return SuperMap(d_s=spec.d_s, t=t, t0=t0, entries=entries.reshape((spec.d_s,) * 4))
 
 
 def _check_triple(t0: float, ts: float, t: float):
@@ -250,10 +313,15 @@ def divisibility_defect(spec: CompositeSpec, t0: float, ts: float, t: float) -> 
     positive otherwise.
     """
     _check_triple(t0, ts, t)
-    whole = supermatrix(spec, t, t0)
-    first = supermatrix(spec, ts, t0)
-    second = supermatrix(spec, t, ts)
-    return float(np.abs(whole.entries - compose_supermaps(first, second)).max())
+    # compose into the first map one row block at a time, then subtract the
+    # whole-interval map in place: at most two d_s^4 maps are live at once
+    defect = supermatrix(spec, ts, t0).matrix
+    second = supermatrix(spec, t, ts).matrix
+    for r in range(0, defect.shape[0], spec.d_s):
+        defect[r:r + spec.d_s] = defect[r:r + spec.d_s] @ second
+    del second
+    defect -= supermatrix(spec, t, t0).matrix
+    return float(np.abs(defect).max())
 
 
 def _contracted_defect(spec: CompositeSpec, t0: float, ts: float, t: float,
@@ -264,12 +332,13 @@ def _contracted_defect(spec: CompositeSpec, t0: float, ts: float, t: float,
     the t0 environment weights d_mid) applied to the exact rho_S(ts).
     """
     _check_triple(t0, ts, t)
-    prop = Propagator(spec)
-    rho_ts = partial_trace_env(prop.rho_full(ts - t0), spec.d_s, spec.d_e)
-    rho_t = partial_trace_env(prop.rho_full(t - t0), spec.d_s, spec.d_e)
+    prop = spec.propagator
+    rho_ts, rho_t = np.concatenate([
+        trace_env_factored(psi, spec.d_s)
+        for psi, in prop.states(np.array([ts - t0, t - t0]), spec.initial.factor())])
     mid = _supermatrix_entries(prop.unitary(t - ts), d_mid, spec.d_s, spec.d_e)
-    lhs = np.einsum("ij,ijxy->xy", rho_ts, mid)
-    return float(np.abs(lhs - rho_t).max())
+    lhs = rho_ts.reshape(-1) @ mid
+    return float(np.abs(lhs.reshape(spec.d_s, spec.d_s) - rho_t).max())
 
 
 def contracted_divisibility_defect(spec: CompositeSpec, t0: float, ts: float,
@@ -329,15 +398,16 @@ class MarkovDiagnostics:
     """Time-scale separation data for the conventional Markov criteria.
 
     delta_e is the spread of the environment spectrum, tau_c ~ 1/delta_e
-    the correlation time, tau_s ~ 1/(V^2 tau_c) the system time, and
-    stationarity_defect the largest trace distance of rho_E(t) from its
-    initial value over the grid.
+    the correlation time, tau_s ~ 1/(V^2 tau_c) the system time,
+    distance the trace distance of rho_E(t) from its initial value at
+    each grid time, and stationarity_defect its largest value.
     """
 
     delta_e: float
     tau_c: float
     tau_s: float
     stationarity_defect: float
+    distance: np.ndarray
 
 
 def environment_stationarity(spec: CompositeSpec, grid: TimeGrid) -> MarkovDiagnostics:
@@ -349,17 +419,18 @@ def environment_stationarity(spec: CompositeSpec, grid: TimeGrid) -> MarkovDiagn
         tau_s = np.inf if v2 == 0 else 0.0
     else:
         tau_s = 1.0 / (v2 * tau_c)
-    defect = 0.0
+    times = grid.times()
+    distance = np.zeros(times.size)
     if spec.d_e > 1:
         # a one-state environment is identically stationary; only larger
         # environments can actually move
-        prop = Propagator(spec)
-        rho_e0 = partial_trace_sys(prop.rho_full(0.0), spec.d_s, spec.d_e)
-        for t in grid.times():
-            rho_e = partial_trace_sys(prop.rho_full(t - grid.t0), spec.d_s, spec.d_e)
-            defect = max(defect, trace_distance(rho_e, rho_e0))
+        factor = spec.initial.factor()
+        rho_e0 = trace_sys_factored(factor[None], spec.d_s, spec.d_e)[0]
+        distance = np.concatenate([
+            trace_distance(trace_sys_factored(psi, spec.d_s, spec.d_e), rho_e0)
+            for psi, in spec.propagator.states(times - grid.t0, factor)])
     return MarkovDiagnostics(delta_e=delta_e, tau_c=tau_c, tau_s=tau_s,
-                             stationarity_defect=defect)
+                             stationarity_defect=float(distance.max()), distance=distance)
 
 
 def _finite_difference_rate(values: np.ndarray, h: float) -> np.ndarray:
@@ -382,7 +453,8 @@ class WitnessResult:
         return float(self.rate.max())
 
 
-def _as_rho_s(state, d_s: int) -> np.ndarray:
+def _system_factor(state, d_s: int) -> np.ndarray:
+    """Rank factor of a system state given as amplitudes or a density matrix."""
     arr = np.asarray(state, dtype=complex)
     if arr.ndim == 1:
         if arr.size != d_s:
@@ -390,8 +462,8 @@ def _as_rho_s(state, d_s: int) -> np.ndarray:
         norm2 = float(np.sum(np.abs(arr) ** 2))
         if abs(norm2 - 1.0) > _AMP_TOL:
             raise ValueError(f"amplitudes not normalized: sum |c|^2 = {norm2:.15g}")
-        return np.outer(arr, arr.conj())
-    return validate_density_matrix(arr, name="initial system state")
+        return arr[:, None]
+    return _psd_factor(validate_density_matrix(arr, name="initial system state"))
 
 
 def distinguishability_witness(state_a, state_b, spec: CompositeSpec,
@@ -405,15 +477,14 @@ def distinguishability_witness(state_a, state_b, spec: CompositeSpec,
     """
     if spec.initial.kind == "entangled":
         raise ValueError("the witness needs a product-type environment state")
-    rho_a0 = tensor_product(_as_rho_s(state_a, spec.d_s), spec.initial.d_mat)
-    rho_b0 = tensor_product(_as_rho_s(state_b, spec.d_s), spec.initial.d_mat)
-    prop = Propagator(spec)
+    env = _psd_factor(spec.initial.d_mat)
+    factor_a = np.kron(_system_factor(state_a, spec.d_s), env)
+    factor_b = np.kron(_system_factor(state_b, spec.d_s), env)
     times = grid.times()
-    dist = np.empty(times.size)
-    for k, t in enumerate(times):
-        ra = partial_trace_env(prop.rho_full(t - grid.t0, rho_a0), spec.d_s, spec.d_e)
-        rb = partial_trace_env(prop.rho_full(t - grid.t0, rho_b0), spec.d_s, spec.d_e)
-        dist[k] = trace_distance(ra, rb)
+    dist = np.concatenate([
+        trace_distance(trace_env_factored(psi_a, spec.d_s),
+                       trace_env_factored(psi_b, spec.d_s))
+        for psi_a, psi_b in spec.propagator.states(times - grid.t0, factor_a, factor_b)])
     return WitnessResult(times=times, distance=dist,
                          rate=_finite_difference_rate(dist, grid.h))
 
@@ -443,12 +514,10 @@ class EntropyReport:
 
 
 def entropy_sie_check(spec: CompositeSpec, grid: TimeGrid) -> EntropyReport:
-    prop = Propagator(spec)
-    times = grid.times()
-    entropy = np.empty(times.size)
-    for k, t in enumerate(times):
-        rho_s = partial_trace_env(prop.rho_full(t - grid.t0), spec.d_s, spec.d_e)
-        entropy[k] = von_neumann_entropy(rho_s)
+    prop = spec.propagator
+    entropy = np.concatenate([
+        von_neumann_entropy(trace_env_factored(psi, spec.d_s))
+        for psi, in prop.states(grid.times() - grid.t0, spec.initial.factor())])
     rate = _finite_difference_rate(entropy, grid.h)
     max_rate = float(np.abs(rate).max())
     delta = min(spec.d_s, spec.d_e)

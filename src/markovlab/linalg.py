@@ -89,6 +89,24 @@ def partial_trace_sys(m, d_sys: int, d_env: int) -> np.ndarray:
     return np.einsum("iaib->ab", _reshape_composite(m, d_sys, d_env))
 
 
+def trace_env_factored(x, d_sys: int, y=None) -> np.ndarray:
+    """Tr_E(x[k] y[k]^dag) for each k of (T, d_sys * d_env, r) stacks.
+
+    With y omitted this is the reduced system state of rho = x x^dag,
+    computed from the rank factor without forming rho: a reshape to
+    (T, d_sys, d_env * r) and one batched matmul.
+    """
+    a = x.reshape(x.shape[0], d_sys, -1)
+    b = a if y is None else y.reshape(y.shape[0], d_sys, -1)
+    return a @ b.conj().swapaxes(1, 2)
+
+
+def trace_sys_factored(x, d_sys: int, d_env: int) -> np.ndarray:
+    """Tr_S(x[k] x[k]^dag) for each k of a (T, d_sys * d_env, r) stack."""
+    a = x.reshape(x.shape[0], d_sys, d_env, -1).swapaxes(1, 2).reshape(x.shape[0], d_env, -1)
+    return a @ a.conj().swapaxes(1, 2)
+
+
 def mat_exp(h, scale: complex = 1.0) -> np.ndarray:
     """Matrix exponential exp(scale * h).
 
@@ -115,31 +133,46 @@ def mat_exp(h, scale: complex = 1.0) -> np.ndarray:
     return out
 
 
-def von_neumann_entropy(rho) -> float:
+def _as_square_stack(m) -> np.ndarray:
+    """Coerce to a finite complex array of square matrices, shape (..., n, n)."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got array of shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    return a
+
+
+def von_neumann_entropy(rho):
     """Entropy -sum_k p_k log p_k in nats, with 0 log 0 = 0.
 
     Eigenvalues in [EIG_FLOOR, 0) are clamped to zero; anything below
-    the floor raises :class:`PositivityError`.
+    the floor raises :class:`PositivityError`.  A (..., n, n) stack gives
+    an array of entropies, a single matrix a float.
     """
-    w = np.linalg.eigvalsh(as_complex_matrix(rho))
+    w = np.linalg.eigvalsh(_as_square_stack(rho))
     if w.min() < EIG_FLOOR:
         raise PositivityError(
             f"eigenvalue {w.min():.3e} below the positivity floor {EIG_FLOOR:.1e}"
         )
-    w = w[w > 0.0]
-    if w.size == 0:
-        return 0.0
-    return float(-(w * np.log(w)).sum())
+    # 1 log 1 = 0 stands in for the clamped eigenvalues
+    w = np.where(w > 0.0, w, 1.0)
+    s = -(w * np.log(w)).sum(axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
-def trace_distance(a, b) -> float:
-    """Half the trace norm of (a - b) for Hermitian a, b."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
+def trace_distance(a, b):
+    """Half the trace norm of (a - b) for Hermitian a, b.
+
+    Either argument may be a (..., n, n) stack; the two broadcast against
+    each other and a stack gives an array of distances.
+    """
+    a = _as_square_stack(a)
+    b = _as_square_stack(b)
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    w = np.linalg.eigvalsh(a - b)
-    return float(0.5 * np.abs(w).sum())
+    d = 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
+    return float(d) if d.ndim == 0 else d
 
 
 def validate_density_matrix(

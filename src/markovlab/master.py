@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from markovlab.dynamics import CompositeSpec, Propagator
+from markovlab.dynamics import CompositeSpec
 from markovlab.linalg import (
     mat_exp,
     partial_trace_env,
     tensor_product,
+    trace_env_factored,
 )
 from markovlab.spectral import TimeGrid
 
@@ -45,7 +46,7 @@ class PreconditionError(RuntimeError):
 
 def exact_rho_dot(spec: CompositeSpec, t: float, t0: float = 0.0) -> np.ndarray:
     """d rho_S / dt at time t, computed as Tr_E(-i [H, rho(t)])."""
-    prop = Propagator(spec)
+    prop = spec.propagator
     rho = prop.rho_full(t - t0)
     comm = prop.hamiltonian @ rho - rho @ prop.hamiltonian
     return partial_trace_env(-1j * comm, spec.d_s, spec.d_e)
@@ -118,6 +119,51 @@ def _env_averaged_coupling(spec: CompositeSpec) -> np.ndarray:
     return np.einsum("iajb,ba->ij", h_int, spec.initial.d_mat)
 
 
+def _effective_hamiltonian(spec: CompositeSpec) -> np.ndarray:
+    """H_eff = H_S + V <H_SE>, averaged over product-type environment weights."""
+    if spec.initial.kind == "entangled":
+        raise PreconditionError("commutator form needs a product-type initial state")
+    return spec.h_s + _env_averaged_coupling(spec)
+
+
+def _commutator_residuals(spec: CompositeSpec, psi: np.ndarray,
+                          h_eff: np.ndarray) -> np.ndarray:
+    """max |exact - rhs| at each time of an evolved-factor stack psi.
+
+    exact = Tr_E(-i [H, psi psi^dag]) and rhs = -i [H_eff, rho_S] differ
+    by -i (D - D^dag) with D = Tr_E(((H - H_eff x 1) psi) psi^dag), so
+    no density matrix is formed.
+    """
+    gen = spec.propagator.hamiltonian - tensor_product(h_eff, np.eye(spec.d_e))
+    d = trace_env_factored(gen @ psi, spec.d_s, psi)
+    return np.abs(d - d.conj().swapaxes(1, 2)).max(axis=(1, 2))
+
+
+def commutator_residuals(spec: CompositeSpec, times,
+                         t0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Commutator-form residual and spectrum drift of rho_S at each time.
+
+    The residual is that of :func:`effective_commutator_rhs`; the drift
+    is the largest change of the sorted eigenvalues of rho_S(t) from
+    those of rho_S(t0), which a unitary reduced motion keeps.  With
+    rho_S = a a^dag for the reshaped factor a (d_s x m), those
+    eigenvalues are the squared singular values of a, padded with zeros.
+    """
+    h_eff = _effective_hamiltonian(spec)
+    w0 = np.linalg.eigvalsh(spec.initial.rho_s0())
+
+    def drift(psi):
+        s2 = np.linalg.svd(psi.reshape(len(psi), spec.d_s, -1), compute_uv=False) ** 2
+        w = np.pad(s2[:, ::-1], ((0, 0), (spec.d_s - s2.shape[1], 0)))
+        return np.abs(w - w0).max(axis=1)
+
+    dts = np.asarray(times, dtype=float) - t0
+    blocks = [(_commutator_residuals(spec, psi, h_eff), drift(psi))
+              for psi, in spec.propagator.states(dts, spec.initial.factor())]
+    return (np.concatenate([r for r, _ in blocks]),
+            np.concatenate([d for _, d in blocks]))
+
+
 def effective_commutator_rhs(spec: CompositeSpec, t: float,
                              t0: float = 0.0) -> CommutatorForm:
     """Time-local commutator form of the reduced derivative.
@@ -127,13 +173,11 @@ def effective_commutator_rhs(spec: CompositeSpec, t: float,
     Outside that case the call fails with the measured residual attached
     for diagnostics.
     """
-    if spec.initial.kind == "entangled":
-        raise PreconditionError("commutator form needs a product-type initial state")
-    exact = exact_rho_dot(spec, t, t0)
-    h_eff = spec.h_s + _env_averaged_coupling(spec)
-    rho_s = evolve_rho_s(spec, t, t0)
+    h_eff = _effective_hamiltonian(spec)
+    [(psi,)] = spec.propagator.states(np.array([t - t0]), spec.initial.factor())
+    rho_s = trace_env_factored(psi, spec.d_s)[0]
     rhs = -1j * (h_eff @ rho_s - rho_s @ h_eff)
-    residual = float(np.abs(exact - rhs).max())
+    residual = float(_commutator_residuals(spec, psi, h_eff)[0])
     if spec.d_e != 1:
         raise PreconditionError(
             f"the commutator form is only exact for a one-state environment "
@@ -157,8 +201,8 @@ def effective_commutator_rhs(spec: CompositeSpec, t: float,
 
 
 def evolve_rho_s(spec: CompositeSpec, t: float, t0: float = 0.0) -> np.ndarray:
-    prop = Propagator(spec)
-    return partial_trace_env(prop.rho_full(t - t0), spec.d_s, spec.d_e)
+    """rho_S(t) from the full density matrix: the per-time reference path."""
+    return partial_trace_env(spec.propagator.rho_full(t - t0), spec.d_s, spec.d_e)
 
 
 @dataclass(frozen=True)
@@ -226,24 +270,21 @@ def maximally_mixed_invariance(spec: CompositeSpec, grid: TimeGrid) -> MixedInva
     rho(0) = 1 / (d_s d_e) commutes with every Hamiltonian, so rho_S(t)
     must stay 1 / d_s on the whole grid.  The closure identity
     sum_{i, a, g} <j1 g|U|i a> <j2 g|U|i a>^* = d_e delta_{j1 j2} is
-    evaluated at every grid time as well.
+    evaluated at every grid time as well: it is the same reduction,
+    Tr_E(U U^dag), applied to the U(t) stack.
     """
     conds = classify_sufficient_conditions(spec)
     if not conds.maximally_mixed:
         raise PreconditionError(
             "spec is not maximally mixed (need rho_S(0) = 1/d_s and "
             "environment weights 1/d_e)")
-    prop = Propagator(spec)
-    target = np.eye(spec.d_s) / spec.d_s
+    eye_s = np.eye(spec.d_s)
     max_defect = 0.0
     unitarity_defect = 0.0
-    eye_s = np.eye(spec.d_s)
-    for t in grid.times():
-        dt = t - grid.t0
-        rho_s = partial_trace_env(prop.rho_full(dt), spec.d_s, spec.d_e)
-        max_defect = max(max_defect, float(np.abs(rho_s - target).max()))
-        ur = prop.unitary(dt).reshape(spec.d_s, spec.d_e, spec.d_s, spec.d_e)
-        closure = np.einsum("xgia,ygia->xy", ur, ur.conj())
-        unitarity_defect = max(unitarity_defect,
-                               float(np.abs(closure - spec.d_e * eye_s).max()))
+    for psi, u in spec.propagator.states(grid.times() - grid.t0, spec.initial.factor(),
+                                         np.eye(spec.d_s * spec.d_e, dtype=complex)):
+        max_defect = max(max_defect, float(
+            np.abs(trace_env_factored(psi, spec.d_s) - eye_s / spec.d_s).max()))
+        unitarity_defect = max(unitarity_defect, float(
+            np.abs(trace_env_factored(u, spec.d_s) - spec.d_e * eye_s).max()))
     return MixedInvariance(max_defect=max_defect, unitarity_defect=unitarity_defect)

@@ -339,3 +339,37 @@ cB = [0.0, 1.0]
 steps = 50
 """
     assert run_cli(tmp_path, text) == 2
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    ("divisibility", "n_triples", "0"),
+    ("divisibility", "n_triples", "-3"),
+    ("entangled", "n_triples", "0"),
+    ("divisibility", "t_max", "-1.0"),
+    ("divisibility", "t_max", "0.0"),
+    ("master-check", "n_times", "0"),
+    ("master-check", "t_max", "-1.0"),
+])
+def test_count_and_span_keys_exit_two_naming_the_key(tmp_path, capsys, scenario, key, value):
+    text = f"scenario = {scenario}\ndS = 2\ndE = 1\nseed = 3\n{key} = {value}\n"
+    assert run_cli(tmp_path, text) == 2
+    assert f"key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d_s, d_e, seed", [(2, 2, 5), (3, 1, 4)])
+def test_stationarity_csv_max_is_the_summary_defect(tmp_path, d_s, d_e, seed):
+    text = f"""
+scenario = stationarity
+dS = {d_s}
+dE = {d_e}
+seed = {seed}
+coupling_strength = 3.0
+steps = 100
+out = st.csv
+"""
+    assert run_cli(tmp_path, text) == 0
+    csv = (tmp_path / "out" / "st.csv").read_text().splitlines()[1:]
+    csv_max = max(float(line.split(",")[1]) for line in csv)
+    summary = (tmp_path / "out" / "st.summary.txt").read_text()
+    line = next(ln for ln in summary.splitlines() if ln.startswith("stationarity_defect"))
+    assert line.split()[2] == f"{csv_max:.6e}"

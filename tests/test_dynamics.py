@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from markovlab import dynamics
 from markovlab.dynamics import (
     CompositeSpec,
     InitialState,
@@ -15,7 +20,16 @@ from markovlab.dynamics import (
     factorization_degeneracy_check,
     supermatrix,
 )
-from markovlab.linalg import tensor_product, validate_density_matrix, von_neumann_entropy
+from markovlab.linalg import (
+    partial_trace_env,
+    partial_trace_sys,
+    tensor_product,
+    trace_distance,
+    trace_env_factored,
+    trace_sys_factored,
+    validate_density_matrix,
+    von_neumann_entropy,
+)
 from markovlab.sampling import (
     random_amplitudes,
     random_env_weights,
@@ -530,3 +544,97 @@ def test_entropy_report_fields():
     assert report.c_const == 1.0
     assert report.h_norm > 0
     assert np.isfinite(report.bound_ratio)
+
+
+# ------------------------------------------- trajectory engine properties
+
+
+DIMS = [(a, b) for a in range(1, 17) for b in range(1, 17) if a * b <= 16]
+
+
+def _density(rng, n, rank, rotate=True):
+    """Random density matrix of the given rank; exactly diagonal unless rotated."""
+    p = np.zeros(n)
+    p[:rank] = rng.random(rank) + 0.05
+    rho = np.diag(p / p.sum()).astype(complex)
+    if rotate:
+        v = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        rho = v @ rho @ v.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+    return rho
+
+
+def _drawn_spec(data, kind):
+    d_s, d_e = data.draw(st.sampled_from(DIMS))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rotate = data.draw(st.booleans())
+    env = _density(rng, d_e, data.draw(st.integers(1, d_e)), rotate)
+    if kind == "product":
+        initial = InitialState.product(random_amplitudes(d_s, rng), env)
+    elif kind == "mixed-product":
+        system = _density(rng, d_s, data.draw(st.integers(1, d_s)), rotate)
+        initial = InitialState.mixed_product(system, env)
+    else:
+        initial = InitialState.entangled(random_amplitudes(d_s * d_e, rng).reshape(d_s, d_e))
+    return CompositeSpec(d_s=d_s, d_e=d_e, h_s=random_hermitian(d_s, rng),
+                         h_e=random_hermitian(d_e, rng),
+                         h_se=random_hermitian(d_s * d_e, rng), initial=initial,
+                         coupling_strength=data.draw(st.floats(0.1, 3.0))), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["product", "mixed-product", "entangled"]),
+       steps=st.integers(2, 40), t1=st.floats(0.5, 6.0), data=st.data())
+def test_engine_matches_per_time_oracle(kind, steps, t1, data):
+    spec, rng = _drawn_spec(data, kind)
+    d_s, d_e = spec.d_s, spec.d_e
+    grid = TimeGrid(0.0, t1, steps)
+    dts = grid.times() - grid.t0
+    prop = spec.propagator
+    factor = spec.initial.factor()
+    assert np.abs(factor @ factor.conj().T - spec.initial.rho_full()).max() < 1e-14
+    # a block smaller than the grid, so the engine walks several blocks
+    chunk = data.draw(st.integers(1, steps))
+    width = max(d_s * d_e * factor.shape[1], d_s ** 2, d_e ** 2)
+    state_a = random_amplitudes(d_s, rng)
+    state_b = _density(rng, d_s, data.draw(st.integers(1, d_s)))
+    with mock.patch.object(dynamics, "_TIME_BLOCK", width * chunk):
+        blocks = [psi for psi, in prop.states(dts, factor)]
+        assert len(blocks) == -(-dts.size // chunk) > 1
+        psi = np.concatenate(blocks)
+        entropy = entropy_sie_check(spec, grid).entropy
+        stationarity = environment_stationarity(spec, grid).distance
+        witness = (None if kind == "entangled" else
+                   distinguishability_witness(state_a, state_b, spec, grid).distance)
+
+    rho = [prop.rho_full(dt) for dt in dts]
+    rho_s = np.array([partial_trace_env(r, d_s, d_e) for r in rho])
+    rho_e = np.array([partial_trace_sys(r, d_s, d_e) for r in rho])
+    assert np.abs(trace_env_factored(psi, d_s) - rho_s).max() < 1e-12
+    assert np.abs(trace_sys_factored(psi, d_s, d_e) - rho_e).max() < 1e-12
+    assert np.abs(entropy - [von_neumann_entropy(r) for r in rho_s]).max() < 1e-12
+    if d_e > 1:
+        assert np.abs(stationarity - [trace_distance(r, rho_e[0]) for r in rho_e]).max() < 1e-12
+    if witness is not None:
+        def evolved(state):
+            rho0 = tensor_product(state, spec.initial.d_mat)
+            return [partial_trace_env(u @ rho0 @ u.conj().T, d_s, d_e)
+                    for u in map(prop.unitary, dts)]
+        oracle = [trace_distance(a, b) for a, b in
+                  zip(evolved(np.outer(state_a, state_a.conj())), evolved(state_b))]
+        assert np.abs(witness - oracle).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.floats(0.0, 5.0), data=st.data())
+def test_supermatrix_matches_loop_oracle_and_keeps_trace_and_hermiticity(t, data):
+    spec, _ = _drawn_spec(data, "product")
+    d_s = spec.d_s
+    entries = supermatrix(spec, t).entries
+    oracle = supermatrix_loop_oracle(spec.propagator.unitary(t), spec.initial.d_mat,
+                                     d_s, spec.d_e)
+    assert np.abs(entries - oracle).max() < 1e-13
+    # sum_j C[i1, i2, j, j] = delta_{i1 i2}: every image has unit trace
+    assert np.abs(np.einsum("abjj->ab", entries) - np.eye(d_s)).max() < 1e-13
+    # C[i2, i1, j2, j1] = C[i1, i2, j1, j2]^*: Hermitian weights map to Hermitian states
+    assert np.abs(entries - entries.transpose(1, 0, 3, 2).conj()).max() < 1e-13
