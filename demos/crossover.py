@@ -1,9 +1,10 @@
 """Crossover of the propagator amplitudes with the resonance strength.
 
 The resonant propagator splits into two branches,
-G1 = A1 exp(phi1 t) - A2 exp(phi2 t).  As the resonance strength j1 runs
-from 0 to infinity, |A1| falls from 1 to 1/2 while |A2| climbs from 0 to
-1/2: the environment resonance converts a single decaying branch into an
+G1 = A1 exp(phi1 t) + A2 exp(phi2 t), with A1 + A2 = 1 = G1(0).  As the
+resonance strength j1 runs from 0 to infinity (this j1 is half the kernel
+j1 of the green scenarios), |A1| falls from 1 to 1/2 while |A2| climbs
+from 0 to 1/2: the environment resonance converts a single decaying branch into an
 equal two-branch interference, which is where the oscillations in
 |G1(t)| come from.  Both branches decay whenever w = j0 + gamma exceeds
 the branch-root magnitude C.

@@ -92,16 +92,13 @@ class MasterOperators:
     o_op = -i (d_s_part + d_se_part + n_se_part) where d_s_part holds the
     system eigenvalues, d_se_part the diagonal and n_se_part the
     off-diagonal part of the effective coupling.  o_op + o_op^dag = 0 by
-    construction, and the two-sided factor lists reproduce
-    d rho / dt = o_op rho + rho o_op^dag.
+    construction, and d rho / dt = o_op rho + rho o_op^dag.
     """
 
     o_op: np.ndarray
     d_s_part: np.ndarray
     d_se_part: np.ndarray
     n_se_part: np.ndarray
-    left_factors: list
-    right_factors: list
 
 
 @dataclass(frozen=True)
@@ -193,10 +190,8 @@ def effective_commutator_rhs(spec: CompositeSpec, t: float,
     anti_defect = float(np.abs(o_op + o_op.conj().T).max())
     if anti_defect > 1e-10:
         raise RuntimeError(f"generator lost anti-Hermiticity: defect {anti_defect:.3e}")
-    eye = np.eye(spec.d_s, dtype=complex)
     ops = MasterOperators(o_op=o_op, d_s_part=d_s_part, d_se_part=d_se_part,
-                          n_se_part=n_se_part,
-                          left_factors=[o_op, eye], right_factors=[eye, o_op])
+                          n_se_part=n_se_part)
     return CommutatorForm(rhs=rhs, residual=residual, operators=ops, h_eff=h_eff)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from markovlab.config import SCHEMAS, ConfigError, ScenarioConfig
+from markovlab.config import SCHEMAS, ConfigError, ScenarioConfig, _check_grid
 from markovlab.dynamics import (
     CompositeSpec,
     InitialState,
@@ -424,7 +424,12 @@ _RUNNERS = {
 
 def sweep_scenario(base_cfg: ScenarioConfig, key: str, values,
                    strict: bool = False) -> ScenarioResult:
-    """Run the base scenario once per swept value and merge the tables."""
+    """Run the base scenario once per swept value and merge the tables.
+
+    An integral value is passed as an int, so integer keys such as
+    ``steps`` can be swept, and every child config is validated like a
+    parsed one.  The CSV column holds float(value) either way.
+    """
     schema = SCHEMAS.get(base_cfg.scenario)
     if schema is None or base_cfg.scenario == "sweep":
         raise ConfigError(f"cannot sweep scenario {base_cfg.scenario!r}")
@@ -440,9 +445,10 @@ def sweep_scenario(base_cfg: ScenarioConfig, key: str, values,
     combined = ScenarioResult(columns=[key], rows=[], checks=[], info=[])
     for v in values:
         child_values = dict(base_cfg.values)
-        child_values[key] = float(v)
+        child_values[key] = int(v) if float(v).is_integer() else float(v)
         child = ScenarioConfig(scenario=base_cfg.scenario, values=child_values,
                                tolerance_overrides=dict(base_cfg.tolerance_overrides))
+        _check_grid(child)
         result = _RUNNERS[base_cfg.scenario](child, strict)
         if len(combined.columns) == 1:
             combined.columns = [key] + result.columns

@@ -21,8 +21,10 @@ decomposition of the resonant propagator used to map the crossover
 between decaying and oscillating regimes.  The march costs O(n), as a
 per-level recursive filter, when the smooth kernel is zero or a single
 exponential (flat background, resonance with infinite cut-off); tabulated
-and finite cut-off kernels take the O(n^2) reference march.  The tabulated
-kernel is exact; only the finite cut-off uses adaptive quadrature.
+and finite cut-off kernels take the O(n^2) reference march.  Every kernel
+is in closed form: the exponential of the infinite cut-off, exponential
+integrals for a finite cut-off, and the exact transform of a tabulated
+density's piecewise-linear interpolant; none uses adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 import scipy.signal
+import scipy.special
 from numpy.polynomial import polynomial as npp
 
 GREEN_CONVENTION = "G1 = i * G_retarded, G2 = -i * G_lesser"
@@ -147,20 +149,6 @@ class KernelValue:
     delta_weight: float
 
 
-def _quad_fourier(f, lo: float, hi: float, dt: float) -> complex:
-    """(1/2pi) * integral of f(w) exp(-i w dt) over [lo, hi], adaptive."""
-    kwargs = {"limit": 400}
-    re, re_err = scipy.integrate.quad(f, lo, hi, weight="cos", wvar=dt, **kwargs)
-    im, im_err = scipy.integrate.quad(f, lo, hi, weight="sin", wvar=dt, **kwargs)
-    err = max(re_err, im_err)
-    scale = max(abs(re), abs(im), 1e-12)
-    if err > 1e-6 * scale and err > 1e-9:
-        raise RuntimeError(
-            f"kernel quadrature did not converge: error estimate {err:.2e} on [{lo}, {hi}]"
-        )
-    return (re - 1j * im) / (2.0 * math.pi)
-
-
 #: Below this |theta| the segment transform uses its Taylor series: the
 #: closed form (sin t - t cos t) / t^2 cancels to a relative error of about
 #: 3 eps / t^2, and eight series terms stay within 2.2e-16 up to t = 0.5.
@@ -199,6 +187,46 @@ def _table_kernel(om: np.ndarray, va: np.ndarray, lags: np.ndarray) -> np.ndarra
     return out / (2.0 * math.pi)
 
 
+#: Above this |Re z|, exp(z) or E1(z) leaves the double range (e^709), so
+#: f(z) = exp(z) E1(z) takes its asymptotic series, whose eight terms stay
+#: within 1e-17 relative for |z| > 500.
+_ASYMPTOTIC_RE = 500.0
+_ASYMPTOTIC_SERIES = [(-1) ** k * math.factorial(k) for k in range(7, -1, -1)]
+
+
+def _scaled_exp1(z: np.ndarray) -> np.ndarray:
+    """f(z) = exp(z) E1(z); sum_k (-1)^k k! / z^(k+1) where |Re z| is large."""
+    far = np.abs(z.real) > _ASYMPTOTIC_RE
+    near = np.where(far, 1.0, z)
+    inv = 1.0 / np.where(far, z, 1.0)
+    return np.where(far, inv * np.polyval(_ASYMPTOTIC_SERIES, inv),
+                    np.exp(near) * scipy.special.exp1(near))
+
+
+def _cut_kernel(j1: float, gamma: float, e0: float, cut: float,
+                lags: np.ndarray) -> np.ndarray:
+    """Exact (1/2pi) * integral of the resonance over |w - e0| < cut times exp(-i w s).
+
+    With x = w - e0 the kernel is (j1 gamma^2 / 2pi) exp(-i e0 s) I(s),
+    I(s) = int_{-c}^{c} cos(x s) / (x^2 + gamma^2) dx, which is even in s.
+    I is the full-line value pi exp(-gamma s) / gamma less the tails
+    |x| > c, and partial fractions in x -+ i gamma make each tail an
+    exponential integral: with f(z) = exp(z) E1(z), for s > 0
+
+        gamma I(s) = pi exp(-gamma s)
+                     + Im(exp(i c s) [f(gamma s - i c s) - f(-gamma s - i c s)]),
+
+    and gamma I(0) = 2 atan(c / gamma).
+    """
+    at_zero = lags == 0
+    s = np.where(at_zero, 1.0, np.abs(lags))
+    z = -1j * cut * s
+    tails = np.exp(1j * cut * s) * (_scaled_exp1(z + gamma * s) - _scaled_exp1(z - gamma * s))
+    gamma_i = np.where(at_zero, 2.0 * math.atan(cut / gamma),
+                       math.pi * np.exp(-gamma * s) + tails.imag)
+    return (0.5 * j1 * gamma / math.pi) * np.exp(-1j * e0 * lags) * gamma_i
+
+
 def _exponential_form(density: SpectralDensity) -> tuple[complex, complex] | None:
     """(a, r) when the smooth kernel is a * exp(-r s), else None.
 
@@ -216,10 +244,11 @@ def memory_kernel(density: SpectralDensity, dt: float) -> KernelValue:
     """Time-domain kernel at lag dt >= 0, split into smooth and delta parts.
 
     The flat background never enters the smooth part; it is returned as
-    ``delta_weight``.  The resonance with infinite cut-off uses the
-    closed form (j1 gamma / 2) exp(-(i e0 + gamma) dt) and a tabulated
-    density the exact transform of its piecewise-linear interpolant;
-    only a finite cut-off is integrated by adaptive quadrature.
+    ``delta_weight``.  Every smooth part is in closed form: the resonance
+    with infinite cut-off is (j1 gamma / 2) exp(-(i e0 + gamma) dt), a
+    finite cut-off takes exponential integrals (:func:`_cut_kernel`) and a
+    tabulated density the exact transform of its piecewise-linear
+    interpolant.  No kernel uses adaptive quadrature.
     """
     if dt < 0:
         raise ValueError("kernel lag must be nonnegative")
@@ -236,10 +265,7 @@ def kernel_on_grid(density: SpectralDensity, lags: np.ndarray) -> np.ndarray:
         return amp * np.exp(-rate * lags)
     if density.kind == "tabulated":
         return _table_kernel(*density.table, lags)
-    j1, g, e0, cut = density.j1, density.gamma, density.e0, density.omega_cut
-    bump = lambda w: j1 * g * g / ((w - e0) ** 2 + g * g)
-    return np.array([_quad_fourier(bump, e0 - cut, e0 + cut, s) for s in lags],
-                    dtype=complex)
+    return _cut_kernel(density.j1, density.gamma, density.e0, density.omega_cut, lags)
 
 
 @dataclass(frozen=True)
@@ -488,21 +514,44 @@ def analytic_green_const(es, j0: float, grid: TimeGrid) -> GreenSolution:
     return GreenSolution(grid=grid, g1=_embed_diagonal(g1), g2=_embed_diagonal(g2))
 
 
+def _resonant_branches(es, j0: float, j1: float, e0: float, gamma: float):
+    """Both branches of the resonant g1 = a1 exp(phi1 dt) + a2 exp(phi2 dt).
+
+    For the kernel (j1 gamma / 2) exp(-(i e0 + gamma) s), with
+    z = (e - e0) - i (j0 - gamma) and base = (e + e0) - i (j0 + gamma),
+    the characteristic roots are phi1,2 = -(i/2) (base +- R) for the
+    principal root R = sqrt(z^2 + 2 j1 gamma), whose cut maps to +i.
+    a1 = (1 + z / R) / 2 and a2 = 1 - a1 give g1(0) = 1 and
+    g1'(0) = -i (e - i j0).  At j1 = 0, R = +-z exactly (the sign of
+    :func:`_upper_branch`), so (a1, a2) is exactly (1, 0) or (0, 1); at
+    the double root R = 0 they are NaN.  Returns (z, R, a1, a2, phi1,
+    phi2), elementwise in ``es``.
+    """
+    es = np.asarray(es, dtype=float)
+    z = (es - e0) - 1j * (j0 - gamma)
+    if j1 == 0:
+        ratio = np.where(_upper_branch(es - e0, j0 - gamma), 1.0, -1.0)
+        # adding 0.0 clears signed zeros, so arg R stays in (-pi/2, pi/2]
+        r = ratio * z + 0.0
+    else:
+        # adding 0j turns a -0 imaginary part into +0: the cut maps to +i
+        r = np.sqrt(z * z + (2.0 * j1 * gamma + 0j))
+        ratio = np.divide(z, r, out=np.full(z.shape, np.nan, dtype=complex), where=r != 0)
+    a1 = 0.5 * (1.0 + ratio)
+    base = (es + e0) - 1j * (j0 + gamma)
+    return z, r, a1, 1.0 - a1, -0.5j * (base + r), -0.5j * (base - r)
+
+
 def analytic_green1_lorentzian(es, j0: float, j1: float, e0: float, gamma: float,
                                grid: TimeGrid) -> GreenSolution:
     """Closed form of g1 for the resonant kernel with infinite cut-off.
 
-    With z = (e - e0) - i (j0 - gamma) the characteristic roots of the
-    kernel equation are (-i/2) [(e + e0) - i (j0 + gamma) +- R] with
-    R = sqrt(z^2 + 2 j1 gamma), and
-
-        g1(dt) = exp(-i/2 ((e - i j0) + (e0 - i gamma)) dt)
-                 * ((z + R) exp(-i R dt / 2) - (z - R) exp(+i R dt / 2)) / (2 R).
-
-    The constant under the square root is fixed by the kernel
-    normalisation (j1 gamma / 2) exp(-(i e0 + gamma) s), which is itself
-    validated against direct quadrature of the spectral density; the
-    j1 -> 0 path returns the flat-background closed form exactly.
+    g1(dt) = a1 exp(phi1 dt) + a2 exp(phi2 dt), the two branches of
+    :func:`_resonant_branches` with R = sqrt(z^2 + 2 j1 gamma).  That
+    constant is fixed by the kernel normalisation (j1 gamma / 2)
+    exp(-(i e0 + gamma) s), which is itself validated against direct
+    quadrature of the spectral density; the j1 -> 0 path returns the
+    flat-background closed form exactly.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -513,32 +562,30 @@ def analytic_green1_lorentzian(es, j0: float, j1: float, e0: float, gamma: float
         sol = analytic_green_const(es, j0, grid)
         return GreenSolution(grid=grid, g1=sol.g1, g2=None)
     dt = (grid.times() - grid.t0)[:, None]
-    z = (es - e0) - 1j * (j0 - gamma)
-    disc = z * z + 2.0 * j1 * gamma
-    tol = 1e-13 * (np.abs(z) ** 2 + 2.0 * j1 * gamma)
-    bad = np.abs(disc) <= tol
+    z, r, a1, a2, phi1, phi2 = _resonant_branches(es, j0, j1, e0, gamma)
+    bad = np.abs(r) ** 2 <= 1e-13 * (np.abs(z) ** 2 + 2.0 * j1 * gamma)
     if np.any(bad):
         k = int(np.argmax(bad))
         crit = -z[k] ** 2 / (2.0 * gamma)
         raise BranchSingularityError(
             f"degenerate characteristic roots at level {k} (e = {es[k]}): "
             f"critical j1 = {crit:.6g}", critical_j1=complex(crit))
-    r = np.sqrt(disc)
-    pref = np.exp(-0.5j * ((es + e0) - 1j * (j0 + gamma)) * dt)
-    osc = ((z + r) * np.exp(-0.5j * r * dt) - (z - r) * np.exp(0.5j * r * dt)) / (2.0 * r)
-    g1 = pref * osc
+    g1 = a1 * np.exp(phi1 * dt) + a2 * np.exp(phi2 * dt)
     g1[0] = 1.0
     return GreenSolution(grid=grid, g1=_embed_diagonal(g1), g2=None)
 
 
 @dataclass(frozen=True)
 class AmplitudePhase:
-    """Two-branch decomposition g1 = a1 exp(phi1_rate dt) - a2 exp(phi2_rate dt).
+    """Two-branch decomposition g1 = a1 exp(phi1_rate dt) + a2 exp(phi2_rate dt).
 
     e_minus = e - e0, e_plus = e + e0, v = j0 - gamma, w = j0 + gamma.
-    c_mag and theta are the polar magnitude and angle of the squared
-    branch root (e_minus - i v)^2 + 4 j1 gamma, so the principal root is
-    c_mag * exp(i theta / 2).  Both phase rates decay when w > c_mag.
+    The branch root is R = sqrt((e_minus - i v)^2 + 4 j1 gamma): this j1
+    is half the kernel j1 of :func:`analytic_green1_lorentzian` and
+    :func:`solve_green`, so ``amplitude_phase(..., j1 / 2, ...)`` gives
+    the branches of their g1.  c_mag = |R| and theta = arg(R^2) in
+    (-pi, pi], so R = c_mag * exp(i theta / 2).  Both phase rates decay
+    when w > c_mag.
     """
 
     a1: complex
@@ -559,53 +606,32 @@ class AmplitudePhase:
     @property
     def upper_branch(self) -> bool:
         """Level above the resonance: (a1, a2) = (1, 0) at j1 = 0, else (0, 1)."""
-        return _upper_branch(self.e_minus, self.v)
+        return bool(_upper_branch(self.e_minus, self.v))
 
 
-def _upper_branch(e_minus: float, v: float) -> bool:
+def _upper_branch(e_minus, v):
     """Whether the principal sqrt(z^2) is z for z = e_minus - i v (closed right half plane)."""
-    return e_minus > 0 or (e_minus == 0 and -v >= 0)
+    return (e_minus > 0) | ((e_minus == 0) & (v <= 0))
 
 
 def amplitude_phase(es_level: float, j0: float, j1: float, e0: float,
                     gamma: float) -> AmplitudePhase:
     """Amplitude and per-time phase coefficients of the two-branch form.
 
-    a1 = (1 + z / R) / 2 with z = e_minus - i v and the principal root
-    R = sqrt(z^2 + 4 j1 gamma); a2 = 1 - a1 exactly.  theta is computed
-    with the two-argument arctangent so the quadrant is unambiguous, and
-    the j1 = 0 path returns the endpoint amplitudes exactly.
+    The branches of :func:`_resonant_branches` at kernel strength 2 j1:
+    this call alone puts sqrt(z^2 + 4 j1 gamma) on the amp-phase axis.
+    a2 = 1 - a1 exactly, and the j1 = 0 path returns the endpoint
+    amplitudes exactly.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    e_minus = es_level - e0
-    e_plus = es_level + e0
-    v = j0 - gamma
-    w = j0 + gamma
-    x = e_minus * e_minus - v * v + 4.0 * j1 * gamma
-    y = -2.0 * e_minus * v
-    c_mag = (x * x + y * y) ** 0.25
-    theta = math.atan2(y, x)
-    if theta <= -math.pi:
-        theta = math.pi
-    z = e_minus - 1j * v
-    if j1 == 0:
-        # principal sqrt(z^2) equals z in the closed right half plane
-        sign = 1.0 if _upper_branch(e_minus, v) else -1.0
-        r = sign * z
-        ratio = sign
-    else:
-        r = c_mag * np.exp(0.5j * theta)
-        ratio = z / r
-    a1 = 0.5 * (1.0 + ratio)
-    a2 = 1.0 - a1
-    base = e_plus - 1j * w
-    phi1_rate = -0.5j * (base + r)
-    phi2_rate = -0.5j * (base - r)
+    _, r, a1, a2, phi1, phi2 = _resonant_branches(es_level, j0, 2.0 * j1, e0, gamma)
+    # arg R lies in (-pi/2, pi/2], so 2 arg R is arg(R^2) in (-pi, pi]
     return AmplitudePhase(a1=complex(a1), a2=complex(a2),
-                          phi1_rate=complex(phi1_rate), phi2_rate=complex(phi2_rate),
-                          c_mag=float(c_mag), theta=float(theta),
-                          e_minus=e_minus, e_plus=e_plus, v=v, w=w)
+                          phi1_rate=complex(phi1), phi2_rate=complex(phi2),
+                          c_mag=float(abs(r)), theta=float(2.0 * np.angle(r)),
+                          e_minus=es_level - e0, e_plus=es_level + e0,
+                          v=j0 - gamma, w=j0 + gamma)
 
 
 @dataclass(frozen=True)

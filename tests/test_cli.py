@@ -255,6 +255,39 @@ out = sweep.csv
     assert lines == ["coupling_strength"]
 
 
+def test_sweep_integer_key(tmp_path):
+    text = """
+scenario = sweep
+base = entropy
+sweep_key = steps
+sweep_values = [20, 40]
+dS = 2
+dE = 1
+seed = 12
+out = ssteps.csv
+"""
+    assert run_cli(tmp_path, text) == 0
+    lines = (tmp_path / "out" / "ssteps.csv").read_text().splitlines()
+    assert lines[0] == "steps,t,entropy"
+    assert [line.split(",")[0] for line in lines[1:]] == ["20"] * 21 + ["40"] * 41
+    assert "steps=40:entropy_span" in (tmp_path / "out" / "ssteps.summary.txt").read_text()
+
+
+def test_sweep_child_grid_checked(tmp_path, capsys):
+    text = """
+scenario = sweep
+base = divisibility
+sweep_key = t_max
+sweep_values = [1.0, -1.0]
+dS = 2
+dE = 1
+seed = 3
+n_triples = 2
+"""
+    assert run_cli(tmp_path, text) == 2
+    assert "key 't_max'" in capsys.readouterr().err
+
+
 def test_sweep_rejects_non_scalar_key(tmp_path):
     cfg = parse_config("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nn_triples = 2\n")
     with pytest.raises(ConfigError, match="hS"):

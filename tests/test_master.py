@@ -145,11 +145,6 @@ def test_commutator_form_generator_structure():
     assert np.abs(ops.d_se_part - np.diag(np.diag(ops.d_se_part))).max() == 0.0
     assert np.abs(np.diag(ops.n_se_part)).max() < 1e-14
     assert np.abs(ops.o_op + 1j * (ops.d_s_part + ops.d_se_part + ops.n_se_part)).max() < 1e-14
-    # two-sided factors rebuild o rho + rho o^dag
-    rho = np.eye(3, dtype=complex) / 3
-    rebuilt = sum(l @ rho @ r.conj().T
-                  for l, r in zip(ops.left_factors, ops.right_factors))
-    assert np.abs(rebuilt - (ops.o_op @ rho + rho @ ops.o_op.conj().T)).max() < 1e-14
 
 
 def test_commutator_form_eigenvalue_constancy():

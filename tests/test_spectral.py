@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from markovlab.spectral import (
@@ -67,13 +68,21 @@ def test_kernel_constant_is_pure_delta():
 
 
 def _bump_quadrature(j1, gamma, e0, omega, dt):
-    # independent Fourier transform of the resonance at a large finite cut-off
+    # independent Fourier transform of the resonance over |w - e0| < omega.
+    # Each half of the window is integrated on its own: over the whole
+    # window a weighted QUADPACK call can accept a wrong first estimate at
+    # large omega * dt.  The tight request makes QUADPACK report round-off
+    # there; its value is still used, and each test's bound judges it.
     bump = lambda w: j1 * gamma**2 / ((w - e0) ** 2 + gamma**2)
-    re = scipy.integrate.quad(bump, e0 - omega, e0 + omega,
-                              weight="cos", wvar=dt, limit=400)[0]
-    im = scipy.integrate.quad(bump, e0 - omega, e0 + omega,
-                              weight="sin", wvar=dt, limit=400)[0]
-    return (re - 1j * im) / (2 * math.pi)
+    opts = dict(wvar=dt, limit=400, epsabs=1e-15 * j1 * gamma, epsrel=1e-13)
+    total = 0.0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        for lo, hi in ((e0 - omega, e0), (e0, e0 + omega)):
+            re = scipy.integrate.quad(bump, lo, hi, weight="cos", **opts)[0]
+            im = scipy.integrate.quad(bump, lo, hi, weight="sin", **opts)[0]
+            total += re - 1j * im
+    return total / (2 * math.pi)
 
 
 def test_kernel_lorentzian_closed_form_against_quadrature():
@@ -90,7 +99,7 @@ def test_kernel_lorentzian_closed_form_against_quadrature():
     assert abs(mag - 0.5 * j1 * gamma * math.exp(-5.0)) < 1e-12
 
 
-def test_kernel_finite_cutoff_quadrature_path():
+def test_kernel_finite_cutoff_approaches_infinite_cutoff():
     d_inf = SpectralDensity.lorentzian(j0=0.0, j1=1.0, e0=0.5, gamma=0.3)
     d_fin = SpectralDensity.lorentzian(j0=0.0, j1=1.0, e0=0.5, gamma=0.3,
                                        omega_cut=2e3 * 0.3)
@@ -98,6 +107,39 @@ def test_kernel_finite_cutoff_quadrature_path():
         a = memory_kernel(d_inf, dt).smooth
         b = memory_kernel(d_fin, dt).smooth
         assert abs(a - b) < 2e-4
+
+
+@settings(max_examples=50, deadline=None)
+@given(j1=st.floats(0.01, 3.0), gamma=st.floats(0.05, 3.0), e0=st.floats(-3.0, 3.0),
+       cut_exp=st.floats(-2.0, 3.0), gamma_s=st.floats(1e-3, 300.0))
+def test_kernel_finite_cutoff_closed_form_matches_quadrature(j1, gamma, e0, cut_exp,
+                                                              gamma_s):
+    # omega_cut / gamma from 1e-2 to 1e3; lag 0, a tiny lag, both signs
+    cut = gamma * 10.0 ** cut_exp
+    d = SpectralDensity.lorentzian(j0=0.0, j1=j1, e0=e0, gamma=gamma, omega_cut=cut)
+    lags = np.array([0.0, 1e-8, gamma_s, -gamma_s, 300.0]) / gamma
+    for lag, val in zip(lags, kernel_on_grid(d, lags)):
+        assert abs(val - _bump_quadrature(j1, gamma, e0, cut, lag)) < 1e-12 * j1 * gamma
+        if lag >= 0:
+            assert abs(memory_kernel(d, lag).smooth - val) < 1e-15 * j1 * gamma
+
+
+@pytest.mark.parametrize("gamma_s", [2e3, 1e4])
+def test_kernel_finite_cutoff_large_lag(gamma_s):
+    # past |Re z| = 500 the exponential integrals take their asymptotic
+    # series, and the window edges dominate the kernel
+    j1, gamma, e0, cut = 0.7, 0.3, 0.4, 1.2
+    s = gamma_s / gamma
+    d = SpectralDensity.lorentzian(j0=0.0, j1=j1, e0=e0, gamma=gamma, omega_cut=cut)
+    got = kernel_on_grid(d, np.array([s, -s]))
+    assert np.isfinite(got).all()
+    scale = j1 * gamma**2 / (2 * math.pi)
+    lead = (math.pi * math.exp(-gamma_s) / gamma
+            + 2 * math.sin(cut * s) / (s * (cut**2 + gamma**2)))
+    # the next term of the expansion is at most 4 c / ((c^2 + gamma^2)^2 s^2)
+    next_term = 4 * cut / ((cut**2 + gamma**2) ** 2 * s**2)
+    assert abs(got[0] - scale * np.exp(-1j * e0 * s) * lead) <= 2 * scale * next_term
+    assert abs(got[1] - np.conj(got[0])) < 1e-15 * scale
 
 
 def test_kernel_tabulated_matches_lorentzian_samples():
@@ -374,6 +416,40 @@ def test_branch_reconstruction_matches_polar_form():
     z = ap.e_minus - 1j * ap.v
     r = np.sqrt(z * z + 4 * 0.9 * 0.4)
     assert abs(ap.c_mag * np.exp(0.5j * ap.theta) - r) < 1e-12
+
+
+def _two_branch(ap, t):
+    return ap.a1 * np.exp(ap.phi1_rate * t) + ap.a2 * np.exp(ap.phi2_rate * t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(e=st.floats(-3.0, 3.0), j0=st.floats(0.0, 1.0), j1=st.floats(1e-3, 3.0),
+       e0=st.floats(-3.0, 3.0), gamma=st.floats(0.05, 3.0))
+def test_amplitude_phase_at_half_j1_reconstructs_closed_form(e, j0, j1, e0, gamma):
+    # the amp-phase j1 axis is half the kernel j1 of the closed form
+    grid = TimeGrid(0.0, 10.0, 200)
+    try:
+        ana = analytic_green1_lorentzian(np.array([e]), j0, j1, e0, gamma, grid)
+    except BranchSingularityError:
+        assume(False)
+    rebuilt = _two_branch(amplitude_phase(e, j0, 0.5 * j1, e0, gamma), grid.times())
+    assert np.abs(rebuilt - ana.level(0)[0]).max() < 1e-13
+
+
+@pytest.mark.parametrize("e, j0, j1, e0, gamma", [
+    (1.0, 0.1, 1.0, 1.0, 0.2),     # on resonance, oscillating
+    (0.2, 0.05, 0.6, 0.8, 0.4),    # level below the resonance
+    (1.5, 0.1, 0.05, 1.0, 0.6),    # weak resonance, decaying
+])
+def test_amplitude_phase_at_half_j1_matches_solve_green(e, j0, j1, e0, gamma):
+    grid = TimeGrid(0.0, 10.0, 10000)
+    density = SpectralDensity.lorentzian(j0=j0, j1=j1, e0=e0, gamma=gamma)
+    num = solve_green(GreenProblem(es=np.array([e]), density=density, grid=grid))
+    g1 = num.level(0)[0]
+    t = grid.times()
+    assert np.abs(_two_branch(amplitude_phase(e, j0, 0.5 * j1, e0, gamma), t) - g1).max() < 1e-3
+    # at the same j1 the branches belong to a resonance twice as strong
+    assert np.abs(_two_branch(amplitude_phase(e, j0, j1, e0, gamma), t) - g1).max() > 1e-2
 
 
 def test_crossover_sweep_endpoints_and_decay_flag():
