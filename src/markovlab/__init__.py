@@ -11,7 +11,6 @@ structure of the master equation.
 from markovlab.linalg import (
     MAX_COMPOSITE_DIM,
     PositivityError,
-    mat_exp,
     partial_trace_env,
     partial_trace_sys,
     tensor_product,
@@ -25,7 +24,6 @@ from markovlab.spectral import (
     CrossoverRow,
     GreenProblem,
     GreenSolution,
-    KernelValue,
     SpectralDensity,
     StepSizeError,
     StepSizeWarning,
@@ -35,7 +33,6 @@ from markovlab.spectral import (
     analytic_green_const,
     crossover_sweep,
     kernel_on_grid,
-    memory_kernel,
     solve_green,
     spectral_eval,
 )
@@ -83,7 +80,6 @@ from markovlab.config import (
     ConfigError,
     ScenarioConfig,
     parse_config,
-    serialize_config,
 )
 from markovlab.scenarios import run_scenario, sweep_scenario
 

@@ -1,16 +1,19 @@
 """Line-based scenario configuration files.
 
 Format: one ``key = value`` assignment per line, ``#`` starts a comment.
-Values are integers, reals (``inf`` allowed), complex numbers written as
-``re+imi`` (for example ``1.5-0.2i``), vectors ``[1, 2.5]``, matrices
+Values are integers, reals, complex numbers written as ``re+imi`` (for
+example ``1.5-0.2i``), vectors ``[1, 2.5]``, matrices
 ``[[1+0i, 0+0i],[0+0i, 2+0i]]`` or bare strings.  Keys are validated
 strictly against the schema of the named scenario; unknown keys are
 rejected with their line number, and matrices that must be Hermitian
-are checked at parse time.
+are checked at parse time.  Numbers must be finite, except that ``inf``
+is allowed for ``omega_cut`` (infinite band cut-off) and ``tol_*``
+tolerances; ``nan`` is rejected everywhere.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +32,8 @@ _GRID_KEYS = frozenset({"t0", "t1", "steps"})
 _SPEC_KEYS = frozenset({"dS", "dE", "hS", "hE", "hSE", "c", "dmat",
                         "coupling_strength", "seed"})
 _TRIPLE_KEYS = frozenset({"times", "n_triples", "t_max"})
+#: keys whose value may be infinite, besides the ``tol_*`` tolerances
+_INFINITE_OK = frozenset({"omega_cut"})
 
 
 @dataclass(frozen=True)
@@ -181,23 +186,6 @@ class ScenarioConfig:
     def output_path(self) -> str:
         return self.values.get("out", f"{self.scenario}.csv")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScenarioConfig):
-            return NotImplemented
-        if self.scenario != other.scenario:
-            return False
-        if set(self.values) != set(other.values):
-            return False
-        for key, val in self.values.items():
-            ov = other.values[key]
-            if isinstance(val, np.ndarray) or isinstance(ov, np.ndarray):
-                if not (isinstance(val, np.ndarray) and isinstance(ov, np.ndarray)
-                        and val.shape == ov.shape and np.array_equal(val, ov)):
-                    return False
-            elif val != ov:
-                return False
-        return self.tolerance_overrides == other.tolerance_overrides
-
     # ------------------------------------------------------ typed getters
 
     def _get(self, key: str, kinds, default=None, required=False):
@@ -292,8 +280,18 @@ def _validate(scenario: str, raw: dict, lines_of: dict) -> ScenarioConfig:
             raise ConfigError("sweep needs 'base = <scenario>'", key="base")
         base_schema = SCHEMAS[base]
 
+    infinite_ok = _INFINITE_OK
+    if raw.get("sweep_key") in _INFINITE_OK:
+        infinite_ok = infinite_ok | {"sweep_values"}
     for key, value in raw.items():
         line = lines_of.get(key)
+        finite = (np.isfinite(value).all() if isinstance(value, np.ndarray)
+                  else isinstance(value, (int, str)) or cmath.isfinite(value))
+        if not finite:
+            if np.isnan(value).any():
+                raise ConfigError("value is NaN", line=line, key=key)
+            if key not in infinite_ok and not key.startswith("tol_"):
+                raise ConfigError("value must be finite", line=line, key=key)
         if key.startswith("tol_"):
             name = key[4:]
             known = schema.tolerances | (base_schema.tolerances if base_schema else frozenset())
@@ -343,37 +341,3 @@ def _check_grid(cfg: ScenarioConfig):
     if t_max is not None and not t_max > 0:
         raise ConfigError("need t_max > 0", key="t_max")
 
-
-# -------------------------------------------------------------- rendering
-
-
-def _render_scalar(val) -> str:
-    if isinstance(val, (bool, np.bool_)):
-        return str(bool(val)).lower()
-    if isinstance(val, (int, np.integer)):
-        return str(int(val))
-    if isinstance(val, (float, np.floating)):
-        return repr(float(val))
-    if isinstance(val, (complex, np.complexfloating)):
-        z = complex(val)
-        return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i"
-    return str(val)
-
-
-def _render_value(val) -> str:
-    if isinstance(val, np.ndarray):
-        if val.ndim == 1:
-            return "[" + ", ".join(_render_scalar(v) for v in val) + "]"
-        rows = ("[" + ", ".join(_render_scalar(v) for v in row) + "]" for row in val)
-        return "[" + ",".join(rows) + "]"
-    return _render_scalar(val)
-
-
-def serialize_config(cfg: ScenarioConfig) -> str:
-    """Deterministic text form; parse(serialize(cfg)) equals cfg."""
-    lines = [f"scenario = {cfg.scenario}"]
-    for key in sorted(cfg.values):
-        lines.append(f"{key} = {_render_value(cfg.values[key])}")
-    for name in sorted(cfg.tolerance_overrides):
-        lines.append(f"tol_{name} = {_render_value(cfg.tolerance_overrides[name])}")
-    return "\n".join(lines) + "\n"

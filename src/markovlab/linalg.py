@@ -9,7 +9,6 @@ at flat index ``i * d_env + alpha``.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 #: Largest composite (system x environment) dimension supported.
 MAX_COMPOSITE_DIM = 64
@@ -105,32 +104,6 @@ def trace_sys_factored(x, d_sys: int, d_env: int) -> np.ndarray:
     """Tr_S(x[k] x[k]^dag) for each k of a (T, d_sys * d_env, r) stack."""
     a = x.reshape(x.shape[0], d_sys, d_env, -1).swapaxes(1, 2).reshape(x.shape[0], d_env, -1)
     return a @ a.conj().swapaxes(1, 2)
-
-
-def mat_exp(h, scale: complex = 1.0) -> np.ndarray:
-    """Matrix exponential exp(scale * h).
-
-    Hermitian inputs go through an eigendecomposition, which keeps
-    exp(-i h t) unitary to roundoff; anything else falls back to
-    scipy's scaling-and-squaring Pade approximation.
-    """
-    h = as_complex_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise ValueError(f"matrix exponential needs a square matrix, got {h.shape}")
-    if scale == 0:
-        return np.eye(h.shape[0], dtype=complex)
-    scale_ref = max(1.0, float(np.abs(h).max()))
-    if hermiticity_defect(h) <= HERM_TOL * scale_ref:
-        w, v = np.linalg.eigh(h)
-        out = (v * np.exp(scale * w)) @ v.conj().T
-    else:
-        out = scipy.linalg.expm(scale * h)
-    if not np.isfinite(out).all():
-        raise RuntimeError(
-            f"matrix exponential did not converge (dim {h.shape[0]}, "
-            f"|scale*h| ~ {np.abs(scale) * np.abs(h).max():.3e})"
-        )
-    return out
 
 
 def _as_square_stack(m) -> np.ndarray:

@@ -23,7 +23,6 @@ import numpy as np
 
 from markovlab.dynamics import CompositeSpec
 from markovlab.linalg import (
-    mat_exp,
     partial_trace_env,
     tensor_product,
     trace_env_factored,
@@ -215,23 +214,24 @@ def commuting_block_evolution(spec: CompositeSpec, t: float,
     blocks B_a, and with environment weights diagonal there the reduced
     state is the fixed mixture
 
-        rho_S(t) = sum_a d_aa exp(-i (H_S + B_a) dt) rho_S(0) exp(+i ...).
+        rho_S(t) = sum_a d_aa exp(-i (H_S + B_a) dt) rho_S(0) exp(+i ...),
 
-    Environment weights are rotated into the H_E eigenbasis first; the
-    rotation used is reported in the result.
+    from one batched eigendecomposition of the (d_e, d_s, d_s) stack
+    H_S + B_a.  Environment weights are rotated into the H_E eigenbasis
+    first; the rotation used is reported in the result.
     """
     if spec.initial.kind == "entangled":
         raise PreconditionError("block mixture needs a product-type initial state")
-    comm_norm = env_coupling_commutator_norm(spec)
     _, rot = np.linalg.eigh(spec.h_e)
     full_rot = tensor_product(np.eye(spec.d_s), rot)
     h_int = full_rot.conj().T @ (spec.coupling_strength * spec.h_se) @ full_rot
     blocks = h_int.reshape(spec.d_s, spec.d_e, spec.d_s, spec.d_e)
-    off = blocks.copy()
     idx = np.arange(spec.d_e)
-    off[:, idx, :, idx] = 0.0
-    off_norm = float(np.abs(off).max())
+    on_block = blocks[:, idx, :, idx]      # (d_e, d_s, d_s): B_a
+    blocks[:, idx, :, idx] = 0.0
+    off_norm = float(np.abs(blocks).max())
     if off_norm > 1e-10:
+        comm_norm = env_coupling_commutator_norm(spec)
         raise PreconditionError(
             f"coupling is not block diagonal in the environment eigenbasis "
             f"(off-block norm {off_norm:.3e}); [1 x H_E, H_SE] norm is {comm_norm:.3e}",
@@ -242,13 +242,11 @@ def commuting_block_evolution(spec: CompositeSpec, t: float,
         raise PreconditionError(
             "environment weights are not diagonal in the H_E eigenbasis "
             "(degenerate H_E with mismatched weights)",
-            commutator_norm=comm_norm)
-    rho_s0 = spec.initial.rho_s0()
-    rho = np.zeros_like(rho_s0)
-    dt = t - t0
-    for a in range(spec.d_e):
-        u_a = mat_exp(spec.h_s + blocks[:, a, :, a], -1j * dt)
-        rho = rho + d_diag[a] * (u_a @ rho_s0 @ u_a.conj().T)
+            commutator_norm=env_coupling_commutator_norm(spec))
+    w, v = np.linalg.eigh(spec.h_s + on_block)
+    u = (v * np.exp(-1j * (t - t0) * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    orbits = u @ spec.initial.rho_s0() @ u.conj().swapaxes(1, 2)
+    rho = (d_diag[:, None, None] * orbits).sum(axis=0)
     residual = float(np.abs(rho - evolve_rho_s(spec, t, t0)).max())
     return BlockMixture(rho_s=rho, residual=residual, env_rotation=rot)
 
@@ -265,21 +263,21 @@ def maximally_mixed_invariance(spec: CompositeSpec, grid: TimeGrid) -> MixedInva
     rho(0) = 1 / (d_s d_e) commutes with every Hamiltonian, so rho_S(t)
     must stay 1 / d_s on the whole grid.  The closure identity
     sum_{i, a, g} <j1 g|U|i a> <j2 g|U|i a>^* = d_e delta_{j1 j2} is
-    evaluated at every grid time as well: it is the same reduction,
-    Tr_E(U U^dag), applied to the U(t) stack.
+    Tr_E(U U^dag) = d_e 1, and rho_S(t) = Tr_E(U U^dag) / (d_s d_e), so
+    one stack of U(t) over the grid gives both defects.
     """
     conds = classify_sufficient_conditions(spec)
     if not conds.maximally_mixed:
         raise PreconditionError(
             "spec is not maximally mixed (need rho_S(0) = 1/d_s and "
             "environment weights 1/d_e)")
+    dim = spec.d_s * spec.d_e
     eye_s = np.eye(spec.d_s)
     max_defect = 0.0
     unitarity_defect = 0.0
-    for psi, u in spec.propagator.states(grid.times() - grid.t0, spec.initial.factor(),
-                                         np.eye(spec.d_s * spec.d_e, dtype=complex)):
-        max_defect = max(max_defect, float(
-            np.abs(trace_env_factored(psi, spec.d_s) - eye_s / spec.d_s).max()))
+    for u, in spec.propagator.states(grid.times() - grid.t0, np.eye(dim, dtype=complex)):
+        closure = trace_env_factored(u, spec.d_s)
+        max_defect = max(max_defect, float(np.abs(closure / dim - eye_s / spec.d_s).max()))
         unitarity_defect = max(unitarity_defect, float(
-            np.abs(trace_env_factored(u, spec.d_s) - spec.d_e * eye_s).max()))
+            np.abs(closure - spec.d_e * eye_s).max()))
     return MixedInvariance(max_defect=max_defect, unitarity_defect=unitarity_defect)

@@ -34,9 +34,9 @@ from markovlab.spectral import (
     GreenProblem,
     SpectralDensity,
     TimeGrid,
+    _amplitude_phases,
     amplitude_phase,
     analytic_green1_lorentzian,
-    crossover_sweep,
     solve_green,
 )
 
@@ -268,28 +268,26 @@ def _run_amp_phase(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     e0 = cfg.get_float("e0", required=True)
     gamma = cfg.get_float("gamma", required=True)
     j1_values = cfg.get_vector("j1_values", required=True, real=True)
-    rows_out = crossover_sweep(es_level, j0, e0, gamma, j1_values)
+    aps = _amplitude_phases(es_level, j0, e0, gamma, j1_values)
     columns = ["j1", "abs_a1", "abs_a2", "re_phi1_rate", "im_phi1_rate",
                "re_phi2_rate", "im_phi2_rate", "decays"]
-    rows = [[r.j1, r.abs_a1, r.abs_a2, r.phi1_rate.real, r.phi1_rate.imag,
-             r.phi2_rate.real, r.phi2_rate.imag, r.decays] for r in rows_out]
-    sum_defect = 0.0
-    for j1 in j1_values:
-        ap = amplitude_phase(es_level, j0, float(j1), e0, gamma)
-        sum_defect = max(sum_defect, abs(ap.a1 + ap.a2 - 1.0))
+    rows = [[j1, abs(ap.a1), abs(ap.a2), ap.phi1_rate.real, ap.phi1_rate.imag,
+             ap.phi2_rate.real, ap.phi2_rate.imag, ap.decays]
+            for j1, ap in zip(j1_values, aps)]
+    sum_defect = max(abs(ap.a1 + ap.a2 - 1.0) for ap in aps)
     checks = [CheckRow("amp_sum_defect", sum_defect,
                        cfg.tolerance("amp_sum_defect", 1e-15))]
     ap0 = amplitude_phase(es_level, j0, 0.0, e0, gamma)
     if np.any(j1_values == 0.0):
         k = int(np.argmax(j1_values == 0.0))
         want1, want2 = (1.0, 0.0) if ap0.upper_branch else (0.0, 1.0)
-        endpoint = max(abs(rows_out[k].abs_a1 - want1), abs(rows_out[k].abs_a2 - want2))
+        endpoint = max(abs(abs(aps[k].a1) - want1), abs(abs(aps[k].a2) - want2))
         checks.append(CheckRow("endpoint_defect", endpoint,
                                cfg.tolerance("endpoint_defect", 0.0)))
     scale = max(abs(ap0.e_minus), abs(ap0.v), gamma)
     if j1_values.max() >= 1e5 * scale:
         k = int(np.argmax(j1_values))
-        half = max(abs(rows_out[k].abs_a1 - 0.5), abs(rows_out[k].abs_a2 - 0.5))
+        half = max(abs(abs(aps[k].a1) - 0.5), abs(abs(aps[k].a2) - 0.5))
         checks.append(CheckRow("half_defect", half, cfg.tolerance("half_defect", 1e-2)))
     return ScenarioResult(columns, rows, checks, [f"points: {j1_values.size}"])
 
@@ -314,28 +312,20 @@ def _defect_checks(cfg: ScenarioConfig, expect: str, defects) -> list:
     return [CheckRow("defect_max", max(defects), math.inf)]
 
 
-def _run_divisibility(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
-    spec, pool = _spec_from(cfg)
+def _run_divisibility(cfg: ScenarioConfig, strict: bool,
+                      entangled: bool = False) -> ScenarioResult:
+    """Defects over time triples; ``entangled`` starts from joint amplitudes."""
+    spec, pool = _spec_from(cfg, entangled=entangled)
     triples = _triples_from(cfg, pool)
-    rows = [[t0, ts, t, divisibility_defect(spec, t0, ts, t)]
-            for (t0, ts, t) in triples]
+    defect = entangled_divisibility if entangled else divisibility_defect
+    rows = [[t0, ts, t, defect(spec, t0, ts, t)] for (t0, ts, t) in triples]
     defects = [r[3] for r in rows]
     expect = _expectation(cfg, spec.d_e)
-    info = [f"dS: {spec.d_s}", f"dE: {spec.d_e}",
-            f"coupling_strength: {spec.coupling_strength!r}", f"expect: {expect}"]
-    return ScenarioResult(["t0", "ts", "t", "defect"], rows,
-                          _defect_checks(cfg, expect, defects), info)
-
-
-def _run_entangled(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
-    spec, pool = _spec_from(cfg, entangled=True)
-    triples = _triples_from(cfg, pool)
-    rows = [[t0, ts, t, entangled_divisibility(spec, t0, ts, t)]
-            for (t0, ts, t) in triples]
-    defects = [r[3] for r in rows]
-    expect = _expectation(cfg, spec.d_e)
-    info = [f"dS: {spec.d_s}", f"dE: {spec.d_e}", f"expect: {expect}",
-            f"env_purity_defect: {spec.initial.env_purity_defect():.6e}"]
+    info = [f"dS: {spec.d_s}", f"dE: {spec.d_e}", f"expect: {expect}"]
+    if entangled:
+        info.append(f"env_purity_defect: {spec.initial.env_purity_defect():.6e}")
+    else:
+        info.insert(2, f"coupling_strength: {spec.coupling_strength!r}")
     return ScenarioResult(["t0", "ts", "t", "defect"], rows,
                           _defect_checks(cfg, expect, defects), info)
 
@@ -411,7 +401,7 @@ _RUNNERS = {
     "green-analytic": _run_green_analytic,
     "amp-phase": _run_amp_phase,
     "divisibility": _run_divisibility,
-    "entangled": _run_entangled,
+    "entangled": lambda cfg, strict: _run_divisibility(cfg, strict, entangled=True),
     "master-check": _run_master_check,
     "entropy": _run_entropy,
     "stationarity": _run_stationarity,

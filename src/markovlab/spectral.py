@@ -2,8 +2,8 @@
 
 A set of discrete levels with energies ``e_s`` couples to a broad
 environment described by a spectral density J(omega).  The retarded-type
-propagator G1 and the lesser-type propagator G2 (conventions recorded in
-:data:`GREEN_CONVENTION`) obey memory-kernel equations
+propagator G1 and the lesser-type propagator G2 (conventions in the
+:class:`GreenSolution` docstring) obey memory-kernel equations
 
     dG1/dt + i e_s G1 + int_t0^t v(t - s) G1(s) ds = 0
     dG2/dt + i e_s G2 + int_t0^t v(t - s) G2(s) ds = int_t0^t v(t - s) G1(s)^dag ds
@@ -31,14 +31,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.signal
 import scipy.special
 from numpy.polynomial import polynomial as npp
-
-GREEN_CONVENTION = "G1 = i * G_retarded, G2 = -i * G_lesser"
 
 _KINDS = ("constant", "lorentzian", "tabulated")
 
@@ -143,12 +141,6 @@ def spectral_eval(density: SpectralDensity, omega) -> np.ndarray | float:
     return float(out) if np.isscalar(omega) else out
 
 
-@dataclass(frozen=True)
-class KernelValue:
-    smooth: complex
-    delta_weight: float
-
-
 #: Below this |theta| the segment transform uses its Taylor series: the
 #: closed form (sin t - t cos t) / t^2 cancels to a relative error of about
 #: 3 eps / t^2, and eight series terms stay within 2.2e-16 up to t = 0.5.
@@ -240,22 +232,6 @@ def _exponential_form(density: SpectralDensity) -> tuple[complex, complex] | Non
     return None
 
 
-def memory_kernel(density: SpectralDensity, dt: float) -> KernelValue:
-    """Time-domain kernel at lag dt >= 0, split into smooth and delta parts.
-
-    The flat background never enters the smooth part; it is returned as
-    ``delta_weight``.  Every smooth part is in closed form: the resonance
-    with infinite cut-off is (j1 gamma / 2) exp(-(i e0 + gamma) dt), a
-    finite cut-off takes exponential integrals (:func:`_cut_kernel`) and a
-    tabulated density the exact transform of its piecewise-linear
-    interpolant.  No kernel uses adaptive quadrature.
-    """
-    if dt < 0:
-        raise ValueError("kernel lag must be nonnegative")
-    smooth = kernel_on_grid(density, np.array([dt]))[0]
-    return KernelValue(complex(smooth), density.delta_weight())
-
-
 def kernel_on_grid(density: SpectralDensity, lags: np.ndarray) -> np.ndarray:
     """Smooth kernel part sampled on an array of lags."""
     lags = np.asarray(lags, dtype=float)
@@ -307,15 +283,15 @@ class GreenProblem:
 class GreenSolution:
     """Diagonal propagator matrices on a time grid.
 
-    ``g1[k]`` and ``g2[k]`` are N x N matrices at grid point k; g1 starts
-    at the identity and g2 at zero, exactly.  ``g2`` is None for closed
-    forms that only describe the retarded component.
+    The convention is G1 = i G_retarded and G2 = -i G_lesser.  ``g1[k]``
+    and ``g2[k]`` are N x N matrices at grid point k; g1 starts at the
+    identity and g2 at zero, exactly.  ``g2`` is None for closed forms
+    that only describe the retarded component.
     """
 
     grid: TimeGrid
     g1: np.ndarray
     g2: np.ndarray | None = None
-    convention_note: str = GREEN_CONVENTION
 
     def __post_init__(self):
         if np.abs(self.g1[0] - np.eye(self.g1.shape[1])).max() != 0.0:
@@ -514,18 +490,22 @@ def analytic_green_const(es, j0: float, grid: TimeGrid) -> GreenSolution:
     return GreenSolution(grid=grid, g1=_embed_diagonal(g1), g2=_embed_diagonal(g2))
 
 
-def _resonant_branches(es, j0: float, j1: float, e0: float, gamma: float):
+def _resonant_branches(es, j0: float, j1: float, e0: float, gamma: float,
+                       axis: float = 1.0):
     """Both branches of the resonant g1 = a1 exp(phi1 dt) + a2 exp(phi2 dt).
 
-    For the kernel (j1 gamma / 2) exp(-(i e0 + gamma) s), with
+    For the kernel (axis j1 gamma / 2) exp(-(i e0 + gamma) s), with
     z = (e - e0) - i (j0 - gamma) and base = (e + e0) - i (j0 + gamma),
     the characteristic roots are phi1,2 = -(i/2) (base +- R) for the
-    principal root R = sqrt(z^2 + 2 j1 gamma), whose cut maps to +i.
+    principal root R = sqrt(z^2 + 2 axis j1 gamma), whose cut maps to +i.
+    ``axis`` is 1 for the kernel j1 and 2 for the amp-phase j1.
     a1 = (1 + z / R) / 2 and a2 = 1 - a1 give g1(0) = 1 and
     g1'(0) = -i (e - i j0).  At j1 = 0, R = +-z exactly (the sign of
-    :func:`_upper_branch`), so (a1, a2) is exactly (1, 0) or (0, 1); at
-    the double root R = 0 they are NaN.  Returns (z, R, a1, a2, phi1,
-    phi2), elementwise in ``es``.
+    :func:`_upper_branch`), so (a1, a2) is exactly (1, 0) or (0, 1).
+    For j1 > 0 the branches merge where |R|^2 <= 1e-13 (|z|^2 + 2 axis
+    j1 gamma), and :class:`BranchSingularityError` names the critical
+    j1 = -z^2 / (2 axis gamma) on the caller's axis.  Returns (R, a1, a2,
+    phi1, phi2), elementwise in ``es``.
     """
     es = np.asarray(es, dtype=float)
     z = (es - e0) - 1j * (j0 - gamma)
@@ -534,12 +514,20 @@ def _resonant_branches(es, j0: float, j1: float, e0: float, gamma: float):
         # adding 0.0 clears signed zeros, so arg R stays in (-pi/2, pi/2]
         r = ratio * z + 0.0
     else:
+        strength = 2.0 * axis * j1 * gamma
         # adding 0j turns a -0 imaginary part into +0: the cut maps to +i
-        r = np.sqrt(z * z + (2.0 * j1 * gamma + 0j))
-        ratio = np.divide(z, r, out=np.full(z.shape, np.nan, dtype=complex), where=r != 0)
+        r = np.sqrt(z * z + (strength + 0j))
+        bad = np.abs(r) ** 2 <= 1e-13 * (np.abs(z) ** 2 + strength)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            crit = -np.ravel(z)[k] ** 2 / (2.0 * axis * gamma)
+            raise BranchSingularityError(
+                f"degenerate characteristic roots at level {k} (e = {np.ravel(es)[k]}): "
+                f"critical j1 = {crit:.6g}", critical_j1=complex(crit))
+        ratio = z / r
     a1 = 0.5 * (1.0 + ratio)
     base = (es + e0) - 1j * (j0 + gamma)
-    return z, r, a1, 1.0 - a1, -0.5j * (base + r), -0.5j * (base - r)
+    return r, a1, 1.0 - a1, -0.5j * (base + r), -0.5j * (base - r)
 
 
 def analytic_green1_lorentzian(es, j0: float, j1: float, e0: float, gamma: float,
@@ -562,14 +550,7 @@ def analytic_green1_lorentzian(es, j0: float, j1: float, e0: float, gamma: float
         sol = analytic_green_const(es, j0, grid)
         return GreenSolution(grid=grid, g1=sol.g1, g2=None)
     dt = (grid.times() - grid.t0)[:, None]
-    z, r, a1, a2, phi1, phi2 = _resonant_branches(es, j0, j1, e0, gamma)
-    bad = np.abs(r) ** 2 <= 1e-13 * (np.abs(z) ** 2 + 2.0 * j1 * gamma)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        crit = -z[k] ** 2 / (2.0 * gamma)
-        raise BranchSingularityError(
-            f"degenerate characteristic roots at level {k} (e = {es[k]}): "
-            f"critical j1 = {crit:.6g}", critical_j1=complex(crit))
+    _, a1, a2, phi1, phi2 = _resonant_branches(es, j0, j1, e0, gamma)
     g1 = a1 * np.exp(phi1 * dt) + a2 * np.exp(phi2 * dt)
     g1[0] = 1.0
     return GreenSolution(grid=grid, g1=_embed_diagonal(g1), g2=None)
@@ -585,7 +566,10 @@ class AmplitudePhase:
     :func:`solve_green`, so ``amplitude_phase(..., j1 / 2, ...)`` gives
     the branches of their g1.  c_mag = |R| and theta = arg(R^2) in
     (-pi, pi], so R = c_mag * exp(i theta / 2).  Both phase rates decay
-    when w > c_mag.
+    when w > c_mag.  The branches merge where R vanishes (e_minus = 0 and
+    j1 = v^2 / (4 gamma)); :func:`amplitude_phase` raises
+    :class:`BranchSingularityError` wherever |R|^2 <= 1e-13
+    (|e_minus - i v|^2 + 4 j1 gamma).
     """
 
     a1: complex
@@ -618,14 +602,13 @@ def amplitude_phase(es_level: float, j0: float, j1: float, e0: float,
                     gamma: float) -> AmplitudePhase:
     """Amplitude and per-time phase coefficients of the two-branch form.
 
-    The branches of :func:`_resonant_branches` at kernel strength 2 j1:
-    this call alone puts sqrt(z^2 + 4 j1 gamma) on the amp-phase axis.
-    a2 = 1 - a1 exactly, and the j1 = 0 path returns the endpoint
-    amplitudes exactly.
+    The branches of :func:`_resonant_branches` on axis 2: this call alone
+    puts sqrt(z^2 + 4 j1 gamma) on the amp-phase axis.  a2 = 1 - a1
+    exactly, and the j1 = 0 path returns the endpoint amplitudes exactly.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    _, r, a1, a2, phi1, phi2 = _resonant_branches(es_level, j0, 2.0 * j1, e0, gamma)
+    r, a1, a2, phi1, phi2 = _resonant_branches(es_level, j0, j1, e0, gamma, axis=2.0)
     # arg R lies in (-pi/2, pi/2], so 2 arg R is arg(R^2) in (-pi, pi]
     return AmplitudePhase(a1=complex(a1), a2=complex(a2),
                           phi1_rate=complex(phi1), phi2_rate=complex(phi2),
@@ -644,18 +627,21 @@ class CrossoverRow:
     decays: bool
 
 
-def crossover_sweep(es_level: float, j0: float, e0: float, gamma: float,
-                    j1_values) -> list[CrossoverRow]:
-    """Scan the resonance strength and tabulate amplitudes and phase rates."""
+def _amplitude_phases(es_level: float, j0: float, e0: float, gamma: float,
+                      j1_values) -> list[AmplitudePhase]:
+    """:func:`amplitude_phase` at each of a nonempty list of nonnegative j1."""
     j1_values = np.asarray(j1_values, dtype=float)
     if j1_values.size == 0:
         raise ValueError("j1_values must be nonempty")
     if np.any(j1_values < 0):
         raise ValueError("j1 values must be nonnegative")
-    rows = []
-    for j1 in j1_values:
-        ap = amplitude_phase(es_level, j0, float(j1), e0, gamma)
-        rows.append(CrossoverRow(j1=float(j1), abs_a1=abs(ap.a1), abs_a2=abs(ap.a2),
-                                 phi1_rate=ap.phi1_rate, phi2_rate=ap.phi2_rate,
-                                 decays=ap.decays))
-    return rows
+    return [amplitude_phase(es_level, j0, float(j1), e0, gamma) for j1 in j1_values]
+
+
+def crossover_sweep(es_level: float, j0: float, e0: float, gamma: float,
+                    j1_values) -> list[CrossoverRow]:
+    """Scan the resonance strength and tabulate amplitudes and phase rates."""
+    aps = _amplitude_phases(es_level, j0, e0, gamma, j1_values)
+    return [CrossoverRow(j1=float(j1), abs_a1=abs(ap.a1), abs_a2=abs(ap.a2),
+                         phi1_rate=ap.phi1_rate, phi2_rate=ap.phi2_rate, decays=ap.decays)
+            for j1, ap in zip(j1_values, aps)]

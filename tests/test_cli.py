@@ -145,6 +145,26 @@ out = amp.csv
     assert float(first[1]) == 0.0 and float(first[2]) == 1.0
 
 
+@pytest.mark.parametrize("j0, j1", [("0.1", "0.08"), ("0", "0.125")])
+def test_amp_phase_double_root_exits_two(tmp_path, capsys, j0, j1):
+    # e = e0 and j1 = (j0 - gamma)^2 / (4 gamma): the two branches merge, and
+    # |a1|, |a2| would diverge next to the root and be NaN at it
+    text = f"""
+scenario = amp-phase
+es_level = 1.0
+j0 = {j0}
+e0 = 1.0
+gamma = 0.5
+j1_values = [0.0, {j1}]
+out = amp.csv
+"""
+    assert run_cli(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert "degenerate characteristic roots" in err
+    assert f"critical j1 = {j1}" in err
+    assert not (tmp_path / "out" / "amp.csv").exists()
+
+
 def test_master_check_scenario(tmp_path):
     text = """
 scenario = master-check
@@ -406,3 +426,15 @@ out = st.csv
     summary = (tmp_path / "out" / "st.summary.txt").read_text()
     line = next(ln for ln in summary.splitlines() if ln.startswith("stationarity_defect"))
     assert line.split()[2] == f"{csv_max:.6e}"
+
+
+@pytest.mark.parametrize("text, key", [
+    ("scenario = green\nes = [0.5]\nj0 = nan\n", "j0"),
+    ("scenario = green\nes = [0.5]\nj0 = 0.1\nt1 = inf\n", "t1"),
+    ("scenario = divisibility\ndS = 2\ndE = 2\nseed = 3\ncoupling_strength = nan\n",
+     "coupling_strength"),
+    ("scenario = master-check\ndS = 2\nseed = 3\ntimes = [0.5, nan, 1.0]\n", "times"),
+], ids=["j0-nan", "t1-inf", "coupling_strength-nan", "times-nan"])
+def test_non_finite_value_exits_two_naming_the_key(tmp_path, capsys, text, key):
+    assert run_cli(tmp_path, text) == 2
+    assert f"key {key!r}" in capsys.readouterr().err

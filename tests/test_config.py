@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from markovlab.config import ConfigError, parse_config, serialize_config
+from markovlab.config import ConfigError, parse_config
 
 MINIMAL_GREEN = """
 # minimal flat-background run
@@ -92,27 +92,6 @@ def test_scenario_override_revalidates():
         parse_config(MINIMAL_GREEN, scenario_override="divisibility")
 
 
-def test_round_trip():
-    text = """
-scenario = divisibility
-dS = 2
-dE = 2
-hS = [[1+0i, 0.25-0.5i],[0.25+0.5i, -1+0i]]
-c = [0.6+0i, 0.8+0i]
-dmat = [[0.5+0i, 0+0i],[0+0i, 0.5+0i]]
-coupling_strength = 1.5
-times = [0.0, 0.7, 1.3]
-seed = 11
-tol_divisible = 1e-9
-out = x.csv
-"""
-    cfg = parse_config(text)
-    again = parse_config(serialize_config(cfg))
-    assert again == cfg
-    # serialization is a fixed point
-    assert serialize_config(again) == serialize_config(cfg)
-
-
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config("\n# comment only\n" + MINIMAL_GREEN + "\n   \n")
     assert cfg.scenario == "green"
@@ -121,3 +100,35 @@ def test_comments_and_blank_lines_ignored():
 def test_inf_parses_for_cutoff():
     cfg = parse_config(MINIMAL_GREEN + "j1 = 0.5\ngamma = 0.2\nomega_cut = inf\n")
     assert np.isinf(cfg.get_float("omega_cut"))
+
+
+HEADS = {"green": "scenario = green\nes = [1.0]\nj0 = 0.2\n",
+         "divisibility": "scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\n"}
+
+
+@pytest.mark.parametrize("scenario, line, key", [
+    ("green", "j1 = nan", "j1"),
+    ("green", "t1 = inf", "t1"),
+    ("green", "t0 = -inf", "t0"),
+    ("green", "tol_decay_residual = nan", "tol_decay_residual"),
+    ("divisibility", "c = [0.6, nan]", "c"),
+    ("divisibility", "c = [0.6+0i, 0.8+nani]", "c"),
+    ("divisibility", "times = [0.0, inf, 1.0]", "times"),
+    ("divisibility", "coupling_strength = -inf", "coupling_strength"),
+    ("divisibility", "hS = [[1+0i, nan+0i],[nan+0i, 2+0i]]", "hS"),
+])
+def test_parse_rejects_non_finite_values_naming_key_and_line(scenario, line, key):
+    lineno = HEADS[scenario].count("\n") + 1
+    with pytest.raises(ConfigError, match=f"line {lineno}: key {key!r}"):
+        parse_config(HEADS[scenario] + line + "\n")
+
+
+def test_inf_allowed_for_cutoff_tolerances_and_swept_cutoff():
+    cfg = parse_config(MINIMAL_GREEN + "tol_decay_residual = inf\n")
+    assert np.isinf(cfg.tolerance("decay_residual", 1.0))
+    cfg = parse_config("scenario = sweep\nbase = green\nsweep_key = omega_cut\n"
+                       "sweep_values = [10.0, inf]\nes = [1.0]\nj0 = 0.2\n")
+    assert np.isinf(cfg.get_vector("sweep_values", real=True)[1])
+    with pytest.raises(ConfigError, match="sweep_values"):
+        parse_config("scenario = sweep\nbase = green\nsweep_key = j0\n"
+                     "sweep_values = [0.1, inf]\nes = [1.0]\nj0 = 0.2\n")

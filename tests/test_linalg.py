@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from markovlab.linalg import (
     PositivityError,
-    mat_exp,
     partial_trace_env,
     partial_trace_sys,
     tensor_product,
@@ -112,55 +110,6 @@ def test_partial_trace_shape_error():
         partial_trace_env(np.eye(5), 2, 2)
 
 
-# ----------------------------------------------------------------- expm
-
-
-def test_mat_exp_zero_scale_is_exact_identity():
-    rng = np.random.default_rng(4)
-    h = random_hermitian(rng, 3)
-    assert np.array_equal(mat_exp(h, 0.0), np.eye(3))
-
-
-def test_mat_exp_diagonal():
-    h = np.diag([0.5, -1.2])
-    t = 0.9
-    out = mat_exp(h, -1j * t)
-    expect = np.diag(np.exp(-1j * np.array([0.5, -1.2]) * t))
-    assert np.abs(out - expect).max() < 1e-14
-
-
-def test_mat_exp_hermitian_against_oracles():
-    rng = np.random.default_rng(5)
-    h = random_hermitian(rng, 4)
-    t = 0.7
-    out = mat_exp(h, -1j * t)
-    # eigendecomposition oracle, written out independently
-    w, v = np.linalg.eigh(h)
-    oracle = v @ np.diag(np.exp(-1j * w * t)) @ v.conj().T
-    assert np.abs(out - oracle).max() < 1e-10
-    # independent algorithm (scaling and squaring)
-    assert np.abs(out - scipy.linalg.expm(-1j * t * h)).max() < 1e-11
-
-
-def test_mat_exp_unitarity():
-    rng = np.random.default_rng(6)
-    for n in (2, 8, 16):
-        h = random_hermitian(rng, n)
-        u = mat_exp(h, -1j * 0.31)
-        assert np.abs(u.conj().T @ u - np.eye(n)).max() < 1e-10
-
-
-def test_mat_exp_non_hermitian_path():
-    rng = np.random.default_rng(7)
-    m = random_complex(rng, 3)
-    assert np.abs(mat_exp(m, 0.4) - scipy.linalg.expm(0.4 * m)).max() < 1e-11
-
-
-def test_mat_exp_non_square():
-    with pytest.raises(ValueError, match="square"):
-        mat_exp(np.ones((2, 3)))
-
-
 # -------------------------------------------------------------- entropy
 
 
@@ -181,7 +130,8 @@ def test_entropy_scalar_oracle():
 def test_entropy_unitary_invariance():
     rng = np.random.default_rng(8)
     rho = random_density(rng, 4)
-    u = mat_exp(random_hermitian(rng, 4), -1j * 1.3)
+    w, v = np.linalg.eigh(random_hermitian(rng, 4))
+    u = (v * np.exp(-1.3j * w)) @ v.conj().T
     assert abs(von_neumann_entropy(u @ rho @ u.conj().T)
                - von_neumann_entropy(rho)) < 1e-10
 

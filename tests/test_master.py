@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovlab.dynamics import (
     CompositeSpec,
@@ -12,6 +14,7 @@ from markovlab.master import (
     classify_sufficient_conditions,
     commuting_block_evolution,
     effective_commutator_rhs,
+    evolve_rho_s,
     exact_rho_dot,
     maximally_mixed_invariance,
 )
@@ -217,6 +220,44 @@ def test_block_mixture_precondition_error():
     with pytest.raises(PreconditionError) as err:
         commuting_block_evolution(spec, 1.0)
     assert err.value.commutator_norm > 1e-6
+
+
+def _hermitian_part(m):
+    return 0.5 * (m + m.conj().T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.sampled_from([(a, b) for a in range(1, 17) for b in range(1, 17)
+                             if a * b <= 16]),
+       seed=st.integers(0, 2**32 - 1), rotate=st.booleans(),
+       coupling=st.floats(0.1, 3.0), t=st.floats(0.0, 5.0), data=st.data())
+def test_block_mixture_matches_reference_path(dims, seed, rotate, coupling, t, data):
+    # H_E = W diag(levels) W^dag, degenerate when two integer levels coincide.
+    # Coupling sum_k B_k x P_k and weights sum_k p_k P_k / rank P_k go through
+    # the spectral projectors P_k, so they are block diagonal (and diagonal)
+    # in whichever eigenbasis of H_E the oracle picks
+    d_s, d_e = dims
+    rng = np.random.default_rng(seed)
+    levels = np.array(data.draw(st.lists(st.integers(0, 3), min_size=d_e, max_size=d_e)))
+    w = np.eye(d_e, dtype=complex)
+    if rotate:
+        w = np.linalg.qr(rng.standard_normal((d_e, d_e))
+                         + 1j * rng.standard_normal((d_e, d_e)))[0]
+    h_se = np.zeros((d_s * d_e, d_s * d_e), dtype=complex)
+    d_mat = np.zeros((d_e, d_e), dtype=complex)
+    for level in np.unique(levels):
+        cols = w[:, levels == level]
+        proj = _hermitian_part(cols @ cols.conj().T)
+        h_se += np.kron(random_hermitian(d_s, rng), proj)
+        d_mat += (rng.random() + 0.05) * proj / cols.shape[1]
+    spec = CompositeSpec(d_s=d_s, d_e=d_e, h_s=random_hermitian(d_s, rng),
+                         h_e=_hermitian_part((w * levels) @ w.conj().T),
+                         h_se=_hermitian_part(h_se), coupling_strength=coupling,
+                         initial=InitialState.product(random_amplitudes(d_s, rng),
+                                                      d_mat / np.trace(d_mat).real))
+    result = commuting_block_evolution(spec, t)
+    assert np.abs(result.rho_s - evolve_rho_s(spec, t)).max() < 1e-12
+    assert abs(np.trace(result.rho_s) - 1.0) < 1e-12
 
 
 # --------------------------------------------------------- maximally mixed

@@ -19,7 +19,6 @@ from markovlab.spectral import (
     analytic_green_const,
     crossover_sweep,
     kernel_on_grid,
-    memory_kernel,
     solve_green,
     spectral_eval,
 )
@@ -61,10 +60,14 @@ def test_tabulated_rejects_bad_grid():
 # ---------------------------------------------------------- memory kernel
 
 
+def _kernel_at(density, lag):
+    return kernel_on_grid(density, np.array([lag]))[0]
+
+
 def test_kernel_constant_is_pure_delta():
-    k = memory_kernel(SpectralDensity.constant(0.3), 1.7)
-    assert k.smooth == 0.0
-    assert k.delta_weight == 0.3
+    d = SpectralDensity.constant(0.3)
+    assert _kernel_at(d, 1.7) == 0.0
+    assert d.delta_weight() == 0.3
 
 
 def _bump_quadrature(j1, gamma, e0, omega, dt):
@@ -89,13 +92,12 @@ def test_kernel_lorentzian_closed_form_against_quadrature():
     j1, gamma, e0 = 1.0, 0.4, 0.9
     d = SpectralDensity.lorentzian(j0=0.2, j1=j1, e0=e0, gamma=gamma)
     for dt in (0.0, 0.7, 5.0 / gamma):
-        got = memory_kernel(d, dt)
         oracle = _bump_quadrature(j1, gamma, e0, 1e3 * gamma, dt)
         # truncation tail of the oracle window is ~ j1 gamma^2 / (pi omega)
-        assert abs(got.smooth - oracle) < 3e-4
-        assert got.delta_weight == 0.2
-    assert abs(memory_kernel(d, 0.0).smooth - 0.5 * j1 * gamma) < 1e-12
-    mag = abs(memory_kernel(d, 5.0 / gamma).smooth)
+        assert abs(_kernel_at(d, dt) - oracle) < 3e-4
+    assert d.delta_weight() == 0.2
+    assert abs(_kernel_at(d, 0.0) - 0.5 * j1 * gamma) < 1e-12
+    mag = abs(_kernel_at(d, 5.0 / gamma))
     assert abs(mag - 0.5 * j1 * gamma * math.exp(-5.0)) < 1e-12
 
 
@@ -104,8 +106,8 @@ def test_kernel_finite_cutoff_approaches_infinite_cutoff():
     d_fin = SpectralDensity.lorentzian(j0=0.0, j1=1.0, e0=0.5, gamma=0.3,
                                        omega_cut=2e3 * 0.3)
     for dt in (0.0, 1.1):
-        a = memory_kernel(d_inf, dt).smooth
-        b = memory_kernel(d_fin, dt).smooth
+        a = _kernel_at(d_inf, dt)
+        b = _kernel_at(d_fin, dt)
         assert abs(a - b) < 2e-4
 
 
@@ -120,8 +122,7 @@ def test_kernel_finite_cutoff_closed_form_matches_quadrature(j1, gamma, e0, cut_
     lags = np.array([0.0, 1e-8, gamma_s, -gamma_s, 300.0]) / gamma
     for lag, val in zip(lags, kernel_on_grid(d, lags)):
         assert abs(val - _bump_quadrature(j1, gamma, e0, cut, lag)) < 1e-12 * j1 * gamma
-        if lag >= 0:
-            assert abs(memory_kernel(d, lag).smooth - val) < 1e-15 * j1 * gamma
+        assert abs(_kernel_at(d, lag) - val) < 1e-15 * j1 * gamma
 
 
 @pytest.mark.parametrize("gamma_s", [2e3, 1e4])
@@ -147,10 +148,8 @@ def test_kernel_tabulated_matches_lorentzian_samples():
     om = np.linspace(-40.0, 40.0, 8001)
     d_tab = SpectralDensity.tabulated(om, gamma**2 / (om**2 + gamma**2))
     d_ref = SpectralDensity.lorentzian(j0=0.0, j1=1.0, e0=e0, gamma=gamma)
-    k_tab = memory_kernel(d_tab, 0.8)
-    k_ref = memory_kernel(d_ref, 0.8)
-    assert k_tab.delta_weight == 0.0
-    assert abs(k_tab.smooth - k_ref.smooth) < 5e-3
+    assert d_tab.delta_weight() == 0.0
+    assert abs(_kernel_at(d_tab, 0.8) - _kernel_at(d_ref, 0.8)) < 5e-3
 
 
 def _table_quadrature(om, va, lag):
@@ -182,12 +181,7 @@ def test_kernel_tabulated_closed_form_matches_quadrature(start, widths, data):
     scale = 1e-13 * (1.0 + np.sum(w * np.maximum(va[1:], va[:-1])))
     for lag, val in zip(lags, on_grid):
         assert abs(val - _table_quadrature(om, va, lag)) < scale
-        assert abs(memory_kernel(d, lag).smooth - val) < 1e-14
-
-
-def test_kernel_rejects_negative_lag():
-    with pytest.raises(ValueError, match="nonnegative"):
-        memory_kernel(SpectralDensity.constant(0.1), -0.1)
+        assert abs(_kernel_at(d, lag) - val) < 1e-14
 
 
 # -------------------------------------------------------- volterra solver
@@ -349,6 +343,10 @@ def test_lorentzian_branch_singularity():
         analytic_green1_lorentzian(np.array([1.0]), j0, j1_crit, 1.0, gamma,
                                    TimeGrid(0.0, 1.0, 10))
     assert abs(err.value.critical_j1 - j1_crit) < 1e-12
+    # the same threshold on the amp-phase axis, where j1 is half the kernel's
+    with pytest.raises(BranchSingularityError) as err:
+        amplitude_phase(1.0, j0, 0.5 * j1_crit, 1.0, gamma)
+    assert abs(err.value.critical_j1 - 0.5 * j1_crit) < 1e-12
 
 
 # -------------------------------------------------------- amplitude/phase
@@ -488,4 +486,4 @@ def test_kernel_on_grid_matches_pointwise():
     lags = np.array([0.0, 0.4, 1.9])
     grid_vals = kernel_on_grid(d, lags)
     for lag, val in zip(lags, grid_vals):
-        assert abs(val - memory_kernel(d, lag).smooth) < 1e-14
+        assert abs(val - _kernel_at(d, lag)) < 1e-14
