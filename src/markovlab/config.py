@@ -8,7 +8,8 @@ strictly against the schema of the named scenario; unknown keys are
 rejected with their line number, and matrices that must be Hermitian
 are checked at parse time.  Numbers must be finite, except that ``inf``
 is allowed for ``omega_cut`` (infinite band cut-off) and ``tol_*``
-tolerances; ``nan`` is rejected everywhere.
+tolerances; ``nan`` is rejected everywhere, and so is an integer literal
+beyond the float range.
 """
 
 from __future__ import annotations
@@ -110,9 +111,12 @@ def _parse_scalar(token: str, line: int):
     if not token:
         raise ConfigError("empty value", line=line)
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         pass
+    else:
+        float(value)              # OverflowError beyond the float range
+        return value
     try:
         return float(token)
     except ValueError:
@@ -249,7 +253,10 @@ def parse_config(text: str, scenario_override: str | None = None) -> ScenarioCon
             raise ConfigError(f"malformed key {key!r}", line=lineno)
         if key in raw or (key == "scenario" and scenario is not None):
             raise ConfigError("duplicate key", line=lineno, key=key)
-        value = _parse_value(value_text, lineno)
+        try:
+            value = _parse_value(value_text, lineno)
+        except OverflowError:
+            raise ConfigError("integer beyond the float range", line=lineno, key=key) from None
         if key == "scenario":
             if not isinstance(value, str):
                 raise ConfigError("scenario must be a name", line=lineno)

@@ -199,7 +199,9 @@ class Propagator:
     """Shared eigendecomposition of H; builds U(dt) cheaply per time."""
 
     def __init__(self, spec: CompositeSpec):
-        self.spec = spec
+        # no reference back to the spec, which caches this object: a cycle
+        # would keep both alive until the cyclic garbage collector runs
+        self.initial, self.d_s, self.d_e = spec.initial, spec.d_s, spec.d_e
         self.hamiltonian = build_total_hamiltonian(spec)
         self.eigvals, self.eigvecs = np.linalg.eigh(self.hamiltonian)
 
@@ -211,7 +213,7 @@ class Propagator:
 
     def rho_full(self, dt: float) -> np.ndarray:
         u = self.unitary(dt)
-        return u @ self.spec.initial.rho_full() @ u.conj().T
+        return u @ self.initial.rho_full() @ u.conj().T
 
     def states(self, dts: np.ndarray, *factors: np.ndarray):
         """Yield the evolved factors U(dt) F for consecutive blocks of dts.
@@ -225,7 +227,7 @@ class Propagator:
         v = self.eigvecs
         coeffs = [v.conj().T @ f for f in factors]
         width = max(v.shape[0] * sum(c.shape[1] for c in coeffs),
-                    self.spec.d_s ** 2, self.spec.d_e ** 2)
+                    self.d_s ** 2, self.d_e ** 2)
         step = max(1, _TIME_BLOCK // width)
         for start in range(0, dts.size, step):
             phases = np.exp(-1j * self.eigvals * dts[start:start + step, None])[:, :, None]

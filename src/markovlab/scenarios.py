@@ -1,10 +1,12 @@
 """Named experiment scenarios: run, write CSV + summary, return exit status.
 
-Every scenario writes one CSV table (17 significant digits, header row)
-and a plain-text summary listing each check with its measured value,
-bound and PASS/FAIL status.  Identical configurations produce byte
-identical output; random pieces of a problem are always drawn from the
-explicit integer ``seed`` key in a fixed order.
+Every scenario writes one CSV table and a plain-text summary listing
+each check with its measured value, bound and PASS/FAIL status.  The
+table is a header row of column names, then one line per row in which
+every cell is ``'%.17g' % float(v)`` (so a flag is 1 or 0), cells joined
+by ``,`` and every line ended by ``\\n``.  Identical configurations
+produce byte identical output; random pieces of a problem are always
+drawn from the explicit integer ``seed`` key in a fixed order.
 
 Exit status: 0 all checks pass, 1 a scientific check failed, 2 usage or
 configuration error (raised as :class:`ConfigError` for the CLI).
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from markovlab.config import SCHEMAS, ConfigError, ScenarioConfig, _check_grid
+from markovlab.csvtext import csv_blocks
 from markovlab.dynamics import (
     CompositeSpec,
     InitialState,
@@ -75,24 +78,16 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-#: Rows formatted and written at a time: one string per block, not per file.
-_CSV_BLOCK = 1024
-
-
 def _write_csv(path: str, columns, rows):
-    """Header, then one line per row of floats (or a 2-d float array).
+    """Header, then one line per row of a float table (2-d array or lists).
 
-    ``"%.17g" % x`` equals ``format(x, ".17g")`` for floats and writes a
-    flag as 1 or 0, the same bytes as :func:`_fmt`.
+    Every cell is ``'%.17g' % float(v)``, so a flag is written as 1 or 0;
+    :func:`markovlab.csvtext.csv_blocks` makes the bytes.
     """
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for start in range(0, len(rows), _CSV_BLOCK):
-            block = rows[start:start + _CSV_BLOCK]
-            if isinstance(block, np.ndarray):
-                block = block.tolist()
-            fh.write("".join(line % tuple(row) for row in block))
+    table = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(columns))
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
+        fh.writelines(csv_blocks(table))
 
 
 def _summary_text(scenario: str, csv_name: str, result: ScenarioResult) -> str:
@@ -426,6 +421,8 @@ def sweep_scenario(base_cfg: ScenarioConfig, key: str, values,
     if key not in schema.all_keys():
         raise ConfigError(f"not a key of scenario {base_cfg.scenario!r}", key=key)
     values = list(values)
+    if not values:
+        raise ConfigError("need at least one value to sweep", key="sweep_values")
     if any(isinstance(v, (np.ndarray, list, str)) for v in values):
         raise ConfigError("swept values must be scalars", key=key)
     current = base_cfg.values.get(key)

@@ -259,20 +259,22 @@ out = sweep.csv
     assert max(defects) < 1e-10
 
 
-def test_sweep_empty_values(tmp_path):
-    text = """
+@pytest.mark.parametrize("base, key, extra", [
+    ("divisibility", "coupling_strength", "dS = 2\ndE = 1\nseed = 3"),
+    ("green", "j0", "es = [1.0]\nj0 = 0.2"),
+], ids=["divisibility", "green"])
+def test_empty_sweep_exits_two(tmp_path, capsys, base, key, extra):
+    text = f"""
 scenario = sweep
-base = divisibility
-sweep_key = coupling_strength
+base = {base}
+sweep_key = {key}
 sweep_values = []
-dS = 2
-dE = 1
-seed = 3
+{extra}
 out = sweep.csv
 """
-    assert run_cli(tmp_path, text) == 0
-    lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
-    assert lines == ["coupling_strength"]
+    assert run_cli(tmp_path, text) == 2
+    assert "key 'sweep_values'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 def test_sweep_integer_key(tmp_path):
@@ -438,3 +440,15 @@ out = st.csv
 def test_non_finite_value_exits_two_naming_the_key(tmp_path, capsys, text, key):
     assert run_cli(tmp_path, text) == 2
     assert f"key {key!r}" in capsys.readouterr().err
+
+
+BEYOND_FLOAT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("text, line, key", [
+    (f"scenario = green\nes = [{BEYOND_FLOAT}]\nj0 = 0.1\n", 2, "es"),
+    (f"scenario = green\nes = [0.5]\nj0 = 0.1\nsteps = {BEYOND_FLOAT}\n", 4, "steps"),
+], ids=["vector", "steps"])
+def test_integer_beyond_float_range_exits_two(tmp_path, capsys, text, line, key):
+    assert run_cli(tmp_path, text) == 2
+    assert f"line {line}: key {key!r}" in capsys.readouterr().err

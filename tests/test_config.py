@@ -123,6 +123,21 @@ def test_parse_rejects_non_finite_values_naming_key_and_line(scenario, line, key
         parse_config(HEADS[scenario] + line + "\n")
 
 
+BEYOND_FLOAT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("scenario, line, key", [
+    ("green", f"steps = {BEYOND_FLOAT}", "steps"),
+    ("green", f"t1 = -{BEYOND_FLOAT}", "t1"),
+    ("divisibility", f"c = [0.6, {BEYOND_FLOAT}]", "c"),
+    ("divisibility", f"hS = [[{BEYOND_FLOAT}, 0],[0, 2]]", "hS"),
+], ids=["scalar", "negative", "vector", "matrix"])
+def test_parse_rejects_integer_beyond_float_range_naming_key_and_line(scenario, line, key):
+    lineno = HEADS[scenario].count("\n") + 1
+    with pytest.raises(ConfigError, match=f"line {lineno}: key {key!r}: integer beyond"):
+        parse_config(HEADS[scenario] + line + "\n")
+
+
 def test_inf_allowed_for_cutoff_tolerances_and_swept_cutoff():
     cfg = parse_config(MINIMAL_GREEN + "tol_decay_residual = inf\n")
     assert np.isinf(cfg.tolerance("decay_residual", 1.0))

@@ -1,0 +1,132 @@
+"""The vectorised CSV writer against the per-row ``%`` join it replaced."""
+
+import inspect
+import math
+import struct
+import types
+
+import numpy as np
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from markovlab import csvtext
+from markovlab.scenarios import _write_csv
+
+
+def reference_rows(rows, n_cols: int) -> bytes:
+    """The reference oracle: ``'%.17g'`` per cell, one ``%`` join per row."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    line = ",".join(["%.17g"] * n_cols) + "\n"
+    return "".join(line % tuple(row) for row in rows).encode()
+
+
+def _written(table, module=csvtext) -> bytes:
+    return b"".join(module.csv_blocks(table))
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _ulps(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+#: Cells that random bit patterns almost never hit.
+SPECIAL_CELLS = st.one_of(
+    st.floats(width=64),                                            # zeros, inf, nan, edges
+    st.builds(lambda m, e: math.ldexp(m, -e), st.integers(1, 2**20),
+              st.integers(14, 27)),                                 # dyadic, often a tie
+    st.builds(lambda k, j: _ulps(float(f"1e{k}"), j), st.integers(-323, 308),
+              st.integers(-2, 2)),                                  # 10**k within 2 ulp
+)
+
+
+@st.composite
+def tables(draw):
+    """Random float64 bit patterns, with drawn special cells at random places."""
+    shape = (draw(st.integers(0, 40)), draw(st.integers(1, 20)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+    special = draw(st.lists(SPECIAL_CELLS, max_size=min(table.size, 24)))
+    table.flat[rng.choice(table.size, len(special), replace=False)] = special
+    return table
+
+
+def _property(module, phases=tuple(Phase)):
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True,
+              phases=phases)
+    @given(tables())
+    def writer_matches_oracle(table):
+        assert _written(table, module) == reference_rows(table, table.shape[1])
+    return writer_matches_oracle
+
+
+test_writer_matches_oracle_on_random_tables = _property(csvtext)
+
+
+def _hard_cells() -> np.ndarray:
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    near = [_ulps(p, j) for p in powers for j in (-2, -1, 0, 1, 2)]
+    ties = [math.ldexp(m, -e) for e in range(14, 28) for m in range(1, 400, 2)]
+    ties += [2.0**-e for e in range(1, 1075)]         # 2**-25 is a tie
+    subnormal = [5e-324, 1e-320, _ulps(2.2250738585072014e-308, -1), 2.2250738585072014e-308]
+    integers = [float(2**p + j) for p in range(53, 64) for j in range(-9, 10)]
+    edges = [_ulps(b, j) for b in (1e-270, 1e270, 1e-4, 1e16, 1e17) for j in range(-3, 4)]
+    special = [0.0, math.inf, math.nan, 0.5, 0.1, 1.0, 123.25, 1.7976931348623157e308]
+    cells = np.array(near + ties + subnormal + integers + edges + special)
+    return np.concatenate([cells, -cells])
+
+
+HARD = _hard_cells()
+
+
+@pytest.mark.parametrize("n_cols", [1, 3, 7])
+def test_hard_inputs_match_oracle(n_cols):
+    table = HARD[:HARD.size // n_cols * n_cols].reshape(-1, n_cols)
+    assert table.size > csvtext._BLOCK_CELLS         # several blocks
+    assert _written(table) == reference_rows(table, n_cols)
+
+
+def test_flag_and_integer_cells_and_empty_table(tmp_path):
+    rows = [[0.5, True, 3, -0.0], [1e-300, False, -(2**63), 2**53 + 1],
+            [np.float64(2.5), np.True_, 2**63 - 1, np.inf]]
+    columns = ["j1", "decays", "n", "x"]
+    path = tmp_path / "t.csv"
+    _write_csv(str(path), columns, rows)
+    assert path.read_bytes() == b"j1,decays,n,x\n" + reference_rows(rows, 4)
+    _write_csv(str(path), columns, [])
+    assert path.read_bytes() == b"j1,decays,n,x\n"
+
+
+def _mutant(old: str, new: str) -> types.ModuleType:
+    """``csvtext`` with one source change, loaded as a separate module."""
+    source = inspect.getsource(csvtext)
+    assert source.count(old) == 1
+    module = types.ModuleType("csvtext_mutant")
+    exec(compile(source.replace(old, new), "csvtext_mutant", "exec"), module.__dict__)
+    return module
+
+
+MUTANTS = {
+    "no-near-tie-fallback": ("(np.abs(frac - 0.5) <= _TIE_GUARD) | ", ""),
+    "exponent-on-rounded-digits": (
+        "low = (s < 1e16) | ((s == 1e16) & (r < 0.0))\n"
+        "    high = (s > 1e17) | ((s == 1e17) & (r >= 0.0))",
+        "low = np.round(s + r) < 1e16\n"
+        "    high = np.round(s + r) >= 1e17"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_property_and_hard_inputs_catch_mutant(name):
+    mutant = _mutant(*MUTANTS[name])
+    table = HARD.reshape(-1, 2)
+    assert _written(table, mutant) != reference_rows(table, 2)
+    with pytest.raises(AssertionError):
+        _property(mutant, phases=(Phase.generate,))()

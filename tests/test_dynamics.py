@@ -1,3 +1,5 @@
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -194,6 +196,18 @@ def test_evolve_schmidt_symmetry():
         res = evolve(spec, t)
         assert abs(von_neumann_entropy(res.rho_s)
                    - von_neumann_entropy(res.rho_e)) < 1e-9
+
+
+def test_spec_and_its_cached_propagator_are_freed_without_the_cycle_collector():
+    spec = random_product_spec(3, 2, np.random.default_rng(4))
+    assert spec.propagator.unitary(0.5).shape == (6, 6)
+    ref = weakref.ref(spec)
+    gc.disable()
+    try:
+        del spec
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_evolve_rejects_reverse_time():
