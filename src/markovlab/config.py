@@ -35,6 +35,8 @@ _SPEC_KEYS = frozenset({"dS", "dE", "hS", "hE", "hSE", "c", "dmat",
 _TRIPLE_KEYS = frozenset({"times", "n_triples", "t_max"})
 #: keys whose value may be infinite, besides the ``tol_*`` tolerances
 _INFINITE_OK = frozenset({"omega_cut"})
+#: keys whose value is a bare name (``base`` is checked with the sweep)
+_NAME_KEYS = frozenset({"out", "expect", "sweep_key"})
 
 
 @dataclass(frozen=True)
@@ -288,7 +290,8 @@ def _validate(scenario: str, raw: dict, lines_of: dict) -> ScenarioConfig:
         base_schema = SCHEMAS[base]
 
     infinite_ok = _INFINITE_OK
-    if raw.get("sweep_key") in _INFINITE_OK:
+    sweep_key = raw.get("sweep_key")
+    if isinstance(sweep_key, str) and sweep_key in _INFINITE_OK:
         infinite_ok = infinite_ok | {"sweep_values"}
     for key, value in raw.items():
         line = lines_of.get(key)
@@ -314,9 +317,12 @@ def _validate(scenario: str, raw: dict, lines_of: dict) -> ScenarioConfig:
             allowed = allowed | base_schema.all_keys() | {"base", "sweep_key", "sweep_values"}
         if key not in allowed:
             raise ConfigError(f"unknown key for scenario {scenario!r}", line=line, key=key)
+        if key in _NAME_KEYS and not isinstance(value, str):
+            raise ConfigError("expected a bare name", line=line, key=key)
         if key in HERMITIAN_KEYS:
-            if not isinstance(value, np.ndarray) or value.ndim != 2:
-                raise ConfigError("expected a matrix literal", line=line, key=key)
+            if (not isinstance(value, np.ndarray) or value.ndim != 2
+                    or value.shape[0] != value.shape[1]):
+                raise ConfigError("expected a square matrix literal", line=line, key=key)
             defect = hermiticity_defect(value)
             if defect > 1e-12:
                 raise ConfigError(f"matrix is not Hermitian (defect {defect:.3e})",
@@ -328,11 +334,15 @@ def _validate(scenario: str, raw: dict, lines_of: dict) -> ScenarioConfig:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
 
     cfg = ScenarioConfig(scenario=scenario, values=values, tolerance_overrides=tolerances)
-    _check_grid(cfg)
+    _check_ranges(cfg)
     return cfg
 
 
-def _check_grid(cfg: ScenarioConfig):
+def _check_ranges(cfg: ScenarioConfig):
+    for key in ("dS", "dE"):
+        dim = cfg.get_int(key)
+        if dim is not None and dim < 1:
+            raise ConfigError(f"need {key} >= 1", key=key)
     t0 = cfg.get_float("t0", 0.0)
     t1 = cfg.get_float("t1")
     steps = cfg.get_int("steps")

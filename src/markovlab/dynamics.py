@@ -527,6 +527,6 @@ def entropy_sie_check(spec: CompositeSpec, grid: TimeGrid) -> EntropyReport:
     if delta == 1 or h_norm == 0.0:
         bound_ratio = 0.0 if max_rate == 0.0 else np.inf
     else:
-        bound_ratio = max_rate / (h_norm * np.log(delta))
+        bound_ratio = float(max_rate / (h_norm * np.log(delta)))
     return EntropyReport(grid=grid, entropy=entropy, max_rate=max_rate,
                          bound_ratio=bound_ratio, delta=delta, h_norm=h_norm)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from markovlab.config import SCHEMAS, ConfigError, ScenarioConfig, _check_grid
+from markovlab.config import SCHEMAS, ConfigError, ScenarioConfig, _check_ranges
 from markovlab.csvtext import csv_blocks
 from markovlab.dynamics import (
     CompositeSpec,
@@ -338,6 +338,8 @@ def _run_master_check(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
         n = cfg.get_int("n_times", 10)
         t_max = cfg.get_float("t_max", 2.0)
         times = np.sort(pool.rng("times").uniform(0.0, t_max, size=n))
+    elif times.size == 0:
+        raise ConfigError("need at least one time", key="times")
     residual, drift = commutator_residuals(spec, times)
     rows = np.column_stack([times, residual, drift])
     checks = [
@@ -435,7 +437,7 @@ def sweep_scenario(base_cfg: ScenarioConfig, key: str, values,
         child_values[key] = int(v) if float(v).is_integer() else float(v)
         child = ScenarioConfig(scenario=base_cfg.scenario, values=child_values,
                                tolerance_overrides=dict(base_cfg.tolerance_overrides))
-        _check_grid(child)
+        _check_ranges(child)
         result = _RUNNERS[base_cfg.scenario](child, strict)
         if len(combined.columns) == 1:
             combined.columns = [key] + result.columns

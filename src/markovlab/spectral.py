@@ -25,6 +25,11 @@ and finite cut-off kernels take the O(n^2) reference march.  Every kernel
 is in closed form: the exponential of the infinite cut-off, exponential
 integrals for a finite cut-off, and the exact transform of a tabulated
 density's piecewise-linear interpolant; none uses adaptive quadrature.
+
+Importing the module loads numpy only.  The functions that call scipy
+(``sosfilt`` in the recursive march, ``exp1`` in the finite cut-off
+kernel, the FFT in the reference march's G2 convolution) import it on
+first use, so code that needs only :class:`TimeGrid` never loads scipy.
 """
 
 from __future__ import annotations
@@ -34,8 +39,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
-import scipy.special
 from numpy.polynomial import polynomial as npp
 
 _KINDS = ("constant", "lorentzian", "tabulated")
@@ -188,6 +191,7 @@ _ASYMPTOTIC_SERIES = [(-1) ** k * math.factorial(k) for k in range(7, -1, -1)]
 
 def _scaled_exp1(z: np.ndarray) -> np.ndarray:
     """f(z) = exp(z) E1(z); sum_k (-1)^k k! / z^(k+1) where |Re z| is large."""
+    import scipy.special
     far = np.abs(z.real) > _ASYMPTOTIC_RE
     near = np.where(far, 1.0, z)
     inv = 1.0 / np.where(far, z, 1.0)
@@ -341,11 +345,16 @@ def _volterra_march(m_coef: np.ndarray, kern: np.ndarray, h: float,
 
 
 def _trapezoid_convolution(kern: np.ndarray, sig: np.ndarray, h: float) -> np.ndarray:
-    """h * trapezoid-weighted causal convolution of kern with each signal column."""
+    """h * trapezoid-weighted causal convolution of kern with each signal column.
+
+    One zero-padded FFT pass over all columns; the padded length is the one
+    ``scipy.signal.fftconvolve`` picks for the full convolution.
+    """
+    import scipy.fft
     n = len(kern) - 1
-    out = np.empty_like(sig)
-    for lev in range(sig.shape[1]):
-        out[:, lev] = scipy.signal.fftconvolve(kern, sig[:, lev])[: n + 1]
+    size = scipy.fft.next_fast_len(2 * n + 1)
+    out = scipy.fft.ifft(scipy.fft.fft(kern, size)[:, None]
+                         * scipy.fft.fft(sig, size, axis=0), axis=0)[: n + 1]
     out -= 0.5 * np.outer(kern, sig[0])
     out -= 0.5 * kern[0] * sig
     out *= h
@@ -418,6 +427,7 @@ def _recursive_levels(m_coef: np.ndarray, amp: complex, rate: complex, h: float,
 def _pole_cascade(numer: np.ndarray, lead: complex, poles: np.ndarray,
                   signal: np.ndarray) -> np.ndarray:
     """Filter numer(z) / (lead * prod(1 - pole z)), one first-order section per pole."""
+    import scipy.signal
     sos = np.zeros((poles.size, 6), dtype=complex)
     sos[0, :len(numer)] = numer / lead
     sos[1:, 0] = 1.0

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import markovlab
 from markovlab.cli import main
 from markovlab.config import ConfigError, parse_config
 from markovlab.scenarios import run_scenario, sweep_scenario
@@ -452,3 +457,63 @@ BEYOND_FLOAT = "1" + "0" * 400
 def test_integer_beyond_float_range_exits_two(tmp_path, capsys, text, line, key):
     assert run_cli(tmp_path, text) == 2
     assert f"line {line}: key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, key", [
+    ("scenario = divisibility\ndS = 2\ndE = 1\nsweep_key = [1, 2]\n", "sweep_key"),
+    ("scenario = sweep\nbase = divisibility\ndS = 2\ndE = 1\nseed = 1\n"
+     "sweep_key = [1, 2]\nsweep_values = [1, 2]\n", "sweep_key"),
+    (DIV_UNIQUE.replace("out = div.csv", "out = 5"), "out"),
+    ("scenario = divisibility\ndS = -2\ndE = 1\nseed = 1\n", "dS"),
+    ("scenario = entropy\ndS = 2\ndE = 0\nseed = 1\n", "dE"),
+    ("scenario = master-check\ndS = 2\nseed = 1\ntimes = []\n", "times"),
+], ids=["vector-sweep-key", "sweep-vector-sweep-key", "numeric-out", "negative-dS",
+        "zero-dE", "empty-times"])
+def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, text, key):
+    assert run_cli(tmp_path, text) == 2
+    assert f"key {key!r}" in capsys.readouterr().err
+
+
+def test_entropy_bound_ratio_is_a_plain_float(tmp_path):
+    text = "scenario = entropy\ndS = 2\ndE = 2\nseed = 12\nsteps = 50\nout = ent.csv\n"
+    assert run_cli(tmp_path, text) == 0
+    summary = (tmp_path / "out" / "ent.summary.txt").read_text().splitlines()
+    line = next(ln for ln in summary if ln.startswith("bound_ratio: "))
+    assert float(line.split(": ")[1]) > 0
+
+
+DYNAMICS_RUNS = {
+    "divisibility": DIV_UNIQUE,
+    "entangled": "scenario = entangled\ndS = 2\ndE = 2\nseed = 8\nexpect = nondivisible\n"
+                 "n_triples = 3\n",
+    "master-check": "scenario = master-check\ndS = 3\nseed = 4\nn_times = 6\n",
+    "entropy": "scenario = entropy\ndS = 2\ndE = 2\nseed = 12\nsteps = 50\n",
+    "stationarity": "scenario = stationarity\ndS = 2\ndE = 3\nseed = 5\nsteps = 50\n",
+    "witness": "scenario = witness\ndS = 2\ndE = 1\nseed = 6\ncA = [1.0, 0.0]\n"
+               "cB = [0.0, 1.0]\nsteps = 50\n",
+    "sweep": "scenario = sweep\nbase = divisibility\nsweep_key = coupling_strength\n"
+             "sweep_values = [0.1, 1.0]\ndS = 2\ndE = 1\nseed = 3\nn_triples = 3\n",
+}
+
+NO_SCIPY_SCRIPT = """
+import sys
+import markovlab, markovlab.cli
+statuses = [markovlab.cli.main(["--config", path, "--out", sys.argv[1]])
+            for path in sys.argv[2:]]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(statuses, loaded, file=sys.stderr)
+"""
+
+
+def test_dynamics_scenarios_never_load_scipy(tmp_path):
+    paths = []
+    for name, text in DYNAMICS_RUNS.items():
+        paths.append(tmp_path / f"{name}.cfg")
+        paths[-1].write_text(text)
+    src = os.path.dirname(os.path.dirname(markovlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path / "out"),
+                           *map(str, paths)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stderr.splitlines()[-1] == f"{[0] * len(paths)} []"

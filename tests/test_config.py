@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from markovlab.config import ConfigError, parse_config
+from markovlab.config import SCENARIOS, SCHEMAS, ConfigError, parse_config
 
 MINIMAL_GREEN = """
 # minimal flat-background run
@@ -45,6 +47,11 @@ dS = 2
 dE = 1
 hS = [[1+0i, 1+0i],[0+0i, 2+0i]]
 """)
+
+
+def test_parse_rejects_non_square_hermitian_key():
+    with pytest.raises(ConfigError, match="line 4: key 'hS': expected a square matrix"):
+        parse_config("scenario = divisibility\ndS = 2\ndE = 1\nhS = [[1, 2]]\n")
 
 
 def test_parse_rejects_unknown_key():
@@ -147,3 +154,68 @@ def test_inf_allowed_for_cutoff_tolerances_and_swept_cutoff():
     with pytest.raises(ConfigError, match="sweep_values"):
         parse_config("scenario = sweep\nbase = green\nsweep_key = j0\n"
                      "sweep_values = [0.1, inf]\nes = [1.0]\nj0 = 0.2\n")
+
+
+# ------------------------------------------- generated configuration text
+
+_KEYS = sorted(
+    set().union(*(schema.all_keys() for schema in SCHEMAS.values()))
+    | {"base", "sweep_key", "sweep_values", "tol_", "bogus"}
+    | {f"tol_{name}" for schema in SCHEMAS.values() for name in schema.tolerances})
+_NAMES = st.sampled_from([*SCENARIOS, *_KEYS, "x.csv", "i", "[", "]", "[[", "]]", ","])
+_REAL = st.one_of(st.integers(-3, 70).map(str),
+                  st.floats().map(repr),
+                  st.sampled_from(["1" + "0" * 400, "-1" + "0" * 400, "1e400", "1_0"]))
+_COMPLEX = st.tuples(_REAL, _REAL).map(lambda re_im: f"{re_im[0]}+{re_im[1]}i")
+_SCALAR = st.one_of(_REAL, _COMPLEX)
+_VECTOR = st.lists(_SCALAR, max_size=4).map(lambda xs: "[" + ", ".join(xs) + "]")
+_MATRIX = st.lists(st.lists(_SCALAR, max_size=3), min_size=1, max_size=3).map(
+    lambda rows: "[" + ",".join("[" + ", ".join(r) + "]" for r in rows) + "]")
+#: a valid config of each scenario, which the generated lines edit
+_VALID = {
+    "green": {"es": "[1.0]", "j0": "0.2"},
+    "green-analytic": {"es": "[1.0]", "j0": "0.1", "j1": "0.1", "e0": "0", "gamma": "0.5"},
+    "amp-phase": {"es_level": "1", "j0": "0.1", "e0": "0", "gamma": "0.5",
+                  "j1_values": "[0.1]"},
+    "divisibility": {"dS": "2", "dE": "1"},
+    "entangled": {"dS": "2", "dE": "2"},
+    "master-check": {"dS": "2"},
+    "entropy": {"dS": "2", "dE": "2"},
+    "stationarity": {"dS": "2", "dE": "2"},
+    "witness": {"dS": "2", "dE": "1", "cA": "[1, 0]", "cB": "[0, 1]"},
+    "sweep": {"base": "green", "sweep_key": "j0", "sweep_values": "[0.1]",
+              "es": "[1.0]", "j0": "0.2"},
+}
+
+
+def _own_keys(scenario: str) -> list:
+    schema = SCHEMAS[scenario]
+    if scenario == "sweep":
+        schema = SCHEMAS["green"]
+        return sorted(schema.all_keys() | {"base", "sweep_key", "sweep_values"})
+    return sorted(schema.all_keys() | {f"tol_{name}" for name in schema.tolerances})
+
+
+@st.composite
+def _config_texts(draw):
+    """A valid config with some keys dropped and some set to generated values."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    values = dict(_VALID[scenario])
+    for key in draw(st.sets(st.sampled_from(sorted(values)), max_size=2)):
+        del values[key]
+    keys = st.one_of(st.sampled_from(_own_keys(scenario)), st.sampled_from(_KEYS))
+    values.update(draw(st.dictionaries(keys, st.one_of(_SCALAR, _VECTOR, _MATRIX, _NAMES),
+                                       max_size=6)))
+    return scenario, f"scenario = {scenario}\n" + "".join(
+        f"{k} = {v}\n" for k, v in values.items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_config_texts())
+def test_parse_config_raises_only_config_error(scenario_text):
+    scenario, text = scenario_text
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert cfg.scenario == scenario

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.signal
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from markovlab.spectral import (
     solve_green,
     spectral_eval,
 )
-from markovlab.spectral import _SERIES_THETA, _march_levels
+from markovlab.spectral import _SERIES_THETA, _march_levels, _trapezoid_convolution
 
 
 # ------------------------------------------------------- spectral density
@@ -264,6 +265,23 @@ def test_recursive_march_matches_reference_march(es, j0, j1, e0, gamma, steps, h
     ref = _march_levels(-(1j * es + j0), kern, grid.h, j0)
     for got, want in zip((sol.g1, sol.g2), ref):
         assert np.abs(np.diagonal(got, axis1=1, axis2=2) - want).max() < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 600), levels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_trapezoid_convolution_matches_per_level_fftconvolve(n, levels, seed):
+    # one batched FFT pass does the same arithmetic as one fftconvolve per level
+    rng = np.random.default_rng(seed)
+    kern = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    sig = rng.normal(size=(n + 1, levels)) + 1j * rng.normal(size=(n + 1, levels))
+    h = 0.01
+    want = np.stack([scipy.signal.fftconvolve(kern, sig[:, lev])[: n + 1]
+                     for lev in range(levels)], axis=1)
+    want -= 0.5 * np.outer(kern, sig[0])
+    want -= 0.5 * kern[0] * sig
+    want *= h
+    want[0] = 0.0
+    assert np.array_equal(_trapezoid_convolution(kern, sig, h), want)
 
 
 def test_solve_green_step_guard():
