@@ -18,18 +18,19 @@ of strength J1, centre E0 and width Gamma contributes the smooth kernel
 The module provides a trapezoidal (Crank-Nicolson) Volterra march, closed
 forms for the flat and resonant cases, and the amplitude/phase
 decomposition of the resonant propagator used to map the crossover
-between decaying and oscillating regimes.  The march costs O(n), as a
-per-level recursive filter, when the smooth kernel is zero or a single
-exponential (flat background, resonance with infinite cut-off); tabulated
-and finite cut-off kernels take the O(n^2) reference march.  Every kernel
-is in closed form: the exponential of the infinite cut-off, exponential
+between decaying and oscillating regimes.  The march over n steps is a
+lower-triangular Toeplitz solve for all levels at once, with no per-step
+loop: O(n log n), as a recursive filter (pole power tables and log-depth
+scans) for a zero or single-exponential smooth kernel, else as a power
+series reciprocal by Newton doubling with FFT products.  Every kernel is
+in closed form: the exponential of the infinite cut-off, exponential
 integrals for a finite cut-off, and the exact transform of a tabulated
 density's piecewise-linear interpolant; none uses adaptive quadrature.
 
 Importing the module loads numpy only.  The functions that call scipy
-(``sosfilt`` in the recursive march, ``exp1`` in the finite cut-off
-kernel, the FFT in the reference march's G2 convolution) import it on
-first use, so code that needs only :class:`TimeGrid` never loads scipy.
+(``exp1`` in the finite cut-off kernel, the FFT in the Toeplitz solve and
+its G2 convolution) import ``scipy.special`` and ``scipy.fft`` on first
+use, so code that needs only :class:`TimeGrid` never loads scipy.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 _KINDS = ("constant", "lorentzian", "tabulated")
 
@@ -317,44 +317,18 @@ def _embed_diagonal(levels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _volterra_march(m_coef: np.ndarray, kern: np.ndarray, h: float,
-                    g0: np.ndarray, forcing: np.ndarray | None) -> np.ndarray:
-    """March g' = m g - (kern * g)(t) + forcing with the trapezoid rule.
-
-    The history convolution uses trapezoid weights and the corrector is
-    solved in closed form (the update is linear in the unknown node), so
-    the scheme is the fully converged predictor-corrector, global O(h^2).
-    """
-    n = len(kern) - 1
-    g = np.zeros((n + 1, len(m_coef)), dtype=complex)
-    g[0] = g0
-    has_kernel = bool(np.any(kern))
-    denom = 1.0 - 0.5 * h * m_coef + 0.25 * h * h * kern[0]
-    f_prev = m_coef * g[0] + (forcing[0] if forcing is not None else 0.0)
-    for k in range(n):
-        if has_kernel:
-            hist = kern[k + 1:0:-1] @ g[:k + 1]
-            s_tilde = h * (hist - 0.5 * kern[k + 1] * g[0])
-        else:
-            s_tilde = 0.0
-        drive = forcing[k + 1] if forcing is not None else 0.0
-        g[k + 1] = (g[k] + 0.5 * h * (f_prev - s_tilde + drive)) / denom
-        s_new = s_tilde + 0.5 * h * kern[0] * g[k + 1]
-        f_prev = m_coef * g[k + 1] - s_new + drive
-    return g
+def _causal_product(x: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
+    """First ``count`` terms of the convolution of x and y along axis 0: one FFT pass."""
+    import scipy.fft
+    x, y = x[:count], y[:count]
+    size = scipy.fft.next_fast_len(len(x) + len(y) - 1)
+    return scipy.fft.ifft(scipy.fft.fft(x, size, axis=0) * scipy.fft.fft(y, size, axis=0),
+                          axis=0)[:count]
 
 
 def _trapezoid_convolution(kern: np.ndarray, sig: np.ndarray, h: float) -> np.ndarray:
-    """h * trapezoid-weighted causal convolution of kern with each signal column.
-
-    One zero-padded FFT pass over all columns; the padded length is the one
-    ``scipy.signal.fftconvolve`` picks for the full convolution.
-    """
-    import scipy.fft
-    n = len(kern) - 1
-    size = scipy.fft.next_fast_len(2 * n + 1)
-    out = scipy.fft.ifft(scipy.fft.fft(kern, size)[:, None]
-                         * scipy.fft.fft(sig, size, axis=0), axis=0)[: n + 1]
+    """h * trapezoid-weighted causal convolution of kern with each signal column."""
+    out = _causal_product(kern[:, None], sig, len(kern))
     out -= 0.5 * np.outer(kern, sig[0])
     out -= 0.5 * kern[0] * sig
     out *= h
@@ -362,22 +336,50 @@ def _trapezoid_convolution(kern: np.ndarray, sig: np.ndarray, h: float) -> np.nd
     return out
 
 
-def _march_levels(m_coef: np.ndarray, kern: np.ndarray, h: float,
-                  j0: float) -> tuple[np.ndarray, np.ndarray]:
-    """g1 and g2 of every level by the O(n^2) reference march, for any kernel."""
-    ones = np.ones(m_coef.size, dtype=complex)
-    g1 = _volterra_march(m_coef, kern, h, ones, None)
+def _series_reciprocal(col: np.ndarray) -> np.ndarray:
+    """The first len(col) power-series terms of 1 / col(z), for each column.
+
+    Newton doubling: for b = 1 / col mod z^k and col b = 1 + z^k e mod
+    z^(2k), b (2 - col b) = b - z^k b e = 1 / col mod z^(2k).
+    """
+    inv = 1.0 / col[:1]
+    while len(inv) < len(col):
+        k = len(inv)
+        err = _causal_product(col, inv, min(2 * k, len(col)))[k:]
+        inv = np.concatenate([inv, -_causal_product(inv, err, len(err))])
+    return inv
+
+
+def _toeplitz_levels(m_coef: np.ndarray, kern: np.ndarray, h: float,
+                     j0: float) -> tuple[np.ndarray, np.ndarray]:
+    """g1 and g2 of every level by the trapezoid march, for any sampled kernel.
+
+    g_{k+1} - g_k = p (f_k + f_{k+1}), p = h / 2, f = m g - S + d, with S
+    the trapezoid sum of K * g (S_0 = 0), is the Toeplitz system
+    sum_j a_j g_{k+1-j} = r_k in g_1 .. g_n, so g is the power series
+    (1 / a) r: a_0 = 1 - p m + p^2 K_0, a_1 = -(1 + p m) + p h (K_1 + K_0)
+    - p^2 K_0, a_j = p h (K_j + K_{j-1}) for j >= 2, and r_k = p (d_k +
+    d_{k+1}) - p^2 (K_k + K_{k+1}) g_0 + [k = 0] (1 + p m + p^2 K_0) g_0.
+    g1 has g_0 = 1, d = 0; g2 has g_0 = 0, d = j0 h1 + K * h1, h1 = conj(g1).
+    """
+    p = 0.5 * h
+    col = np.empty((kern.size - 1, m_coef.size), dtype=complex)
+    col[1:] = (p * h * (kern[1:-1] + kern[:-2]))[:, None]
+    col[0] = 1.0 - p * m_coef + p * p * kern[0]
+    col[1] -= 1.0 + p * m_coef + p * p * kern[0]
+    inv = _series_reciprocal(col)
+    rhs = np.repeat(-p * p * (kern[:-1] + kern[1:])[:, None], m_coef.size, axis=1)
+    rhs[0] += 1.0 + p * m_coef + p * p * kern[0]
+    g1 = np.concatenate([np.ones((1, m_coef.size)), _causal_product(inv, rhs, len(rhs))])
     h1 = g1.conj()
-    forcing = j0 * h1
-    if np.any(kern):
-        forcing = forcing + _trapezoid_convolution(kern, h1, h)
-    g2 = _volterra_march(m_coef, kern, h, np.zeros_like(ones), forcing)
-    return g1, g2
+    drive = j0 * h1 + _trapezoid_convolution(kern, h1, h)
+    rhs = p * (drive[:-1] + drive[1:])
+    return g1, np.concatenate([np.zeros((1, m_coef.size)), _causal_product(inv, rhs, len(rhs))])
 
 
 def _recursive_levels(m_coef: np.ndarray, amp: complex, rate: complex, h: float,
                       j0: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The march of :func:`_march_levels` for the kernel amp * exp(-rate s), in O(n).
+    """The march of :func:`_toeplitz_levels` for the kernel amp * exp(-rate s).
 
     On the grid the kernel is amp q^j, q = exp(-rate h), so the history sum
     H_k = sum_{j<k} amp q^(k-j) g_j obeys H_k = q (H_{k-1} + amp g_{k-1})
@@ -387,9 +389,8 @@ def _recursive_levels(m_coef: np.ndarray, amp: complex, rate: complex, h: float,
 
         [(1 - z) P - p (1 + z) (m P - Q)] g = r P + p (1 + z) (Q_0 g_0 + P d)
 
-    with forcing d and r = g_0 - p f_0: g1 has g_0 = 1, d = 0; g2 has
-    g_0 = 0, d = j0 h1 + the trapezoid convolution of the kernel with
-    h1 = conj(g1).  Without a kernel P = 1, Q = 0 (the Cayley filter).
+    with g_0 and the forcing d as there and r = g_0 - p f_0.  Without a
+    kernel P = 1, Q = 0 (the Cayley filter).
     The poles lie O(h) from z = 1, where a direct-form denominator loses
     its O(h^2) coefficients to rounding, so the filter runs as first-order
     sections with poles (1 + p mu) / (1 - p mu): mu = m without a kernel,
@@ -398,51 +399,51 @@ def _recursive_levels(m_coef: np.ndarray, amp: complex, rate: complex, h: float,
     """
     p = 0.5 * h
     if amp == 0:
-        big_p, big_q = np.ones(1), np.zeros(1)
+        big_p, big_q = np.array([1.0, 0.0]), np.zeros(2)
+        mu = m_coef[:, None]
     else:
         q = np.exp(-rate * h)
         kappa = np.tanh(0.5 * rate * h) / p
         big_p, big_q = np.array([1.0, -q]), p * amp * np.array([1.0, q])
-    edge = npp.polymul((1.0, 1.0), big_q[:1])          # Q_0 (1 + z)
-    impulse = np.zeros(steps + 1)
-    impulse[0] = 1.0
-    g1 = np.empty((steps + 1, m_coef.size), dtype=complex)
-    g2 = np.empty_like(g1)
-    for lev, m in enumerate(m_coef):
-        mu = np.array([m]) if amp == 0 else _quadratic_roots(
-            kappa * (1.0 + amp * p * p) - m, amp - m * kappa)
-        poles = (1.0 + p * mu) / (1.0 - p * mu)
-        lead = 1.0 - p * (m - big_q[0])                # the z^0 coefficient
-        g = _pole_cascade(npp.polyadd((1.0 - p * m) * big_p, p * edge), lead, poles,
-                          impulse)
-        g[0] = 1.0
-        h1 = g.conj()
-        g2[:, lev] = (
-            _pole_cascade(p * npp.polymul((1.0, 1.0), j0 * big_p + big_q), lead, poles, h1)
-            - p * h1[0] * _pole_cascade(npp.polyadd(j0 * big_p, edge), lead, poles, impulse))
-        g1[:, lev] = g
-    return g1, g2
+        # both roots of mu^2 + b mu + c, the larger first to avoid cancellation
+        b, c = kappa * (1.0 + amp * p * p) - m_coef, amp - m_coef * kappa
+        s = np.sqrt(b * b - 4.0 * c)
+        big = -0.5 * (b + np.where((np.conj(b) * s).real < 0, -s, s))
+        mu = np.stack([big, c / big], axis=1)          # Re b > 0, so big != 0
+    poles = (1.0 + p * mu) / (1.0 - p * mu)
+    lead = (1.0 - p * (m_coef - big_q[0]))[:, None]    # the z^0 coefficient
+    numer = ((1.0 - p * m_coef)[:, None] * big_p + p * big_q[0]) / lead
+    powers = _pole_powers(poles, steps)
+    # through the first section the impulse response is numer(z) times its pole's powers
+    g1 = numer[:, :1] * powers[0]
+    g1[:, 1:] += numer[:, 1:] * powers[0, :, :-1]
+    g1 = _pole_scan(g1, powers[1:])
+    g1[:, 0] = 1.0
+    h1 = g1.conj()
+    numer = p * np.convolve((1.0, 1.0), j0 * big_p + big_q) / lead
+    g2 = numer[:, :1] * h1
+    for lag in (1, 2):
+        g2[:, lag:] += numer[:, lag:lag + 1] * h1[:, :-lag]
+    g2[:, :2] -= p * (j0 * big_p + big_q[0]) / lead    # Q_0 (1 + z) g_0 with h1_0 = 1
+    return g1.T, _pole_scan(g2, powers).T
 
 
-def _pole_cascade(numer: np.ndarray, lead: complex, poles: np.ndarray,
-                  signal: np.ndarray) -> np.ndarray:
-    """Filter numer(z) / (lead * prod(1 - pole z)), one first-order section per pole."""
-    import scipy.signal
-    sos = np.zeros((poles.size, 6), dtype=complex)
-    sos[0, :len(numer)] = numer / lead
-    sos[1:, 0] = 1.0
-    sos[:, 3] = 1.0
-    sos[:, 4] = -poles
-    return scipy.signal.sosfilt(sos, signal)
+def _pole_powers(poles: np.ndarray, steps: int) -> np.ndarray:
+    """pole^k, k = 0 .. steps, per pole column, by products whose errors add like a random walk."""
+    table = np.repeat(poles.T[:, :, None], steps + 1, axis=2)
+    table[:, :, 0] = 1.0
+    return np.cumprod(table, axis=2)
 
 
-def _quadratic_roots(b: complex, c: complex) -> np.ndarray:
-    """Both roots of mu^2 + b mu + c, without cancellation."""
-    s = np.sqrt(b * b - 4.0 * c)
-    if (np.conj(b) * s).real < 0:
-        s = -s
-    big = -0.5 * (b + s)
-    return np.array([big, c / big if big != 0 else 0.0], dtype=complex)
+def _pole_scan(rows: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Filter rows in place by 1 / prod(1 - pole z), one log-depth scan per pole:
+    after the passes with shifts 1, 2, .., s, entry k is sum_{j < 2s} pole^j x_{k-j}."""
+    for power in powers:
+        shift = 1
+        while shift < rows.shape[1]:
+            rows[:, shift:] += power[:, shift:shift + 1] * rows[:, :-shift]
+            shift *= 2
+    return rows
 
 
 def solve_green(problem: GreenProblem, strict: bool = False) -> GreenSolution:
@@ -452,8 +453,8 @@ def solve_green(problem: GreenProblem, strict: bool = False) -> GreenSolution:
     full weight from the first step on, so a flat spectral density
     reproduces the pure exponential solution to discretisation accuracy.
     The G2 equation is driven by the conjugate of the already computed
-    G1 history.  Both use the trapezoid march: in O(n) for a single
-    exponential or zero smooth kernel, else the O(n^2) reference march.
+    G1 history.  Both use the trapezoid march: a recursive filter for a
+    single exponential or zero smooth kernel, else a Toeplitz solve.
     """
     grid = problem.grid
     h = grid.h
@@ -469,7 +470,7 @@ def solve_green(problem: GreenProblem, strict: bool = False) -> GreenSolution:
     form = _exponential_form(problem.density)
     if form is None:
         kern = kernel_on_grid(problem.density, h * np.arange(grid.steps + 1))
-        g1, g2 = _march_levels(m_coef, kern, h, j0)
+        g1, g2 = _toeplitz_levels(m_coef, kern, h, j0)
     else:
         g1, g2 = _recursive_levels(m_coef, *form, h, j0, grid.steps)
     g1[0] = 1.0

@@ -1,14 +1,19 @@
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import markovlab
 from markovlab.cli import main
 from markovlab.config import ConfigError, parse_config
 from markovlab.scenarios import run_scenario, sweep_scenario
+from markovlab.spectral import StepSizeWarning
 
 
 def run_cli(tmp_path, text, out="out", extra=()):
@@ -99,6 +104,15 @@ out = green.csv
     assert run_cli(tmp_path, text) == 0
     header = (tmp_path / "out" / "green.csv").read_text().splitlines()[0]
     assert header == "t,re_g1_0,im_g1_0,abs_g1_0,re_g2_0,im_g2_0"
+
+
+def test_flat_green_with_vanishing_g1_exits_one_without_runtime_warning(tmp_path):
+    # at e = 0, h j0 / 2 = 1 puts the Cayley pole at zero: g1 vanishes after one step
+    text = "scenario = green\nes = [0.0]\nj0 = 4\nt1 = 1\nsteps = 2\nout = z.csv\n"
+    with pytest.warns(StepSizeWarning):
+        assert run_cli(tmp_path, text) == 1
+    summary = (tmp_path / "out" / "z.summary.txt").read_text()
+    assert "decay_residual     measured inf" in summary
 
 
 def test_green_analytic_scenario(tmp_path):
@@ -467,8 +481,22 @@ def test_integer_beyond_float_range_exits_two(tmp_path, capsys, text, line, key)
     ("scenario = divisibility\ndS = -2\ndE = 1\nseed = 1\n", "dS"),
     ("scenario = entropy\ndS = 2\ndE = 0\nseed = 1\n", "dE"),
     ("scenario = master-check\ndS = 2\nseed = 1\ntimes = []\n", "times"),
+    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nhS = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n",
+     "hS"),
+    ("scenario = divisibility\ndS = 2\ndE = 2\nseed = 1\nhE = [[1]]\n", "hE"),
+    ("scenario = stationarity\ndS = 2\ndE = 1\nseed = 1\nhSE = [[1]]\n", "hSE"),
+    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nc = [1, 0, 0]\n", "c"),
+    ("scenario = witness\ndS = 2\ndE = 1\nseed = 6\ncA = [1, 0, 0]\ncB = [0, 1]\n", "cA"),
+    ("scenario = witness\ndS = 2\ndE = 1\nseed = 6\ncA = [1, 0]\ncB = [0, 1, 0]\n", "cB"),
+    ("scenario = entangled\ndS = 2\ndE = 2\nseed = 1\na = [[1, 0, 0]]\n", "a"),
+    ("scenario = divisibility\ndS = 2\ndE = 2\nseed = 1\ndmat = [[1]]\n", "dmat"),
+    ("scenario = entropy\ndS = 2\ndE = 1\nseed = 1\nsmat = [[1]]\n", "smat"),
+    ("scenario = divisibility\ndS = 9\ndE = 9\nseed = 1\n", "dS"),
+    ("scenario = master-check\ndS = 65\nseed = 1\n", "dS"),
 ], ids=["vector-sweep-key", "sweep-vector-sweep-key", "numeric-out", "negative-dS",
-        "zero-dE", "empty-times"])
+        "zero-dE", "empty-times", "hS-shape", "hE-shape", "hSE-shape", "c-length",
+        "cA-length", "cB-length", "a-shape", "dmat-shape", "smat-shape",
+        "composite-dimension", "master-check-dimension"])
 def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, text, key):
     assert run_cli(tmp_path, text) == 2
     assert f"key {key!r}" in capsys.readouterr().err
@@ -495,25 +523,87 @@ DYNAMICS_RUNS = {
              "sweep_values = [0.1, 1.0]\ndS = 2\ndE = 1\nseed = 3\nn_triples = 3\n",
 }
 
+# argv: the package whose modules are listed, the output directory, config paths
 NO_SCIPY_SCRIPT = """
 import sys
 import markovlab, markovlab.cli
-statuses = [markovlab.cli.main(["--config", path, "--out", sys.argv[1]])
-            for path in sys.argv[2:]]
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+package = sys.argv[1]
+statuses = [markovlab.cli.main(["--config", path, "--out", sys.argv[2]])
+            for path in sys.argv[3:]]
+loaded = sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 print(statuses, loaded, file=sys.stderr)
 """
 
 
-def test_dynamics_scenarios_never_load_scipy(tmp_path):
+def _run_fresh(tmp_path, runs, package, prelude=""):
+    """Run configs in a fresh interpreter; the last stderr line: statuses, loaded modules."""
     paths = []
-    for name, text in DYNAMICS_RUNS.items():
+    for name, text in runs.items():
         paths.append(tmp_path / f"{name}.cfg")
         paths[-1].write_text(text)
     src = os.path.dirname(os.path.dirname(markovlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path / "out"),
-                           *map(str, paths)],
+    proc = subprocess.run([sys.executable, "-c", prelude + NO_SCIPY_SCRIPT, package,
+                           str(tmp_path / "out"), *map(str, paths)],
                           env=env, capture_output=True, text=True, check=True)
-    assert proc.stderr.splitlines()[-1] == f"{[0] * len(paths)} []"
+    return proc.stderr.splitlines()[-1], len(paths)
+
+
+def test_dynamics_scenarios_never_load_scipy(tmp_path):
+    line, n_runs = _run_fresh(tmp_path, DYNAMICS_RUNS, "scipy")
+    assert line == f"{[0] * n_runs} []"
+
+
+GREEN_LEVELS = "es = [-0.4, 0.6]\nj0 = 0.1\nt1 = 4\nsteps = 200\n"
+GREEN_RUNS = {
+    "lorentzian": "scenario = green\n" + GREEN_LEVELS + "j1 = 0.8\ne0 = 0.2\ngamma = 0.5\n",
+    "flat": "scenario = green\n" + GREEN_LEVELS,
+    "cut": "scenario = green\n" + GREEN_LEVELS + "j1 = 0.8\ne0 = 0.2\ngamma = 0.5\n"
+           "omega_cut = 2\n",
+    "analytic": "scenario = green-analytic\n" + GREEN_LEVELS
+                + "j1 = 0.8\ne0 = 0.2\ngamma = 0.5\n",
+    "amp-phase": "scenario = amp-phase\nes_level = 0.9\nj0 = 0.1\ne0 = 0.2\ngamma = 0.5\n"
+                 "j1_values = [0, 0.1, 1, 10]\n",
+}
+
+TABULATED_SOLVE = """
+import numpy as np
+import markovlab as ml
+omega = np.linspace(-4.0, 4.0, 40)
+density = ml.SpectralDensity.tabulated(omega, 0.5 * np.exp(-omega ** 2))
+ml.solve_green(ml.GreenProblem(es=np.array([-0.3, 0.5]), density=density,
+                               grid=ml.TimeGrid(0.0, 4.0, 100)), strict=True)
+"""
+
+
+def test_green_scenarios_never_load_scipy_signal(tmp_path):
+    # the Green solver needs scipy.special and scipy.fft only
+    line, n_runs = _run_fresh(tmp_path, GREEN_RUNS, "scipy.signal", prelude=TABULATED_SOLVE)
+    assert line == f"{[0] * n_runs} []"
+
+
+@settings(max_examples=120, deadline=None)
+@given(es=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3),
+       j0=st.floats(0.0, 3.0), j1=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+       e0=st.floats(-5.0, 5.0), gamma=st.floats(0.01, 5.0),
+       omega_cut=st.one_of(st.just(math.inf), st.floats(0.01, 20.0)),
+       t1=st.floats(0.01, 30.0), steps=st.integers(2, 400),
+       strict=st.booleans())
+def test_green_configs_exit_cleanly_with_finite_output(tmp_path_factory, es, j0, j1, e0,
+                                                       gamma, omega_cut, t1, steps, strict):
+    # flat, infinite and finite cut-off configs run both march paths through the CLI
+    text = (f"scenario = green\nes = [{', '.join(map(repr, es))}]\nj0 = {j0!r}\n"
+            f"j1 = {j1!r}\ne0 = {e0!r}\ngamma = {gamma!r}\nomega_cut = {omega_cut!r}\n"
+            f"t1 = {t1!r}\nsteps = {steps}\nout = green.csv\n")
+    out = tmp_path_factory.mktemp("green")
+    cfg = out / "green.cfg"
+    cfg.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepSizeWarning)
+        status = main(["--config", str(cfg), "--out", str(out), *(["--strict"] * strict)])
+    assert status in (0, 1, 2)
+    if status == 0:
+        table = np.loadtxt(out / "green.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert table.shape == (steps + 1, 1 + 5 * len(es))
+        assert np.isfinite(table).all()

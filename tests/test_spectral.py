@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.signal
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from markovlab.spectral import (
@@ -23,7 +23,12 @@ from markovlab.spectral import (
     solve_green,
     spectral_eval,
 )
-from markovlab.spectral import _SERIES_THETA, _march_levels, _trapezoid_convolution
+from markovlab.spectral import (
+    _SERIES_THETA,
+    _pole_powers,
+    _pole_scan,
+    _trapezoid_convolution,
+)
 
 
 # ------------------------------------------------------- spectral density
@@ -188,6 +193,45 @@ def test_kernel_tabulated_closed_form_matches_quadrature(start, widths, data):
 # -------------------------------------------------------- volterra solver
 
 
+def _volterra_march(m_coef, kern, h, g0, forcing):
+    """Reference march of g' = m g - (kern * g)(t) + forcing with the trapezoid rule.
+
+    The history convolution uses trapezoid weights and the corrector is
+    solved in closed form (the update is linear in the unknown node), so
+    the scheme is the fully converged predictor-corrector, global O(h^2).
+    One O(k) history sum per step: O(n^2) in all.
+    """
+    n = len(kern) - 1
+    g = np.zeros((n + 1, len(m_coef)), dtype=complex)
+    g[0] = g0
+    has_kernel = bool(np.any(kern))
+    denom = 1.0 - 0.5 * h * m_coef + 0.25 * h * h * kern[0]
+    f_prev = m_coef * g[0] + (forcing[0] if forcing is not None else 0.0)
+    for k in range(n):
+        if has_kernel:
+            hist = kern[k + 1:0:-1] @ g[:k + 1]
+            s_tilde = h * (hist - 0.5 * kern[k + 1] * g[0])
+        else:
+            s_tilde = 0.0
+        drive = forcing[k + 1] if forcing is not None else 0.0
+        g[k + 1] = (g[k] + 0.5 * h * (f_prev - s_tilde + drive)) / denom
+        s_new = s_tilde + 0.5 * h * kern[0] * g[k + 1]
+        f_prev = m_coef * g[k + 1] - s_new + drive
+    return g
+
+
+def _march_levels(m_coef, kern, h, j0):
+    """g1 and g2 of every level by the O(n^2) reference march, for any kernel."""
+    ones = np.ones(m_coef.size, dtype=complex)
+    g1 = _volterra_march(m_coef, kern, h, ones, None)
+    h1 = g1.conj()
+    forcing = j0 * h1
+    if np.any(kern):
+        forcing = forcing + _trapezoid_convolution(kern, h1, h)
+    g2 = _volterra_march(m_coef, kern, h, np.zeros_like(ones), forcing)
+    return g1, g2
+
+
 def test_solve_green_constant_matches_exponential():
     es = np.array([1.0])
     j0 = 0.2
@@ -265,6 +309,64 @@ def test_recursive_march_matches_reference_march(es, j0, j1, e0, gamma, steps, h
     ref = _march_levels(-(1j * es + j0), kern, grid.h, j0)
     for got, want in zip((sol.g1, sol.g2), ref):
         assert np.abs(np.diagonal(got, axis1=1, axis2=2) - want).max() < 1e-10
+
+
+@st.composite
+def _memory_densities(draw):
+    """A tabulated density or a resonance with a finite cut-off."""
+    if draw(st.booleans()):
+        widths = draw(st.lists(st.floats(0.05, 2.0), min_size=1, max_size=10))
+        om = draw(st.floats(-5.0, 5.0)) + np.concatenate(([0.0], np.cumsum(widths)))
+        va = draw(st.lists(st.floats(0.0, 2.0), min_size=om.size, max_size=om.size))
+        return SpectralDensity.tabulated(om, va)
+    return SpectralDensity.lorentzian(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 3.0)),
+                                      draw(st.floats(-3.0, 3.0)), draw(st.floats(0.05, 3.0)),
+                                      omega_cut=draw(st.floats(0.05, 10.0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(es=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+       density=_memory_densities(), steps=st.integers(2, 2000),
+       h_frac=st.floats(0.001, 0.999))
+@example(es=[0.4, -1.1], density=SpectralDensity.tabulated([-3.0, 0.0, 1.5, 4.0],
+                                                          [0.2, 1.0, 0.4, 0.0]),
+         steps=4000, h_frac=0.9)
+@example(es=[-0.8, 0.1, 1.3], density=SpectralDensity.lorentzian(0.2, 1.5, 0.3, 0.4, 1.6),
+         steps=4000, h_frac=0.5)
+def test_toeplitz_march_matches_reference_march(es, density, steps, h_frac):
+    # the series-reciprocal solve for sampled kernels runs the same trapezoid
+    # scheme as the O(n^2) reference march
+    es = np.array(es)
+    scale = max(float(np.abs(es).max() + density.peak()), 1.0)
+    grid = TimeGrid(0.0, h_frac * 0.1 / scale * steps, steps)
+    sol = solve_green(GreenProblem(es=es, density=density, grid=grid), strict=True)
+    j0 = density.delta_weight()
+    kern = kernel_on_grid(density, grid.h * np.arange(steps + 1))
+    ref = _march_levels(-(1j * es + j0), kern, grid.h, j0)
+    for got, want in zip((sol.g1, sol.g2), ref):
+        assert np.abs(np.diagonal(got, axis1=1, axis2=2) - want).max() < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4000), levels=st.integers(1, 3), sections=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=16000, levels=2, sections=2, seed=0)
+@example(n=16000, levels=3, sections=1, seed=1)
+def test_pole_scan_matches_sosfilt(n, levels, sections, seed):
+    # half of the poles on the unit circle, the rest anywhere inside it
+    rng = np.random.default_rng(seed)
+    shape = (levels, sections)
+    radius = np.where(rng.random(shape) < 0.5, 1.0, 1.0 - 10.0 ** rng.uniform(-6.0, 0.0, shape))
+    poles = radius * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+    sig = rng.normal(size=(levels, n)) + 1j * rng.normal(size=(levels, n))
+    want = np.empty_like(sig)
+    for lev in range(levels):
+        sos = np.zeros((sections, 6), dtype=complex)
+        sos[:, 0] = sos[:, 3] = 1.0
+        sos[:, 4] = -poles[lev]
+        want[lev] = scipy.signal.sosfilt(sos, sig[lev])
+    got = _pole_scan(sig.copy(), _pole_powers(poles, n - 1))
+    assert (np.abs(got - want).max(axis=1) <= 1e-13 * np.abs(want).max(axis=1)).all()
 
 
 @settings(max_examples=40, deadline=None)
