@@ -15,16 +15,16 @@ import numpy as np
 from markovlab import crossover_sweep
 
 j1_values = np.concatenate(([0.0], np.logspace(-2, 6, 17)))
-rows = crossover_sweep(es_level=1.5, j0=0.1, e0=1.0, gamma=0.2, j1_values=j1_values)
+aps = crossover_sweep(es_level=1.5, j0=0.1, e0=1.0, gamma=0.2, j1_values=j1_values)
 
 print("      j1      |A1|      |A2|   Re(phi1)   Re(phi2)  decays")
-for r in rows:
-    print(f"{r.j1:10.3g}  {r.abs_a1:8.5f}  {r.abs_a2:8.5f}  "
-          f"{r.phi1_rate.real:9.5f}  {r.phi2_rate.real:9.5f}  {str(r.decays):>6}")
+for j1, ap in zip(j1_values, aps):
+    print(f"{j1:10.3g}  {abs(ap.a1):8.5f}  {abs(ap.a2):8.5f}  "
+          f"{ap.phi1_rate.real:9.5f}  {ap.phi2_rate.real:9.5f}  {str(ap.decays):>6}")
 
 print("\nendpoints:")
-print(f"  |A1| at j1 = 0:   {rows[0].abs_a1}  (exactly 1)")
-print(f"  |A1| at j1 -> inf: {rows[-1].abs_a1:.5f}  (approaches 1/2)")
-total = rows[0].phi1_rate + rows[0].phi2_rate
+print(f"  |A1| at j1 = 0:   {abs(aps[0].a1)}  (exactly 1)")
+print(f"  |A1| at j1 -> inf: {abs(aps[-1].a1):.5f}  (approaches 1/2)")
+total = aps[0].phi1_rate + aps[0].phi2_rate
 print(f"  Re(phi1 + phi2) = {total.real:.6f} for every j1 "
       "(the root sum never moves)")

@@ -21,7 +21,6 @@ from markovlab.linalg import (
 from markovlab.spectral import (
     AmplitudePhase,
     BranchSingularityError,
-    CrossoverRow,
     GreenProblem,
     GreenSolution,
     SpectralDensity,
@@ -43,7 +42,6 @@ from markovlab.dynamics import (
     FactorizationReport,
     InitialState,
     MarkovDiagnostics,
-    SuperMap,
     WitnessResult,
     build_total_hamiltonian,
     contracted_divisibility_defect,
@@ -59,7 +57,6 @@ from markovlab.dynamics import (
 from markovlab.master import (
     BlockMixture,
     CommutatorForm,
-    MasterOperators,
     MixedInvariance,
     PreconditionError,
     SufficientConditions,

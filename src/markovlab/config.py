@@ -21,11 +21,6 @@ import numpy as np
 
 from markovlab.linalg import hermiticity_defect
 
-SCENARIOS = (
-    "green", "green-analytic", "amp-phase", "divisibility", "entangled",
-    "master-check", "entropy", "stationarity", "witness", "sweep",
-)
-
 #: matrix-valued keys that must be Hermitian wherever they appear
 HERMITIAN_KEYS = ("hS", "hE", "hSE", "dmat", "smat")
 

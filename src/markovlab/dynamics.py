@@ -36,7 +36,6 @@ import numpy as np
 
 from markovlab.linalg import (
     MAX_COMPOSITE_DIM,
-    as_complex_matrix,
     partial_trace_env,
     partial_trace_sys,
     require_hermitian,
@@ -53,6 +52,29 @@ _AMP_TOL = 1e-12
 
 #: Complex entries of the evolved-state stacks one trajectory block holds.
 _TIME_BLOCK = 1 << 13
+
+
+class InitialStateError(ValueError):
+    """Invalid initial data; ``arg`` names the :class:`InitialState` argument at fault."""
+
+    def __init__(self, message: str, arg: str):
+        super().__init__(message)
+        self.arg = arg
+
+
+def _amplitudes(values, arg: str) -> np.ndarray:
+    values = np.asarray(values, dtype=complex)
+    norm2 = float(np.sum(np.abs(values) ** 2))
+    if abs(norm2 - 1.0) > _AMP_TOL:
+        raise InitialStateError(f"amplitudes not normalized: sum |{arg}|^2 = {norm2:.15g}", arg)
+    return values
+
+
+def _weights(m, arg: str, name: str) -> np.ndarray:
+    try:
+        return validate_density_matrix(m, name=name)
+    except ValueError as exc:
+        raise InitialStateError(str(exc), arg) from exc
 
 
 def _psd_factor(m: np.ndarray) -> np.ndarray:
@@ -79,28 +101,20 @@ class InitialState:
 
     @classmethod
     def product(cls, c, d_mat) -> "InitialState":
-        c = np.asarray(c, dtype=complex).ravel()
-        norm2 = float(np.sum(np.abs(c) ** 2))
-        if abs(norm2 - 1.0) > _AMP_TOL:
-            raise ValueError(f"amplitudes not normalized: sum |c|^2 = {norm2:.15g}")
-        d_mat = validate_density_matrix(d_mat, name="environment weights")
-        return cls(kind="product", c=c, d_mat=d_mat)
+        return cls(kind="product", c=_amplitudes(c, "c").ravel(),
+                   d_mat=_weights(d_mat, "d_mat", "environment weights"))
 
     @classmethod
     def mixed_product(cls, s_weights, d_mat) -> "InitialState":
-        s = validate_density_matrix(s_weights, name="system weights")
-        d_mat = validate_density_matrix(d_mat, name="environment weights")
-        return cls(kind="mixed-product", s_weights=s, d_mat=d_mat)
+        return cls(kind="mixed-product",
+                   s_weights=_weights(s_weights, "s_weights", "system weights"),
+                   d_mat=_weights(d_mat, "d_mat", "environment weights"))
 
     @classmethod
     def entangled(cls, a) -> "InitialState":
-        a = np.asarray(a, dtype=complex)
-        if a.ndim != 2:
-            raise ValueError("entangled amplitudes must form a d_s x d_e matrix")
-        norm2 = float(np.sum(np.abs(a) ** 2))
-        if abs(norm2 - 1.0) > _AMP_TOL:
-            raise ValueError(f"amplitudes not normalized: sum |a|^2 = {norm2:.15g}")
-        return cls(kind="entangled", a=a)
+        if np.ndim(a) != 2:
+            raise InitialStateError("entangled amplitudes must form a d_s x d_e matrix", "a")
+        return cls(kind="entangled", a=_amplitudes(a, "a"))
 
     @property
     def d_s(self) -> int:
@@ -253,30 +267,6 @@ def evolve(spec: CompositeSpec, t: float, t0: float = 0.0) -> EvolveResult:
     return EvolveResult(rho_s, rho_e, rho)
 
 
-@dataclass(frozen=True)
-class SuperMap:
-    """Four-index representation of the reduced map over [t0, t].
-
-    ``entries[i1, i2, j1, j2]`` maps initial system weights to
-    rho_S(t)[j1, j2]; at t = t0 it is the identity map
-    delta_{i1 j1} delta_{i2 j2}.  ``matrix`` is the same data as a
-    (d_s^2, d_s^2) matrix acting on row-vectorised weights from the right.
-    """
-
-    d_s: int
-    t: float
-    t0: float
-    entries: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.entries.reshape(self.d_s ** 2, self.d_s ** 2)
-
-    def apply(self, rho_s0) -> np.ndarray:
-        rho_s0 = as_complex_matrix(rho_s0)
-        return (rho_s0.reshape(-1) @ self.matrix).reshape(self.d_s, self.d_s)
-
-
 def _supermatrix_entries(u: np.ndarray, d_weights: np.ndarray,
                          d_s: int, d_e: int) -> np.ndarray:
     """C[(i1, i2), (j1, j2)] as a (d_s^2, d_s^2) matrix.
@@ -292,13 +282,18 @@ def _supermatrix_entries(u: np.ndarray, d_weights: np.ndarray,
     return (left @ right.reshape(1, d_s, d_e * d_e, d_s)).reshape(d_s * d_s, -1)
 
 
-def supermatrix(spec: CompositeSpec, t: float, t0: float = 0.0) -> SuperMap:
-    """Reduced dynamical map for product-type initial environments."""
+def supermatrix(spec: CompositeSpec, t: float, t0: float = 0.0) -> np.ndarray:
+    """Reduced map over [t0, t] for product-type states, a (d_s, d_s, d_s, d_s) array.
+
+    C[i1, i2, j1, j2] maps initial system weights to rho_S(t)[j1, j2] and is
+    delta_{i1 j1} delta_{i2 j2} at t = t0; reshaped to (d_s^2, d_s^2) it acts
+    on row-vectorised weights from the right.
+    """
     if spec.initial.kind == "entangled":
         raise ValueError("the super matrix needs a product-type initial state")
     entries = _supermatrix_entries(spec.propagator.unitary(t - t0), spec.initial.d_mat,
                                    spec.d_s, spec.d_e)
-    return SuperMap(d_s=spec.d_s, t=t, t0=t0, entries=entries.reshape((spec.d_s,) * 4))
+    return entries.reshape((spec.d_s,) * 4)
 
 
 def _check_triple(t0: float, ts: float, t: float):
@@ -317,12 +312,13 @@ def divisibility_defect(spec: CompositeSpec, t0: float, ts: float, t: float) -> 
     _check_triple(t0, ts, t)
     # compose into the first map one row block at a time, then subtract the
     # whole-interval map in place: at most two d_s^4 maps are live at once
-    defect = supermatrix(spec, ts, t0).matrix
-    second = supermatrix(spec, t, ts).matrix
+    d2 = spec.d_s ** 2
+    defect = supermatrix(spec, ts, t0).reshape(d2, d2)
+    second = supermatrix(spec, t, ts).reshape(d2, d2)
     for r in range(0, defect.shape[0], spec.d_s):
         defect[r:r + spec.d_s] = defect[r:r + spec.d_s] @ second
     del second
-    defect -= supermatrix(spec, t, t0).matrix
+    defect -= supermatrix(spec, t, t0).reshape(d2, d2)
     return float(np.abs(defect).max())
 
 
@@ -372,16 +368,15 @@ class FactorizationReport:
     predicted_divisible: bool
 
 
-def factorization_degeneracy_check(spec: CompositeSpec,
-                                   degeneracy_tol: float = 1e-9) -> FactorizationReport:
+def factorization_degeneracy_check(spec: CompositeSpec) -> FactorizationReport:
     """Commutator and spectrum diagnostics for the factorised-evolution test.
 
     When [H_S x 1 + 1 x H_E, V * H_SE] vanishes the evolution operator
     factorises exactly into the free and coupling exponentials, and with
     a one-state environment the reduced dynamics is then divisible; the
     prediction flag is only meaningful in that case.  Degenerate level
-    pairs of H_S are listed because under the factorised dynamics states
-    that start degenerate stay so.
+    pairs of H_S (levels closer than 1e-9) are listed because under the
+    factorised dynamics states that start degenerate stay so.
     """
     h0 = (tensor_product(spec.h_s, np.eye(spec.d_e))
           + tensor_product(np.eye(spec.d_s), spec.h_e))
@@ -389,7 +384,7 @@ def factorization_degeneracy_check(spec: CompositeSpec,
     comm_norm = float(np.abs(h0 @ h_int - h_int @ h0).max())
     eps = np.linalg.eigvalsh(spec.h_s)
     pairs = [(j, k) for j in range(spec.d_s) for k in range(j + 1, spec.d_s)
-             if abs(eps[j] - eps[k]) < degeneracy_tol]
+             if abs(eps[j] - eps[k]) < 1e-9]
     predicted = comm_norm < 1e-12 and spec.d_e == 1
     return FactorizationReport(commutator_norm=comm_norm, degenerate_pairs=pairs,
                                predicted_divisible=predicted)
@@ -455,19 +450,6 @@ class WitnessResult:
         return float(self.rate.max())
 
 
-def _system_factor(state, d_s: int) -> np.ndarray:
-    """Rank factor of a system state given as amplitudes or a density matrix."""
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        if arr.size != d_s:
-            raise ValueError(f"amplitude vector length {arr.size} does not match d_s = {d_s}")
-        norm2 = float(np.sum(np.abs(arr) ** 2))
-        if abs(norm2 - 1.0) > _AMP_TOL:
-            raise ValueError(f"amplitudes not normalized: sum |c|^2 = {norm2:.15g}")
-        return arr[:, None]
-    return _psd_factor(validate_density_matrix(arr, name="initial system state"))
-
-
 def distinguishability_witness(state_a, state_b, spec: CompositeSpec,
                                grid: TimeGrid) -> WitnessResult:
     """Trace distance of two evolved system states and its time derivative.
@@ -479,14 +461,18 @@ def distinguishability_witness(state_a, state_b, spec: CompositeSpec,
     """
     if spec.initial.kind == "entangled":
         raise ValueError("the witness needs a product-type environment state")
-    env = _psd_factor(spec.initial.d_mat)
-    factor_a = np.kron(_system_factor(state_a, spec.d_s), env)
-    factor_b = np.kron(_system_factor(state_b, spec.d_s), env)
+    factors = []
+    for state in (state_a, state_b):
+        initial = (InitialState.product(state, spec.initial.d_mat) if np.ndim(state) == 1
+                   else InitialState.mixed_product(state, spec.initial.d_mat))
+        if initial.d_s != spec.d_s:
+            raise ValueError(f"state dimension {initial.d_s} does not match d_s = {spec.d_s}")
+        factors.append(initial.factor())
     times = grid.times()
     dist = np.concatenate([
         trace_distance(trace_env_factored(psi_a, spec.d_s),
                        trace_env_factored(psi_b, spec.d_s))
-        for psi_a, psi_b in spec.propagator.states(times - grid.t0, factor_a, factor_b)])
+        for psi_a, psi_b in spec.propagator.states(times - grid.t0, *factors)])
     return WitnessResult(times=times, distance=dist,
                          rate=_finite_difference_rate(dist, grid.h))
 
@@ -508,7 +494,6 @@ class EntropyReport:
     bound_ratio: float
     delta: int
     h_norm: float
-    c_const: float = 1.0
 
     @property
     def entropy_span(self) -> float:

@@ -43,28 +43,27 @@ def hermiticity_defect(m) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
-def require_hermitian(m, name: str = "matrix", tol: float = HERM_TOL) -> np.ndarray:
+def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     a = as_complex_matrix(m)
     defect = hermiticity_defect(a)
-    if defect > tol:
-        raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {defect:.3e} > {tol:.1e}")
+    if defect > HERM_TOL:
+        raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {defect:.3e} > {HERM_TOL:g}")
     return a
 
 
-def tensor_product(a, b, max_dim: int = MAX_COMPOSITE_DIM) -> np.ndarray:
+def tensor_product(a, b) -> np.ndarray:
     """Kronecker product with the slow-system / fast-environment convention.
 
     ``out[i*rb + k, j*cb + l] = a[i, j] * b[k, l]``, which is exactly
-    ``np.kron``.  Raises if the composite dimension exceeds ``max_dim``.
+    ``np.kron``.  Raises if the composite dimension exceeds ``MAX_COMPOSITE_DIM``.
     """
     a = as_complex_matrix(a)
     b = as_complex_matrix(b)
     rows = a.shape[0] * b.shape[0]
     cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > max_dim:
+    if max(rows, cols) > MAX_COMPOSITE_DIM:
         raise ValueError(
-            f"composite dimension {rows}x{cols} exceeds the configured limit {max_dim}"
-        )
+            f"composite dimension {rows}x{cols} exceeds the limit {MAX_COMPOSITE_DIM}")
     return np.kron(a, b)
 
 

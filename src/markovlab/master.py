@@ -57,11 +57,6 @@ class SufficientConditions:
     commuting_he_hse: bool
     maximally_mixed: bool
 
-    @property
-    def none_hold(self) -> bool:
-        return not (self.unique_env_state or self.commuting_he_hse
-                    or self.maximally_mixed)
-
 
 def env_coupling_commutator_norm(spec: CompositeSpec) -> float:
     """Max entry of [1 x H_E, V * H_SE]."""
@@ -85,41 +80,20 @@ def classify_sufficient_conditions(spec: CompositeSpec) -> SufficientConditions:
 
 
 @dataclass(frozen=True)
-class MasterOperators:
-    """Generator pieces in the H_S eigenbasis.
-
-    o_op = -i (d_s_part + d_se_part + n_se_part) where d_s_part holds the
-    system eigenvalues, d_se_part the diagonal and n_se_part the
-    off-diagonal part of the effective coupling.  o_op + o_op^dag = 0 by
-    construction, and d rho / dt = o_op rho + rho o_op^dag.
-    """
-
-    o_op: np.ndarray
-    d_s_part: np.ndarray
-    d_se_part: np.ndarray
-    n_se_part: np.ndarray
-
-
-@dataclass(frozen=True)
 class CommutatorForm:
+    """rhs = -i [h_eff, rho_S]: the generator -i h_eff is anti-Hermitian as h_eff is Hermitian."""
+
     rhs: np.ndarray
     residual: float
-    operators: MasterOperators
     h_eff: np.ndarray
-
-
-def _env_averaged_coupling(spec: CompositeSpec) -> np.ndarray:
-    """S-space block of the coupling averaged over the environment weights."""
-    h_int = (spec.coupling_strength * spec.h_se).reshape(
-        spec.d_s, spec.d_e, spec.d_s, spec.d_e)
-    return np.einsum("iajb,ba->ij", h_int, spec.initial.d_mat)
 
 
 def _effective_hamiltonian(spec: CompositeSpec) -> np.ndarray:
     """H_eff = H_S + V <H_SE>, averaged over product-type environment weights."""
     if spec.initial.kind == "entangled":
         raise PreconditionError("commutator form needs a product-type initial state")
-    return spec.h_s + _env_averaged_coupling(spec)
+    h_int = (spec.coupling_strength * spec.h_se).reshape(spec.d_s, spec.d_e, spec.d_s, spec.d_e)
+    return spec.h_s + np.einsum("iajb,ba->ij", h_int, spec.initial.d_mat)
 
 
 def _commutator_residuals(spec: CompositeSpec, psi: np.ndarray,
@@ -179,19 +153,7 @@ def effective_commutator_rhs(spec: CompositeSpec, t: float,
             f"the commutator form is only exact for a one-state environment "
             f"(d_e = {spec.d_e}); measured residual {residual:.3e}",
             residual=residual)
-
-    eps, basis = np.linalg.eigh(spec.h_s)
-    coupling = basis.conj().T @ _env_averaged_coupling(spec) @ basis
-    d_s_part = np.diag(eps)
-    d_se_part = np.diag(np.diag(coupling))
-    n_se_part = coupling - d_se_part
-    o_op = -1j * (d_s_part + d_se_part + n_se_part)
-    anti_defect = float(np.abs(o_op + o_op.conj().T).max())
-    if anti_defect > 1e-10:
-        raise RuntimeError(f"generator lost anti-Hermiticity: defect {anti_defect:.3e}")
-    ops = MasterOperators(o_op=o_op, d_s_part=d_s_part, d_se_part=d_se_part,
-                          n_se_part=n_se_part)
-    return CommutatorForm(rhs=rhs, residual=residual, operators=ops, h_eff=h_eff)
+    return CommutatorForm(rhs=rhs, residual=residual, h_eff=h_eff)
 
 
 def evolve_rho_s(spec: CompositeSpec, t: float, t0: float = 0.0) -> np.ndarray:
@@ -203,7 +165,6 @@ def evolve_rho_s(spec: CompositeSpec, t: float, t0: float = 0.0) -> np.ndarray:
 class BlockMixture:
     rho_s: np.ndarray
     residual: float
-    env_rotation: np.ndarray
 
 
 def commuting_block_evolution(spec: CompositeSpec, t: float,
@@ -218,7 +179,7 @@ def commuting_block_evolution(spec: CompositeSpec, t: float,
 
     from one batched eigendecomposition of the (d_e, d_s, d_s) stack
     H_S + B_a.  Environment weights are rotated into the H_E eigenbasis
-    first; the rotation used is reported in the result.
+    first.
     """
     if spec.initial.kind == "entangled":
         raise PreconditionError("block mixture needs a product-type initial state")
@@ -248,7 +209,7 @@ def commuting_block_evolution(spec: CompositeSpec, t: float,
     orbits = u @ spec.initial.rho_s0() @ u.conj().swapaxes(1, 2)
     rho = (d_diag[:, None, None] * orbits).sum(axis=0)
     residual = float(np.abs(rho - evolve_rho_s(spec, t, t0)).max())
-    return BlockMixture(rho_s=rho, residual=residual, env_rotation=rot)
+    return BlockMixture(rho_s=rho, residual=residual)
 
 
 @dataclass(frozen=True)

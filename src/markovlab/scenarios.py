@@ -25,6 +25,7 @@ from markovlab.csvtext import csv_blocks
 from markovlab.dynamics import (
     CompositeSpec,
     InitialState,
+    InitialStateError,
     distinguishability_witness,
     divisibility_defect,
     entangled_divisibility,
@@ -38,9 +39,8 @@ from markovlab.spectral import (
     GreenProblem,
     SpectralDensity,
     TimeGrid,
-    _amplitude_phases,
-    amplitude_phase,
     analytic_green1_lorentzian,
+    crossover_sweep,
     solve_green,
 )
 
@@ -69,14 +69,6 @@ class ScenarioResult:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
 
 
 def _write_csv(path: str, columns, rows):
@@ -183,6 +175,9 @@ def _spec_from(cfg: ScenarioConfig, *, entangled: bool = False,
         return CompositeSpec(d_s=d_s, d_e=d_e, h_s=h_s, h_e=h_e, h_se=h_se,
                              initial=initial,
                              coupling_strength=cfg.get_float("coupling_strength", 1.0)), pool
+    except InitialStateError as exc:
+        key = {"c": amplitude_key, "s_weights": "smat", "d_mat": "dmat", "a": "a"}[exc.arg]
+        raise ConfigError(str(exc), key=key) from None
     except ConfigError:
         raise
     except ValueError as exc:
@@ -269,7 +264,7 @@ def _run_amp_phase(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     e0 = cfg.get_float("e0", required=True)
     gamma = cfg.get_float("gamma", required=True)
     j1_values = cfg.get_vector("j1_values", required=True, real=True)
-    aps = _amplitude_phases(es_level, j0, e0, gamma, j1_values)
+    aps = crossover_sweep(es_level, j0, e0, gamma, j1_values)
     columns = ["j1", "abs_a1", "abs_a2", "re_phi1_rate", "im_phi1_rate",
                "re_phi2_rate", "im_phi2_rate", "decays"]
     rows = [[j1, abs(ap.a1), abs(ap.a2), ap.phi1_rate.real, ap.phi1_rate.imag,
@@ -278,14 +273,14 @@ def _run_amp_phase(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     sum_defect = max(abs(ap.a1 + ap.a2 - 1.0) for ap in aps)
     checks = [CheckRow("amp_sum_defect", sum_defect,
                        cfg.tolerance("amp_sum_defect", 1e-15))]
-    ap0 = amplitude_phase(es_level, j0, 0.0, e0, gamma)
+    # aps[0] stands for every j1 here: the branch side and the scale do not move
     if np.any(j1_values == 0.0):
         k = int(np.argmax(j1_values == 0.0))
-        want1, want2 = (1.0, 0.0) if ap0.upper_branch else (0.0, 1.0)
+        want1, want2 = (1.0, 0.0) if aps[0].upper_branch else (0.0, 1.0)
         endpoint = max(abs(abs(aps[k].a1) - want1), abs(abs(aps[k].a2) - want2))
         checks.append(CheckRow("endpoint_defect", endpoint,
                                cfg.tolerance("endpoint_defect", 0.0)))
-    scale = max(abs(ap0.e_minus), abs(ap0.v), gamma)
+    scale = max(abs(aps[0].e_minus), abs(aps[0].v), gamma)
     if j1_values.max() >= 1e5 * scale:
         k = int(np.argmax(j1_values))
         half = max(abs(abs(aps[k].a1) - 0.5), abs(abs(aps[k].a2) - 0.5))
@@ -389,7 +384,11 @@ def _run_witness(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     spec, _ = _spec_from(cfg, amplitude_key="cA")
     c_b = _sized("cB", cfg.get_vector("cB", required=True), (spec.d_s,))
     grid = _grid_from(cfg, 5.0, 200)
-    result = distinguishability_witness(spec.initial.c, c_b, spec, grid)
+    try:
+        result = distinguishability_witness(spec.initial.c, c_b, spec, grid)
+    except InitialStateError as exc:
+        # cA already built the spec, so only cB can be at fault
+        raise ConfigError(str(exc), key="cB") from None
     rows = [[t, d, r] for t, d, r in zip(result.times, result.distance, result.rate)]
     default = 1e-8 if spec.d_e == 1 else math.inf
     checks = [CheckRow("max_rate", result.max_rate,
@@ -448,9 +447,9 @@ def sweep_scenario(base_cfg: ScenarioConfig, key: str, values,
             combined.columns = [key] + result.columns
         combined.rows.extend([float(v), *row] for row in result.rows)
         combined.checks.extend(
-            CheckRow(f"{key}={_fmt(v)}:{c.name}", c.measured, c.bound, c.mode)
+            CheckRow(f"{key}={float(v):.17g}:{c.name}", c.measured, c.bound, c.mode)
             for c in result.checks)
-        combined.info.extend(f"{key}={_fmt(v)}: {line}" for line in result.info)
+        combined.info.extend(f"{key}={float(v):.17g}: {line}" for line in result.info)
     combined.info.insert(0, f"runs: {len(values)}")
     return combined
 

@@ -628,18 +628,8 @@ def amplitude_phase(es_level: float, j0: float, j1: float, e0: float,
                           v=j0 - gamma, w=j0 + gamma)
 
 
-@dataclass(frozen=True)
-class CrossoverRow:
-    j1: float
-    abs_a1: float
-    abs_a2: float
-    phi1_rate: complex
-    phi2_rate: complex
-    decays: bool
-
-
-def _amplitude_phases(es_level: float, j0: float, e0: float, gamma: float,
-                      j1_values) -> list[AmplitudePhase]:
+def crossover_sweep(es_level: float, j0: float, e0: float, gamma: float,
+                    j1_values) -> list[AmplitudePhase]:
     """:func:`amplitude_phase` at each of a nonempty list of nonnegative j1."""
     j1_values = np.asarray(j1_values, dtype=float)
     if j1_values.size == 0:
@@ -647,12 +637,3 @@ def _amplitude_phases(es_level: float, j0: float, e0: float, gamma: float,
     if np.any(j1_values < 0):
         raise ValueError("j1 values must be nonnegative")
     return [amplitude_phase(es_level, j0, float(j1), e0, gamma) for j1 in j1_values]
-
-
-def crossover_sweep(es_level: float, j0: float, e0: float, gamma: float,
-                    j1_values) -> list[CrossoverRow]:
-    """Scan the resonance strength and tabulate amplitudes and phase rates."""
-    aps = _amplitude_phases(es_level, j0, e0, gamma, j1_values)
-    return [CrossoverRow(j1=float(j1), abs_a1=abs(ap.a1), abs_a2=abs(ap.a2),
-                         phi1_rate=ap.phi1_rate, phi2_rate=ap.phi2_rate, decays=ap.decays)
-            for j1, ap in zip(j1_values, aps)]

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -493,10 +495,19 @@ def test_integer_beyond_float_range_exits_two(tmp_path, capsys, text, line, key)
     ("scenario = entropy\ndS = 2\ndE = 1\nseed = 1\nsmat = [[1]]\n", "smat"),
     ("scenario = divisibility\ndS = 9\ndE = 9\nseed = 1\n", "dS"),
     ("scenario = master-check\ndS = 65\nseed = 1\n", "dS"),
+    ("scenario = witness\ndS = 2\ndE = 1\nseed = 6\ncA = [1.0, 1.0]\ncB = [0, 1]\n", "cA"),
+    ("scenario = witness\ndS = 2\ndE = 1\nseed = 6\ncA = [1, 0]\ncB = [1.0, 1.0]\n", "cB"),
+    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nc = [1.0, 1.0]\n", "c"),
+    ("scenario = entangled\ndS = 2\ndE = 2\nseed = 1\na = [[1, 0], [0, 1]]\n", "a"),
+    ("scenario = divisibility\ndS = 2\ndE = 2\nseed = 1\ndmat = [[1, 0], [0, 1]]\n", "dmat"),
+    ("scenario = stationarity\ndS = 2\ndE = 2\nseed = 1\ndmat = [[1.5, 0], [0, -0.5]]\n",
+     "dmat"),
+    ("scenario = entropy\ndS = 2\ndE = 1\nseed = 1\nsmat = [[1, 0], [0, 1]]\n", "smat"),
 ], ids=["vector-sweep-key", "sweep-vector-sweep-key", "numeric-out", "negative-dS",
         "zero-dE", "empty-times", "hS-shape", "hE-shape", "hSE-shape", "c-length",
         "cA-length", "cB-length", "a-shape", "dmat-shape", "smat-shape",
-        "composite-dimension", "master-check-dimension"])
+        "composite-dimension", "master-check-dimension", "cA-norm", "cB-norm", "c-norm",
+        "a-norm", "dmat-trace", "dmat-positivity", "smat-trace"])
 def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, text, key):
     assert run_cli(tmp_path, text) == 2
     assert f"key {key!r}" in capsys.readouterr().err
@@ -606,4 +617,81 @@ def test_green_configs_exit_cleanly_with_finite_output(tmp_path_factory, es, j0,
     if status == 0:
         table = np.loadtxt(out / "green.csv", delimiter=",", skiprows=1, ndmin=2)
         assert table.shape == (steps + 1, 1 + 5 * len(es))
+        assert np.isfinite(table).all()
+
+
+def _amplitudes(draw, n):
+    """Real amplitudes, normalised or not; the second item says which."""
+    values = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        norm = math.sqrt(sum(v * v for v in values))
+        values = [v / norm for v in values] if norm > 1e-3 else [1.0] + [0.0] * (n - 1)
+    return values, abs(sum(v * v for v in values) - 1.0) <= 1e-12
+
+
+def _literal(rows):
+    return "[" + ", ".join("[" + ", ".join(map(repr, r)) + "]" for r in rows) + "]"
+
+
+@st.composite
+def state_configs(draw):
+    """A witness, divisibility or entangled config and the amplitude/weight keys at fault.
+
+    The keys are listed in the order the scenario checks them.
+    """
+    scenario = draw(st.sampled_from(["witness", "divisibility", "entangled"]))
+    d_s, d_e = draw(st.sampled_from([(a, b) for a in range(1, 5) for b in range(1, 5)
+                                     if a * b <= 12]))
+    lines = [f"scenario = {scenario}", f"dS = {d_s}", f"dE = {d_e}",
+             f"seed = {draw(st.integers(0, 2**32 - 1))}",
+             f"coupling_strength = {draw(st.floats(0.0, 5.0))!r}"]
+    bad = []
+    if scenario == "entangled":
+        keys = ["a"] if draw(st.booleans()) else []
+    else:
+        keys = ["cA", "dmat", "cB"] if scenario == "witness" else ["c", "dmat"]
+        keys = [k for k in keys if k in ("cA", "cB") or draw(st.booleans())]
+    for key in keys:
+        if key == "dmat":
+            weights = draw(st.lists(st.floats(-0.5, 2.0), min_size=d_e, max_size=d_e))
+            if draw(st.booleans()):
+                weights = [abs(w) for w in weights]
+                total = sum(weights)
+                weights = ([w / total for w in weights] if total > 1e-3
+                           else [1.0] + [0.0] * (d_e - 1))
+            ok = (min(weights) >= -1e-10 and abs(sum(weights) - 1.0) <= 1e-12)
+            rows = [[w if i == j else 0.0 for j in range(d_e)] for i, w in enumerate(weights)]
+            lines.append(f"dmat = {_literal(rows)}")
+        elif key == "a":
+            values, ok = _amplitudes(draw, d_s * d_e)
+            lines.append(f"a = {_literal([values[i * d_e:(i + 1) * d_e] for i in range(d_s)])}")
+        else:
+            values, ok = _amplitudes(draw, d_s)
+            lines.append(f"{key} = [{', '.join(map(repr, values))}]")
+        if not ok:
+            bad.append(key)
+    if scenario == "witness":
+        lines += [f"t1 = {draw(st.floats(0.1, 10.0))!r}", f"steps = {draw(st.integers(2, 60))}"]
+    else:
+        lines += [f"n_triples = {draw(st.integers(1, 3))}",
+                  f"t_max = {draw(st.floats(0.1, 5.0))!r}"]
+    return "\n".join(lines + ["out = state.csv", ""]), bad
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=state_configs())
+def test_state_configs_exit_cleanly_and_name_the_bad_input(tmp_path_factory, case):
+    text, bad = case
+    out = tmp_path_factory.mktemp("state")
+    cfg = out / "state.cfg"
+    cfg.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = main(["--config", str(cfg), "--out", str(out)])
+    assert status in (0, 1, 2)
+    if bad:
+        assert status == 2
+        assert f"key {bad[0]!r}" in err.getvalue()
+    if status == 0:
+        table = np.loadtxt(out / "state.csv", delimiter=",", skiprows=1, ndmin=2)
         assert np.isfinite(table).all()

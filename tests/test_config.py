@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovlab.config import SCENARIOS, SCHEMAS, ConfigError, parse_config
+from markovlab.config import SCHEMAS, ConfigError, parse_config
 
 MINIMAL_GREEN = """
 # minimal flat-background run
@@ -162,7 +162,7 @@ _KEYS = sorted(
     set().union(*(schema.all_keys() for schema in SCHEMAS.values()))
     | {"base", "sweep_key", "sweep_values", "tol_", "bogus"}
     | {f"tol_{name}" for schema in SCHEMAS.values() for name in schema.tolerances})
-_NAMES = st.sampled_from([*SCENARIOS, *_KEYS, "x.csv", "i", "[", "]", "[[", "]]", ","])
+_NAMES = st.sampled_from([*SCHEMAS, *_KEYS, "x.csv", "i", "[", "]", "[[", "]]", ","])
 _REAL = st.one_of(st.integers(-3, 70).map(str),
                   st.floats().map(repr),
                   st.sampled_from(["1" + "0" * 400, "-1" + "0" * 400, "1e400", "1_0"]))
@@ -199,7 +199,7 @@ def _own_keys(scenario: str) -> list:
 @st.composite
 def _config_texts(draw):
     """A valid config with some keys dropped and some set to generated values."""
-    scenario = draw(st.sampled_from(SCENARIOS))
+    scenario = draw(st.sampled_from(tuple(SCHEMAS)))
     values = dict(_VALID[scenario])
     for key in draw(st.sets(st.sampled_from(sorted(values)), max_size=2)):
         del values[key]

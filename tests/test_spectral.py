@@ -572,13 +572,13 @@ def test_amplitude_phase_at_half_j1_matches_solve_green(e, j0, j1, e0, gamma):
 
 def test_crossover_sweep_endpoints_and_decay_flag():
     j1s = np.concatenate(([0.0], np.logspace(-2, 6, 30)))
-    rows = crossover_sweep(1.5, 0.1, 1.0, 0.2, j1s)
-    assert rows[0].abs_a1 == 1.0 and rows[0].abs_a2 == 0.0
-    assert abs(rows[-1].abs_a1 - 0.5) < 1e-2
-    for row in rows:
-        ap = amplitude_phase(1.5, 0.1, row.j1, 1.0, 0.2)
-        assert row.decays == (ap.w > ap.c_mag)
-        assert row.abs_a1 + row.abs_a2 >= 1.0 - 1e-15
+    aps = crossover_sweep(1.5, 0.1, 1.0, 0.2, j1s)
+    assert abs(aps[0].a1) == 1.0 and abs(aps[0].a2) == 0.0
+    assert abs(abs(aps[-1].a1) - 0.5) < 1e-2
+    for j1, ap in zip(j1s, aps):
+        assert ap == amplitude_phase(1.5, 0.1, j1, 1.0, 0.2)
+        assert ap.decays == (ap.w > ap.c_mag)
+        assert abs(ap.a1) + abs(ap.a2) >= 1.0 - 1e-15
 
 
 def test_crossover_sweep_rejects_bad_input():
