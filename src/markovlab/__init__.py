@@ -33,25 +33,21 @@ from markovlab.spectral import (
     crossover_sweep,
     kernel_on_grid,
     solve_green,
-    spectral_eval,
 )
 from markovlab.dynamics import (
     CompositeSpec,
     EntropyReport,
     EvolveResult,
-    FactorizationReport,
     InitialState,
     MarkovDiagnostics,
     WitnessResult,
     build_total_hamiltonian,
-    contracted_divisibility_defect,
     distinguishability_witness,
     divisibility_defect,
     entangled_divisibility,
     entropy_sie_check,
     environment_stationarity,
     evolve,
-    factorization_degeneracy_check,
     supermatrix,
 )
 from markovlab.master import (

@@ -36,6 +36,7 @@ import numpy as np
 
 from markovlab.linalg import (
     MAX_COMPOSITE_DIM,
+    DomainError,
     partial_trace_env,
     partial_trace_sys,
     require_hermitian,
@@ -54,19 +55,11 @@ _AMP_TOL = 1e-12
 _TIME_BLOCK = 1 << 13
 
 
-class InitialStateError(ValueError):
-    """Invalid initial data; ``arg`` names the :class:`InitialState` argument at fault."""
-
-    def __init__(self, message: str, arg: str):
-        super().__init__(message)
-        self.arg = arg
-
-
 def _amplitudes(values, arg: str) -> np.ndarray:
     values = np.asarray(values, dtype=complex)
     norm2 = float(np.sum(np.abs(values) ** 2))
     if abs(norm2 - 1.0) > _AMP_TOL:
-        raise InitialStateError(f"amplitudes not normalized: sum |{arg}|^2 = {norm2:.15g}", arg)
+        raise DomainError(f"amplitudes not normalized: sum |{arg}|^2 = {norm2:.15g}", arg)
     return values
 
 
@@ -74,7 +67,7 @@ def _weights(m, arg: str, name: str) -> np.ndarray:
     try:
         return validate_density_matrix(m, name=name)
     except ValueError as exc:
-        raise InitialStateError(str(exc), arg) from exc
+        raise DomainError(str(exc), arg) from exc
 
 
 def _psd_factor(m: np.ndarray) -> np.ndarray:
@@ -113,7 +106,7 @@ class InitialState:
     @classmethod
     def entangled(cls, a) -> "InitialState":
         if np.ndim(a) != 2:
-            raise InitialStateError("entangled amplitudes must form a d_s x d_e matrix", "a")
+            raise DomainError("entangled amplitudes must form a d_s x d_e matrix", "a")
         return cls(kind="entangled", a=_amplitudes(a, "a"))
 
     @property
@@ -322,72 +315,27 @@ def divisibility_defect(spec: CompositeSpec, t0: float, ts: float, t: float) -> 
     return float(np.abs(defect).max())
 
 
-def _contracted_defect(spec: CompositeSpec, t0: float, ts: float, t: float,
-                       d_mid: np.ndarray) -> float:
-    """Defect of the factorisation applied to the actual initial state.
+def entangled_divisibility(spec: CompositeSpec, t0: float, ts: float, t: float) -> float:
+    """Divisibility defect for a correlated (entangled) initial state.
 
-    Compares the exact rho_S(t) with the middle-segment map (built from
-    the t0 environment weights d_mid) applied to the exact rho_S(ts).
+    Compares the exact rho_S(t) with the middle-segment map applied to
+    the exact rho_S(ts); that map reuses the initial environment
+    statistics sum_i a[i, a1] a[i, a2]^*.  The defect is zero exactly
+    when the dynamics never moves the environment out of a single state
+    (a one-state environment, or amplitudes supported on a block the
+    coupling does not leave), and generically positive otherwise.
     """
+    if spec.initial.kind != "entangled":
+        raise ValueError("entangled_divisibility needs an entangled initial state")
     _check_triple(t0, ts, t)
     prop = spec.propagator
     rho_ts, rho_t = np.concatenate([
         trace_env_factored(psi, spec.d_s)
         for psi, in prop.states(np.array([ts - t0, t - t0]), spec.initial.factor())])
-    mid = _supermatrix_entries(prop.unitary(t - ts), d_mid, spec.d_s, spec.d_e)
+    mid = _supermatrix_entries(prop.unitary(t - ts), spec.initial.env_weights(),
+                               spec.d_s, spec.d_e)
     lhs = rho_ts.reshape(-1) @ mid
     return float(np.abs(lhs.reshape(spec.d_s, spec.d_s) - rho_t).max())
-
-
-def contracted_divisibility_defect(spec: CompositeSpec, t0: float, ts: float,
-                                   t: float) -> float:
-    """State-level divisibility defect for product-type initial states."""
-    if spec.initial.kind == "entangled":
-        raise ValueError("use entangled_divisibility for entangled initial states")
-    return _contracted_defect(spec, t0, ts, t, spec.initial.d_mat)
-
-
-def entangled_divisibility(spec: CompositeSpec, t0: float, ts: float, t: float) -> float:
-    """Divisibility defect for a correlated (entangled) initial state.
-
-    The middle-segment map reuses the initial environment statistics
-    sum_i a[i, a1] a[i, a2]^*.  The defect is zero exactly when the
-    dynamics never moves the environment out of a single state (a
-    one-state environment, or amplitudes supported on a block the
-    coupling does not leave), and generically positive otherwise.
-    """
-    if spec.initial.kind != "entangled":
-        raise ValueError("entangled_divisibility needs an entangled initial state")
-    return _contracted_defect(spec, t0, ts, t, spec.initial.env_weights())
-
-
-@dataclass(frozen=True)
-class FactorizationReport:
-    commutator_norm: float
-    degenerate_pairs: list
-    predicted_divisible: bool
-
-
-def factorization_degeneracy_check(spec: CompositeSpec) -> FactorizationReport:
-    """Commutator and spectrum diagnostics for the factorised-evolution test.
-
-    When [H_S x 1 + 1 x H_E, V * H_SE] vanishes the evolution operator
-    factorises exactly into the free and coupling exponentials, and with
-    a one-state environment the reduced dynamics is then divisible; the
-    prediction flag is only meaningful in that case.  Degenerate level
-    pairs of H_S (levels closer than 1e-9) are listed because under the
-    factorised dynamics states that start degenerate stay so.
-    """
-    h0 = (tensor_product(spec.h_s, np.eye(spec.d_e))
-          + tensor_product(np.eye(spec.d_s), spec.h_e))
-    h_int = spec.coupling_strength * spec.h_se
-    comm_norm = float(np.abs(h0 @ h_int - h_int @ h0).max())
-    eps = np.linalg.eigvalsh(spec.h_s)
-    pairs = [(j, k) for j in range(spec.d_s) for k in range(j + 1, spec.d_s)
-             if abs(eps[j] - eps[k]) < 1e-9]
-    predicted = comm_norm < 1e-12 and spec.d_e == 1
-    return FactorizationReport(commutator_norm=comm_norm, degenerate_pairs=pairs,
-                               predicted_divisible=predicted)
 
 
 @dataclass(frozen=True)
@@ -411,7 +359,7 @@ def environment_stationarity(spec: CompositeSpec, grid: TimeGrid) -> MarkovDiagn
     w_e = np.linalg.eigvalsh(spec.h_e)
     delta_e = float(w_e.max() - w_e.min())
     tau_c = np.inf if delta_e == 0 else 1.0 / delta_e
-    v2 = spec.coupling_strength ** 2
+    v2 = spec.coupling_strength * spec.coupling_strength
     if v2 == 0 or np.isinf(tau_c):
         tau_s = np.inf if v2 == 0 else 0.0
     else:
@@ -488,7 +436,6 @@ class EntropyReport:
     entropy must simply stay flat).
     """
 
-    grid: TimeGrid
     entropy: np.ndarray
     max_rate: float
     bound_ratio: float
@@ -513,5 +460,5 @@ def entropy_sie_check(spec: CompositeSpec, grid: TimeGrid) -> EntropyReport:
         bound_ratio = 0.0 if max_rate == 0.0 else np.inf
     else:
         bound_ratio = float(max_rate / (h_norm * np.log(delta)))
-    return EntropyReport(grid=grid, entropy=entropy, max_rate=max_rate,
+    return EntropyReport(entropy=entropy, max_rate=max_rate,
                          bound_ratio=bound_ratio, delta=delta, h_norm=h_norm)

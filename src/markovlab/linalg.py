@@ -25,6 +25,14 @@ class PositivityError(ValueError):
     """An operator required to be positive semidefinite has a genuinely negative eigenvalue."""
 
 
+class DomainError(ValueError):
+    """An input outside its validity domain; ``arg`` names the argument at fault."""
+
+    def __init__(self, message: str, arg: str):
+        super().__init__(message)
+        self.arg = arg
+
+
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce to a finite 2-d complex array."""
     a = np.asarray(m, dtype=complex)
@@ -147,25 +155,18 @@ def trace_distance(a, b):
     return float(d) if d.ndim == 0 else d
 
 
-def validate_density_matrix(
-    rho,
-    *,
-    herm_tol: float = HERM_TOL,
-    trace_tol: float = TRACE_TOL,
-    eig_floor: float = EIG_FLOOR,
-    name: str = "density matrix",
-) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return the array."""
+def validate_density_matrix(rho, *, name: str = "density matrix") -> np.ndarray:
+    """Check Hermiticity, unit trace and positivity at HERM_TOL, TRACE_TOL, EIG_FLOOR."""
     a = as_complex_matrix(rho)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got {a.shape}")
     defect = hermiticity_defect(a)
-    if defect > herm_tol:
-        raise ValueError(f"{name} not Hermitian: defect {defect:.3e} > {herm_tol:.1e}")
+    if defect > HERM_TOL:
+        raise ValueError(f"{name} not Hermitian: defect {defect:.3e} > {HERM_TOL:.1e}")
     tr = complex(np.trace(a))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"{name} trace {tr:.15g} deviates from 1 by more than {trace_tol:.1e}")
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"{name} trace {tr:.15g} deviates from 1 by more than {TRACE_TOL:.1e}")
     wmin = float(np.linalg.eigvalsh(a).min())
-    if wmin < eig_floor:
-        raise PositivityError(f"{name} eigenvalue {wmin:.3e} below floor {eig_floor:.1e}")
+    if wmin < EIG_FLOOR:
+        raise PositivityError(f"{name} eigenvalue {wmin:.3e} below floor {EIG_FLOOR:.1e}")
     return a

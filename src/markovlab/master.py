@@ -85,7 +85,6 @@ class CommutatorForm:
 
     rhs: np.ndarray
     residual: float
-    h_eff: np.ndarray
 
 
 def _effective_hamiltonian(spec: CompositeSpec) -> np.ndarray:
@@ -153,7 +152,7 @@ def effective_commutator_rhs(spec: CompositeSpec, t: float,
             f"the commutator form is only exact for a one-state environment "
             f"(d_e = {spec.d_e}); measured residual {residual:.3e}",
             residual=residual)
-    return CommutatorForm(rhs=rhs, residual=residual, h_eff=h_eff)
+    return CommutatorForm(rhs=rhs, residual=residual)
 
 
 def evolve_rho_s(spec: CompositeSpec, t: float, t0: float = 0.0) -> np.ndarray:

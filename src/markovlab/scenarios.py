@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,14 +26,13 @@ from markovlab.csvtext import csv_blocks
 from markovlab.dynamics import (
     CompositeSpec,
     InitialState,
-    InitialStateError,
     distinguishability_witness,
     divisibility_defect,
     entangled_divisibility,
     entropy_sie_check,
     environment_stationarity,
 )
-from markovlab.linalg import MAX_COMPOSITE_DIM
+from markovlab.linalg import MAX_COMPOSITE_DIM, DomainError
 from markovlab.master import commutator_residuals
 from markovlab.sampling import random_amplitudes, random_env_weights, random_hermitian
 from markovlab.spectral import (
@@ -101,22 +101,33 @@ def _summary_text(scenario: str, csv_name: str, result: ScenarioResult) -> str:
 # ------------------------------------------------------- grid and spec IO
 
 
+@contextmanager
+def _keyed(**keys):
+    """Re-raise a DomainError as a ConfigError keyed by its argument (renamed by ``keys``)."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ConfigError(str(exc), key=keys.get(exc.arg, exc.arg)) from None
+
+
 def _grid_from(cfg: ScenarioConfig, t1_default: float, steps_default: int) -> TimeGrid:
-    return TimeGrid(cfg.get_float("t0", 0.0),
-                    cfg.get_float("t1", t1_default),
-                    cfg.get_int("steps", steps_default))
+    with _keyed():
+        return TimeGrid(cfg.get_float("t0", 0.0),
+                        cfg.get_float("t1", t1_default),
+                        cfg.get_int("steps", steps_default))
 
 
 def _density_from(cfg: ScenarioConfig) -> SpectralDensity:
     j0 = cfg.get_float("j0", required=True)
     j1 = cfg.get_float("j1", 0.0)
-    if j1 == 0.0:
-        return SpectralDensity.constant(j0)
-    gamma = cfg.get_float("gamma")
-    if gamma is None:
-        raise ConfigError("gamma is required when j1 > 0", key="gamma")
-    return SpectralDensity.lorentzian(j0, j1, cfg.get_float("e0", 0.0), gamma,
-                                      cfg.get_float("omega_cut", math.inf))
+    with _keyed():
+        if j1 == 0.0:
+            return SpectralDensity.constant(j0)
+        gamma = cfg.get_float("gamma")
+        if gamma is None:
+            raise ConfigError("gamma is required when j1 > 0", key="gamma")
+        return SpectralDensity.lorentzian(j0, j1, cfg.get_float("e0", 0.0), gamma,
+                                          cfg.get_float("omega_cut", math.inf))
 
 
 class _SeedPool:
@@ -155,29 +166,27 @@ def _spec_from(cfg: ScenarioConfig, *, entangled: bool = False,
     h_s, h_e, h_se = hams
 
     try:
-        if entangled:
-            a = _sized("a", cfg.get_matrix("a"), (d_s, d_e))
-            if a is None:
-                a = random_amplitudes(d_s * d_e, pool.rng("a")).reshape(d_s, d_e)
-            initial = InitialState.entangled(a)
-        else:
-            smat = _sized("smat", cfg.get_matrix("smat"), (d_s, d_s))
-            c = (_sized(amplitude_key, cfg.get_vector(amplitude_key), (d_s,))
-                 if smat is None else None)
-            if smat is None and c is None:
-                c = random_amplitudes(d_s, pool.rng(amplitude_key))
-            d_mat = _sized("dmat", cfg.get_matrix("dmat"), (d_e, d_e))
-            if d_mat is None:
-                d_mat = (np.eye(1, dtype=complex) if d_e == 1
-                         else random_env_weights(d_e, pool.rng("dmat")))
-            initial = (InitialState.mixed_product(smat, d_mat) if smat is not None
-                       else InitialState.product(c, d_mat))
+        with _keyed(c=amplitude_key, s_weights="smat", d_mat="dmat"):
+            if entangled:
+                a = _sized("a", cfg.get_matrix("a"), (d_s, d_e))
+                if a is None:
+                    a = random_amplitudes(d_s * d_e, pool.rng("a")).reshape(d_s, d_e)
+                initial = InitialState.entangled(a)
+            else:
+                smat = _sized("smat", cfg.get_matrix("smat"), (d_s, d_s))
+                c = (_sized(amplitude_key, cfg.get_vector(amplitude_key), (d_s,))
+                     if smat is None else None)
+                if smat is None and c is None:
+                    c = random_amplitudes(d_s, pool.rng(amplitude_key))
+                d_mat = _sized("dmat", cfg.get_matrix("dmat"), (d_e, d_e))
+                if d_mat is None:
+                    d_mat = (np.eye(1, dtype=complex) if d_e == 1
+                             else random_env_weights(d_e, pool.rng("dmat")))
+                initial = (InitialState.mixed_product(smat, d_mat) if smat is not None
+                           else InitialState.product(c, d_mat))
         return CompositeSpec(d_s=d_s, d_e=d_e, h_s=h_s, h_e=h_e, h_se=h_se,
                              initial=initial,
                              coupling_strength=cfg.get_float("coupling_strength", 1.0)), pool
-    except InitialStateError as exc:
-        key = {"c": amplitude_key, "s_weights": "smat", "d_mat": "dmat", "a": "a"}[exc.arg]
-        raise ConfigError(str(exc), key=key) from None
     except ConfigError:
         raise
     except ValueError as exc:
@@ -207,7 +216,8 @@ def _run_green(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     es = cfg.get_vector("es", required=True, real=True)
     density = _density_from(cfg)
     grid = _grid_from(cfg, 10.0, 1000)
-    sol = solve_green(GreenProblem(es=es, density=density, grid=grid), strict=strict)
+    with _keyed():
+        sol = solve_green(GreenProblem(es=es, density=density, grid=grid), strict=strict)
     times = grid.times()
     columns = ["t"]
     for k in range(es.size):
@@ -228,7 +238,12 @@ def _run_green(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
         with np.errstate(divide="ignore"):    # |g1| = 0 (a coarse step) reads as inf
             resid = np.abs(np.log(abs(g1[1:])) + density.j0 * (times[1:, None] - times[0])).max()
         scale = float(np.abs(es).max() + density.j0)
-        default = grid.h**2 * scale**3 * (grid.t1 - grid.t0)
+        try:
+            default = grid.h**2 * scale**3 * (grid.t1 - grid.t0)
+        except OverflowError:    # name the larger of the step and the energy scale
+            key = "t1" if grid.h > scale else "es" if np.abs(es).max() >= density.j0 else "j0"
+            raise ConfigError(f"decay bound h^2 scale^3 T overflows: h = {grid.h:.3e}, "
+                              f"scale = {scale:.3e}", key=key) from None
         checks.append(CheckRow("decay_residual", float(resid),
                                cfg.tolerance("decay_residual", default)))
     return ScenarioResult(columns, rows, checks, info)
@@ -241,9 +256,11 @@ def _run_green_analytic(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     e0 = cfg.get_float("e0", required=True)
     gamma = cfg.get_float("gamma", required=True)
     grid = _grid_from(cfg, 10.0, 1000)
-    density = SpectralDensity.lorentzian(j0, j1, e0, gamma)
-    num = solve_green(GreenProblem(es=es, density=density, grid=grid), strict=strict)
-    ana = analytic_green1_lorentzian(es, j0, j1, e0, gamma, grid)
+    with _keyed():
+        problem = GreenProblem(es=es, density=SpectralDensity.lorentzian(j0, j1, e0, gamma),
+                               grid=grid)
+        num = solve_green(problem, strict=strict)
+        ana = analytic_green1_lorentzian(es, j0, j1, e0, gamma, grid)
     columns = ["t"]
     for k in range(es.size):
         columns += [f"abs_num_{k}", f"abs_ana_{k}", f"dev_{k}"]
@@ -264,26 +281,30 @@ def _run_amp_phase(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     e0 = cfg.get_float("e0", required=True)
     gamma = cfg.get_float("gamma", required=True)
     j1_values = cfg.get_vector("j1_values", required=True, real=True)
-    aps = crossover_sweep(es_level, j0, e0, gamma, j1_values)
+    with _keyed(j1="j1_values"):
+        aps = crossover_sweep(es_level, j0, e0, gamma, j1_values)
     columns = ["j1", "abs_a1", "abs_a2", "re_phi1_rate", "im_phi1_rate",
                "re_phi2_rate", "im_phi2_rate", "decays"]
-    rows = [[j1, abs(ap.a1), abs(ap.a2), ap.phi1_rate.real, ap.phi1_rate.imag,
+    # |a1|, |a2|, |a1 + a2 - 1|: np.hypot is abs(complex) to the last bit, and
+    # gives inf where abs raises OverflowError
+    amps = np.array([[ap.a1, ap.a2, ap.a1 + ap.a2 - 1.0] for ap in aps])
+    mags = np.hypot(amps.real, amps.imag)
+    rows = [[j1, *mag[:2], ap.phi1_rate.real, ap.phi1_rate.imag,
              ap.phi2_rate.real, ap.phi2_rate.imag, ap.decays]
-            for j1, ap in zip(j1_values, aps)]
-    sum_defect = max(abs(ap.a1 + ap.a2 - 1.0) for ap in aps)
-    checks = [CheckRow("amp_sum_defect", sum_defect,
+            for j1, mag, ap in zip(j1_values, mags, aps)]
+    checks = [CheckRow("amp_sum_defect", mags[:, 2].max(),
                        cfg.tolerance("amp_sum_defect", 1e-15))]
     # aps[0] stands for every j1 here: the branch side and the scale do not move
     if np.any(j1_values == 0.0):
         k = int(np.argmax(j1_values == 0.0))
         want1, want2 = (1.0, 0.0) if aps[0].upper_branch else (0.0, 1.0)
-        endpoint = max(abs(abs(aps[k].a1) - want1), abs(abs(aps[k].a2) - want2))
+        endpoint = max(abs(mags[k, 0] - want1), abs(mags[k, 1] - want2))
         checks.append(CheckRow("endpoint_defect", endpoint,
                                cfg.tolerance("endpoint_defect", 0.0)))
     scale = max(abs(aps[0].e_minus), abs(aps[0].v), gamma)
     if j1_values.max() >= 1e5 * scale:
         k = int(np.argmax(j1_values))
-        half = max(abs(abs(aps[k].a1) - 0.5), abs(abs(aps[k].a2) - 0.5))
+        half = max(abs(mags[k, 0] - 0.5), abs(mags[k, 1] - 0.5))
         checks.append(CheckRow("half_defect", half, cfg.tolerance("half_defect", 1e-2)))
     return ScenarioResult(columns, rows, checks, [f"points: {j1_values.size}"])
 
@@ -384,11 +405,9 @@ def _run_witness(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     spec, _ = _spec_from(cfg, amplitude_key="cA")
     c_b = _sized("cB", cfg.get_vector("cB", required=True), (spec.d_s,))
     grid = _grid_from(cfg, 5.0, 200)
-    try:
+    # cA already built the spec, so only cB can be at fault
+    with _keyed(c="cB"):
         result = distinguishability_witness(spec.initial.c, c_b, spec, grid)
-    except InitialStateError as exc:
-        # cA already built the spec, so only cB can be at fault
-        raise ConfigError(str(exc), key="cB") from None
     rows = [[t, d, r] for t, d, r in zip(result.times, result.distance, result.rate)]
     default = 1e-8 if spec.d_e == 1 else math.inf
     checks = [CheckRow("max_rate", result.max_rate,

@@ -41,14 +41,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from markovlab.linalg import DomainError
+
 _KINDS = ("constant", "lorentzian", "tabulated")
 
 
-class BranchSingularityError(ValueError):
+class BranchSingularityError(DomainError):
     """The resonant closed form hits a double root of its characteristic polynomial."""
 
     def __init__(self, message: str, critical_j1: complex):
-        super().__init__(message)
+        super().__init__(message, "j1")
         self.critical_j1 = critical_j1
 
 
@@ -83,12 +85,13 @@ class SpectralDensity:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown spectral density kind {self.kind!r}")
         if self.j0 < 0 or self.j1 < 0:
-            raise ValueError("spectral strengths j0, j1 must be nonnegative")
+            raise DomainError("spectral strengths j0, j1 must be nonnegative",
+                              "j0" if self.j0 < 0 else "j1")
         if self.kind == "lorentzian":
             if self.gamma <= 0:
-                raise ValueError("resonance width gamma must be positive")
+                raise DomainError("resonance width gamma must be positive", "gamma")
             if self.omega_cut <= 0:
-                raise ValueError("band cut-off omega_cut must be positive")
+                raise DomainError("band cut-off omega_cut must be positive", "omega_cut")
         if self.kind == "tabulated":
             if self.table is None:
                 raise ValueError("tabulated density needs a table")
@@ -127,21 +130,6 @@ class SpectralDensity:
     def delta_weight(self) -> float:
         """Weight of the instantaneous (delta) part of the memory kernel."""
         return 0.0 if self.kind == "tabulated" else self.j0
-
-
-def spectral_eval(density: SpectralDensity, omega) -> np.ndarray | float:
-    """Evaluate J(omega); accepts scalars or arrays."""
-    w = np.asarray(omega, dtype=float)
-    if density.kind == "constant":
-        out = np.full_like(w, density.j0)
-    elif density.kind == "lorentzian":
-        detune = w - density.e0
-        bump = density.j1 * density.gamma**2 / (detune**2 + density.gamma**2)
-        out = density.j0 + np.where(np.abs(detune) < density.omega_cut, bump, 0.0)
-    else:
-        om, va = density.table
-        out = np.interp(w, om, va, left=0.0, right=0.0)
-    return float(out) if np.isscalar(omega) else out
 
 
 #: Below this |theta| the segment transform uses its Taylor series: the
@@ -258,9 +246,9 @@ class TimeGrid:
 
     def __post_init__(self):
         if not self.t1 > self.t0:
-            raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
+            raise DomainError(f"need t1 > t0, got [{self.t0}, {self.t1}]", "t1")
         if self.steps < 2:
-            raise ValueError("need at least 2 steps")
+            raise DomainError("need at least 2 steps", "steps")
 
     @property
     def h(self) -> float:
@@ -279,7 +267,7 @@ class GreenProblem:
     def __post_init__(self):
         es = np.asarray(self.es, dtype=float)
         if es.ndim != 1 or es.size == 0 or not np.isfinite(es).all():
-            raise ValueError("es must be a nonempty finite 1-d array of level energies")
+            raise DomainError("es must be a nonempty finite 1-d array of level energies", "es")
         object.__setattr__(self, "es", es)
 
 
@@ -293,7 +281,6 @@ class GreenSolution:
     that only describe the retarded component.
     """
 
-    grid: TimeGrid
     g1: np.ndarray
     g2: np.ndarray | None = None
 
@@ -475,7 +462,7 @@ def solve_green(problem: GreenProblem, strict: bool = False) -> GreenSolution:
         g1, g2 = _recursive_levels(m_coef, *form, h, j0, grid.steps)
     g1[0] = 1.0
     g2[0] = 0.0
-    return GreenSolution(grid=grid, g1=_embed_diagonal(g1), g2=_embed_diagonal(g2))
+    return GreenSolution(g1=_embed_diagonal(g1), g2=_embed_diagonal(g2))
 
 
 def analytic_green_const(es, j0: float, grid: TimeGrid) -> GreenSolution:
@@ -490,7 +477,7 @@ def analytic_green_const(es, j0: float, grid: TimeGrid) -> GreenSolution:
     linear-in-time form j0 dt g1.
     """
     if j0 < 0:
-        raise ValueError("j0 must be nonnegative")
+        raise DomainError("j0 must be nonnegative", "j0")
     es = np.asarray(es, dtype=float)
     dt = grid.times() - grid.t0
     g1 = np.exp(-1j * np.outer(dt, es - 1j * j0))
@@ -498,7 +485,7 @@ def analytic_green_const(es, j0: float, grid: TimeGrid) -> GreenSolution:
     g2 = (j0 * dt * np.exp(-j0 * dt))[:, None] * np.sinc(np.outer(dt, es) / np.pi)
     g1[0] = 1.0
     g2[0] = 0.0
-    return GreenSolution(grid=grid, g1=_embed_diagonal(g1), g2=_embed_diagonal(g2))
+    return GreenSolution(g1=_embed_diagonal(g1), g2=_embed_diagonal(g2))
 
 
 def _resonant_branches(es, j0: float, j1: float, e0: float, gamma: float,
@@ -553,18 +540,18 @@ def analytic_green1_lorentzian(es, j0: float, j1: float, e0: float, gamma: float
     flat-background closed form exactly.
     """
     if gamma <= 0:
-        raise ValueError("gamma must be positive")
+        raise DomainError("gamma must be positive", "gamma")
     if j1 < 0 or j0 < 0:
-        raise ValueError("spectral strengths must be nonnegative")
+        raise DomainError("spectral strengths must be nonnegative", "j0" if j0 < 0 else "j1")
     es = np.asarray(es, dtype=float)
     if j1 == 0:
         sol = analytic_green_const(es, j0, grid)
-        return GreenSolution(grid=grid, g1=sol.g1, g2=None)
+        return GreenSolution(g1=sol.g1, g2=None)
     dt = (grid.times() - grid.t0)[:, None]
     _, a1, a2, phi1, phi2 = _resonant_branches(es, j0, j1, e0, gamma)
     g1 = a1 * np.exp(phi1 * dt) + a2 * np.exp(phi2 * dt)
     g1[0] = 1.0
-    return GreenSolution(grid=grid, g1=_embed_diagonal(g1), g2=None)
+    return GreenSolution(g1=_embed_diagonal(g1), g2=None)
 
 
 @dataclass(frozen=True)
@@ -618,7 +605,7 @@ def amplitude_phase(es_level: float, j0: float, j1: float, e0: float,
     exactly, and the j1 = 0 path returns the endpoint amplitudes exactly.
     """
     if gamma <= 0:
-        raise ValueError("gamma must be positive")
+        raise DomainError("gamma must be positive", "gamma")
     r, a1, a2, phi1, phi2 = _resonant_branches(es_level, j0, j1, e0, gamma, axis=2.0)
     # arg R lies in (-pi/2, pi/2], so 2 arg R is arg(R^2) in (-pi, pi]
     return AmplitudePhase(a1=complex(a1), a2=complex(a2),
@@ -633,7 +620,7 @@ def crossover_sweep(es_level: float, j0: float, e0: float, gamma: float,
     """:func:`amplitude_phase` at each of a nonempty list of nonnegative j1."""
     j1_values = np.asarray(j1_values, dtype=float)
     if j1_values.size == 0:
-        raise ValueError("j1_values must be nonempty")
+        raise DomainError("j1_values must be nonempty", "j1_values")
     if np.any(j1_values < 0):
-        raise ValueError("j1 values must be nonnegative")
+        raise DomainError("j1 values must be nonnegative", "j1_values")
     return [amplitude_phase(es_level, j0, float(j1), e0, gamma) for j1 in j1_values]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -21,7 +22,6 @@ from markovlab.spectral import (
     crossover_sweep,
     kernel_on_grid,
     solve_green,
-    spectral_eval,
 )
 from markovlab.spectral import (
     _SERIES_THETA,
@@ -32,6 +32,25 @@ from markovlab.spectral import (
 
 
 # ------------------------------------------------------- spectral density
+
+
+def spectral_eval(density, omega):
+    """J(omega) as the SpectralDensity docstring defines it; scalars or arrays.
+
+    The one written definition of J: both quadrature oracles below
+    integrate it, and the closed-form kernels are checked against them.
+    """
+    w = np.asarray(omega, dtype=float)
+    if density.kind == "constant":
+        out = np.full_like(w, density.j0)
+    elif density.kind == "lorentzian":
+        detune = w - density.e0
+        bump = density.j1 * density.gamma**2 / (detune**2 + density.gamma**2)
+        out = density.j0 + np.where(np.abs(detune) < density.omega_cut, bump, 0.0)
+    else:
+        om, va = density.table
+        out = np.interp(w, om, va, left=0.0, right=0.0)
+    return float(out) if np.isscalar(omega) else out
 
 
 def test_constant_density():
@@ -76,13 +95,18 @@ def test_kernel_constant_is_pure_delta():
     assert d.delta_weight() == 0.3
 
 
-def _bump_quadrature(j1, gamma, e0, omega, dt):
-    # independent Fourier transform of the resonance over |w - e0| < omega.
+def _bump_quadrature(density, omega, dt):
+    # independent Fourier transform of the smooth part J - j0 of a
+    # Lorentzian density over its window |w - e0| < omega.  QUADPACK also
+    # samples the window's end points, so J is taken with the cut-off
+    # lifted; inside the open window that is the same function.
     # Each half of the window is integrated on its own: over the whole
     # window a weighted QUADPACK call can accept a wrong first estimate at
     # large omega * dt.  The tight request makes QUADPACK report round-off
     # there; its value is still used, and each test's bound judges it.
-    bump = lambda w: j1 * gamma**2 / ((w - e0) ** 2 + gamma**2)
+    uncut = dataclasses.replace(density, omega_cut=math.inf)
+    bump = lambda w: spectral_eval(uncut, w) - density.j0
+    j1, gamma, e0 = density.j1, density.gamma, density.e0
     opts = dict(wvar=dt, limit=400, epsabs=1e-15 * j1 * gamma, epsrel=1e-13)
     total = 0.0j
     with warnings.catch_warnings():
@@ -98,7 +122,7 @@ def test_kernel_lorentzian_closed_form_against_quadrature():
     j1, gamma, e0 = 1.0, 0.4, 0.9
     d = SpectralDensity.lorentzian(j0=0.2, j1=j1, e0=e0, gamma=gamma)
     for dt in (0.0, 0.7, 5.0 / gamma):
-        oracle = _bump_quadrature(j1, gamma, e0, 1e3 * gamma, dt)
+        oracle = _bump_quadrature(d, 1e3 * gamma, dt)
         # truncation tail of the oracle window is ~ j1 gamma^2 / (pi omega)
         assert abs(_kernel_at(d, dt) - oracle) < 3e-4
     assert d.delta_weight() == 0.2
@@ -127,7 +151,7 @@ def test_kernel_finite_cutoff_closed_form_matches_quadrature(j1, gamma, e0, cut_
     d = SpectralDensity.lorentzian(j0=0.0, j1=j1, e0=e0, gamma=gamma, omega_cut=cut)
     lags = np.array([0.0, 1e-8, gamma_s, -gamma_s, 300.0]) / gamma
     for lag, val in zip(lags, kernel_on_grid(d, lags)):
-        assert abs(val - _bump_quadrature(j1, gamma, e0, cut, lag)) < 1e-12 * j1 * gamma
+        assert abs(val - _bump_quadrature(d, cut, lag)) < 1e-12 * j1 * gamma
         assert abs(_kernel_at(d, lag) - val) < 1e-15 * j1 * gamma
 
 
@@ -158,14 +182,16 @@ def test_kernel_tabulated_matches_lorentzian_samples():
     assert abs(_kernel_at(d_tab, 0.8) - _kernel_at(d_ref, 0.8)) < 5e-3
 
 
-def _table_quadrature(om, va, lag):
-    # independent oracle: adaptive quadrature of each linear segment
+def _table_quadrature(density, lag):
+    # independent oracle: adaptive quadrature of J over each table segment
+    om = density.table[0]
+    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
     total = 0.0j
-    for a, b, fa, fb in zip(om[:-1], om[1:], va[:-1], va[1:]):
-        line = lambda w: fa + (fb - fa) * (w - a) / (b - a)
-        opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
-        re = scipy.integrate.quad(lambda w: line(w) * math.cos(w * lag), a, b, **opts)[0]
-        im = scipy.integrate.quad(lambda w: line(w) * math.sin(w * lag), a, b, **opts)[0]
+    for a, b in zip(om[:-1], om[1:]):
+        re = scipy.integrate.quad(lambda w: spectral_eval(density, w) * math.cos(w * lag),
+                                  a, b, **opts)[0]
+        im = scipy.integrate.quad(lambda w: spectral_eval(density, w) * math.sin(w * lag),
+                                  a, b, **opts)[0]
         total += re - 1j * im
     return total / (2 * math.pi)
 
@@ -186,7 +212,7 @@ def test_kernel_tabulated_closed_form_matches_quadrature(start, widths, data):
     on_grid = kernel_on_grid(d, lags)
     scale = 1e-13 * (1.0 + np.sum(w * np.maximum(va[1:], va[:-1])))
     for lag, val in zip(lags, on_grid):
-        assert abs(val - _table_quadrature(om, va, lag)) < scale
+        assert abs(val - _table_quadrature(d, lag)) < scale
         assert abs(_kernel_at(d, lag) - val) < 1e-14
 
 
