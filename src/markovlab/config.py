@@ -1,15 +1,17 @@
-"""Line-based scenario configuration files.
+"""Line-based scenario configuration files: parsing only.
 
 Format: one ``key = value`` assignment per line, ``#`` starts a comment.
 Values are integers, reals, complex numbers written as ``re+imi`` (for
 example ``1.5-0.2i``), vectors ``[1, 2.5]``, matrices
-``[[1+0i, 0+0i],[0+0i, 2+0i]]`` or bare strings.  Keys are validated
-strictly against the schema of the named scenario; unknown keys are
-rejected with their line number, and matrices that must be Hermitian
-are checked at parse time.  Numbers must be finite, except that ``inf``
-is allowed for ``omega_cut`` (infinite band cut-off) and ``tol_*``
-tolerances; ``nan`` is rejected everywhere, and so is an integer literal
-beyond the float range.
+``[[1+0i, 0+0i],[0+0i, 2+0i]]`` or bare strings.  Parsing checks what
+needs the line number: syntax, keys (strictly against the schema of the
+named scenario), literal types, finiteness and the Hermiticity of the
+matrices that must be Hermitian.  Numbers must be finite, except that
+``inf`` is allowed for ``omega_cut`` (infinite band cut-off) and
+``tol_*`` tolerances; ``nan`` is rejected everywhere, and so is an
+integer literal beyond the float range.  Range rules (t1 > t0, steps >=
+2, a nonnegative j0, a normalised state, ...) belong to the domain
+object that takes the value, and fail when the scenario runs.
 """
 
 from __future__ import annotations
@@ -233,7 +235,7 @@ class ScenarioConfig:
 
 
 def parse_config(text: str, scenario_override: str | None = None) -> ScenarioConfig:
-    """Parse and validate a scenario configuration."""
+    """Parse a scenario configuration; no range rule is checked here."""
     raw: dict = {}
     lines_of: dict = {}
     scenario = None
@@ -328,28 +330,5 @@ def _validate(scenario: str, raw: dict, lines_of: dict) -> ScenarioConfig:
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
 
-    cfg = ScenarioConfig(scenario=scenario, values=values, tolerance_overrides=tolerances)
-    _check_ranges(cfg)
-    return cfg
-
-
-def _check_ranges(cfg: ScenarioConfig):
-    for key in ("dS", "dE"):
-        dim = cfg.get_int(key)
-        if dim is not None and dim < 1:
-            raise ConfigError(f"need {key} >= 1", key=key)
-    t0 = cfg.get_float("t0", 0.0)
-    t1 = cfg.get_float("t1")
-    steps = cfg.get_int("steps")
-    if t1 is not None and t1 <= t0:
-        raise ConfigError("need t1 > t0", key="t1")
-    if steps is not None and steps < 2:
-        raise ConfigError("need steps >= 2", key="steps")
-    for key in ("n_triples", "n_times"):
-        count = cfg.get_int(key)
-        if count is not None and count < 1:
-            raise ConfigError(f"need {key} >= 1", key=key)
-    t_max = cfg.get_float("t_max")
-    if t_max is not None and not t_max > 0:
-        raise ConfigError("need t_max > 0", key="t_max")
+    return ScenarioConfig(scenario=scenario, values=values, tolerance_overrides=tolerances)
 

@@ -170,23 +170,28 @@ class CompositeSpec:
     coupling_strength: float = 1.0
 
     def __post_init__(self):
-        if self.d_s < 1 or self.d_e < 1:
-            raise ValueError("dimensions must be positive")
-        if self.d_s * self.d_e > MAX_COMPOSITE_DIM:
-            raise ValueError(
-                f"composite dimension {self.d_s * self.d_e} exceeds {MAX_COMPOSITE_DIM}")
-        object.__setattr__(self, "h_s", require_hermitian(self.h_s, "h_s"))
-        object.__setattr__(self, "h_e", require_hermitian(self.h_e, "h_e"))
-        object.__setattr__(self, "h_se", require_hermitian(self.h_se, "h_se"))
-        if self.h_s.shape != (self.d_s, self.d_s):
-            raise ValueError(f"h_s shape {self.h_s.shape} does not match d_s = {self.d_s}")
-        if self.h_e.shape != (self.d_e, self.d_e):
-            raise ValueError(f"h_e shape {self.h_e.shape} does not match d_e = {self.d_e}")
-        dim = self.d_s * self.d_e
-        if self.h_se.shape != (dim, dim):
-            raise ValueError(f"h_se shape {self.h_se.shape} does not match {dim}x{dim}")
-        if self.initial.d_s != self.d_s or self.initial.d_e != self.d_e:
-            raise ValueError("initial state dimensions do not match the spec")
+        self.check_dimensions(self.d_s, self.d_e)
+        initial = self.initial
+        if initial.d_s != self.d_s:
+            arg = {"product": "c", "mixed-product": "s_weights"}.get(initial.kind, "a")
+            raise DomainError(f"initial state has d_s = {initial.d_s}, not {self.d_s}", arg)
+        if initial.d_e != self.d_e:
+            raise DomainError(f"initial state has d_e = {initial.d_e}, not {self.d_e}",
+                              "a" if initial.kind == "entangled" else "d_mat")
+        for arg, dim in (("h_s", self.d_s), ("h_e", self.d_e), ("h_se", self.d_s * self.d_e)):
+            mat = getattr(self, arg)
+            if np.shape(mat) != (dim, dim):
+                raise DomainError(f"{arg} has shape {np.shape(mat)}, not {(dim, dim)}", arg)
+            object.__setattr__(self, arg, require_hermitian(mat, arg))
+
+    @staticmethod
+    def check_dimensions(d_s: int, d_e: int):
+        """DomainError naming d_s or d_e unless both are >= 1 and d_s * d_e <= 64."""
+        for arg, dim in (("d_s", d_s), ("d_e", d_e)):
+            if dim < 1:
+                raise DomainError(f"need {arg} >= 1, got {dim}", arg)
+        if d_s * d_e > MAX_COMPOSITE_DIM:
+            raise DomainError(f"d_s * d_e = {d_s * d_e} exceeds {MAX_COMPOSITE_DIM}", "d_s")
 
     @cached_property
     def propagator(self) -> "Propagator":
@@ -247,11 +252,11 @@ class EvolveResult(NamedTuple):
     rho_full: np.ndarray
 
 
-def evolve(spec: CompositeSpec, t: float, t0: float = 0.0) -> EvolveResult:
-    """Exact state of S, E and S+E at time t from the initial data at t0."""
-    if t < t0:
-        raise ValueError(f"need t >= t0, got t = {t}, t0 = {t0}")
-    rho = spec.propagator.rho_full(t - t0)
+def evolve(spec: CompositeSpec, t: float) -> EvolveResult:
+    """Exact state of S, E and S+E at time t from the initial data at time 0."""
+    if t < 0:
+        raise ValueError(f"need t >= 0, got t = {t}")
+    rho = spec.propagator.rho_full(t)
     rho_s = partial_trace_env(rho, spec.d_s, spec.d_e)
     rho_e = partial_trace_sys(rho, spec.d_s, spec.d_e)
     validate_density_matrix(rho, name="rho_full")
@@ -291,7 +296,7 @@ def supermatrix(spec: CompositeSpec, t: float, t0: float = 0.0) -> np.ndarray:
 
 def _check_triple(t0: float, ts: float, t: float):
     if not (t0 <= ts <= t):
-        raise ValueError(f"need t0 <= ts <= t, got ({t0}, {ts}, {t})")
+        raise DomainError(f"need t0 <= ts <= t, got ({t0}, {ts}, {t})", "ts")
 
 
 def divisibility_defect(spec: CompositeSpec, t0: float, ts: float, t: float) -> float:
@@ -414,7 +419,8 @@ def distinguishability_witness(state_a, state_b, spec: CompositeSpec,
         initial = (InitialState.product(state, spec.initial.d_mat) if np.ndim(state) == 1
                    else InitialState.mixed_product(state, spec.initial.d_mat))
         if initial.d_s != spec.d_s:
-            raise ValueError(f"state dimension {initial.d_s} does not match d_s = {spec.d_s}")
+            raise DomainError(f"state dimension {initial.d_s} does not match d_s = {spec.d_s}",
+                              "c" if initial.kind == "product" else "s_weights")
         factors.append(initial.factor())
     times = grid.times()
     dist = np.concatenate([

@@ -43,10 +43,10 @@ class PreconditionError(RuntimeError):
         self.commutator_norm = commutator_norm
 
 
-def exact_rho_dot(spec: CompositeSpec, t: float, t0: float = 0.0) -> np.ndarray:
+def exact_rho_dot(spec: CompositeSpec, t: float) -> np.ndarray:
     """d rho_S / dt at time t, computed as Tr_E(-i [H, rho(t)])."""
     prop = spec.propagator
-    rho = prop.rho_full(t - t0)
+    rho = prop.rho_full(t)
     comm = prop.hamiltonian @ rho - rho @ prop.hamiltonian
     return partial_trace_env(-1j * comm, spec.d_s, spec.d_e)
 
@@ -108,13 +108,12 @@ def _commutator_residuals(spec: CompositeSpec, psi: np.ndarray,
     return np.abs(d - d.conj().swapaxes(1, 2)).max(axis=(1, 2))
 
 
-def commutator_residuals(spec: CompositeSpec, times,
-                         t0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def commutator_residuals(spec: CompositeSpec, times) -> tuple[np.ndarray, np.ndarray]:
     """Commutator-form residual and spectrum drift of rho_S at each time.
 
     The residual is that of :func:`effective_commutator_rhs`; the drift
     is the largest change of the sorted eigenvalues of rho_S(t) from
-    those of rho_S(t0), which a unitary reduced motion keeps.  With
+    those of rho_S(0), which a unitary reduced motion keeps.  With
     rho_S = a a^dag for the reshaped factor a (d_s x m), those
     eigenvalues are the squared singular values of a, padded with zeros.
     """
@@ -126,15 +125,13 @@ def commutator_residuals(spec: CompositeSpec, times,
         w = np.pad(s2[:, ::-1], ((0, 0), (spec.d_s - s2.shape[1], 0)))
         return np.abs(w - w0).max(axis=1)
 
-    dts = np.asarray(times, dtype=float) - t0
     blocks = [(_commutator_residuals(spec, psi, h_eff), drift(psi))
-              for psi, in spec.propagator.states(dts, spec.initial.factor())]
+              for psi, in spec.propagator.states(np.asarray(times, float), spec.initial.factor())]
     return (np.concatenate([r for r, _ in blocks]),
             np.concatenate([d for _, d in blocks]))
 
 
-def effective_commutator_rhs(spec: CompositeSpec, t: float,
-                             t0: float = 0.0) -> CommutatorForm:
+def effective_commutator_rhs(spec: CompositeSpec, t: float) -> CommutatorForm:
     """Time-local commutator form of the reduced derivative.
 
     Valid exactly for a one-state environment, where
@@ -143,7 +140,7 @@ def effective_commutator_rhs(spec: CompositeSpec, t: float,
     for diagnostics.
     """
     h_eff = _effective_hamiltonian(spec)
-    [(psi,)] = spec.propagator.states(np.array([t - t0]), spec.initial.factor())
+    [(psi,)] = spec.propagator.states(np.array([t]), spec.initial.factor())
     rho_s = trace_env_factored(psi, spec.d_s)[0]
     rhs = -1j * (h_eff @ rho_s - rho_s @ h_eff)
     residual = float(_commutator_residuals(spec, psi, h_eff)[0])
@@ -155,9 +152,9 @@ def effective_commutator_rhs(spec: CompositeSpec, t: float,
     return CommutatorForm(rhs=rhs, residual=residual)
 
 
-def evolve_rho_s(spec: CompositeSpec, t: float, t0: float = 0.0) -> np.ndarray:
+def evolve_rho_s(spec: CompositeSpec, t: float) -> np.ndarray:
     """rho_S(t) from the full density matrix: the per-time reference path."""
-    return partial_trace_env(spec.propagator.rho_full(t - t0), spec.d_s, spec.d_e)
+    return partial_trace_env(spec.propagator.rho_full(t), spec.d_s, spec.d_e)
 
 
 @dataclass(frozen=True)
@@ -166,15 +163,14 @@ class BlockMixture:
     residual: float
 
 
-def commuting_block_evolution(spec: CompositeSpec, t: float,
-                              t0: float = 0.0) -> BlockMixture:
+def commuting_block_evolution(spec: CompositeSpec, t: float) -> BlockMixture:
     """Independent oracle for couplings that commute with the environment energy.
 
     In the H_E eigenbasis such a coupling is a direct sum of system
     blocks B_a, and with environment weights diagonal there the reduced
     state is the fixed mixture
 
-        rho_S(t) = sum_a d_aa exp(-i (H_S + B_a) dt) rho_S(0) exp(+i ...),
+        rho_S(t) = sum_a d_aa exp(-i (H_S + B_a) t) rho_S(0) exp(+i ...),
 
     from one batched eigendecomposition of the (d_e, d_s, d_s) stack
     H_S + B_a.  Environment weights are rotated into the H_E eigenbasis
@@ -204,10 +200,10 @@ def commuting_block_evolution(spec: CompositeSpec, t: float,
             "(degenerate H_E with mismatched weights)",
             commutator_norm=env_coupling_commutator_norm(spec))
     w, v = np.linalg.eigh(spec.h_s + on_block)
-    u = (v * np.exp(-1j * (t - t0) * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    u = (v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
     orbits = u @ spec.initial.rho_s0() @ u.conj().swapaxes(1, 2)
     rho = (d_diag[:, None, None] * orbits).sum(axis=0)
-    residual = float(np.abs(rho - evolve_rho_s(spec, t, t0)).max())
+    residual = float(np.abs(rho - evolve_rho_s(spec, t)).max())
     return BlockMixture(rho_s=rho, residual=residual)
 
 

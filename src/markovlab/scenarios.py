@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from markovlab.config import SCHEMAS, ConfigError, ScenarioConfig, _check_ranges
+from markovlab.config import SCHEMAS, ConfigError, ScenarioConfig
 from markovlab.csvtext import csv_blocks
 from markovlab.dynamics import (
     CompositeSpec,
@@ -32,7 +32,7 @@ from markovlab.dynamics import (
     entropy_sie_check,
     environment_stationarity,
 )
-from markovlab.linalg import MAX_COMPOSITE_DIM, DomainError
+from markovlab.linalg import DomainError
 from markovlab.master import commutator_residuals
 from markovlab.sampling import random_amplitudes, random_env_weights, random_hermitian
 from markovlab.spectral import (
@@ -101,33 +101,40 @@ def _summary_text(scenario: str, csv_name: str, result: ScenarioResult) -> str:
 # ------------------------------------------------------- grid and spec IO
 
 
+#: config key of each argument a domain object names that the config spells otherwise
+_CONFIG_KEYS = {"d_s": "dS", "d_e": "dE", "h_s": "hS", "h_e": "hE", "h_se": "hSE",
+                "s_weights": "smat", "d_mat": "dmat"}
+
+
 @contextmanager
 def _keyed(**keys):
-    """Re-raise a DomainError as a ConfigError keyed by its argument (renamed by ``keys``)."""
+    """Re-raise a DomainError as a ConfigError keyed by the config key of its argument.
+
+    Every runner runs inside ``_keyed()``; a runner whose config spells an
+    argument otherwise wraps that call in ``_keyed(arg=key)``.
+    """
     try:
         yield
     except DomainError as exc:
-        raise ConfigError(str(exc), key=keys.get(exc.arg, exc.arg)) from None
+        raise ConfigError(str(exc), key={**_CONFIG_KEYS, **keys}.get(exc.arg, exc.arg)) from None
 
 
 def _grid_from(cfg: ScenarioConfig, t1_default: float, steps_default: int) -> TimeGrid:
-    with _keyed():
-        return TimeGrid(cfg.get_float("t0", 0.0),
-                        cfg.get_float("t1", t1_default),
-                        cfg.get_int("steps", steps_default))
+    return TimeGrid(cfg.get_float("t0", 0.0),
+                    cfg.get_float("t1", t1_default),
+                    cfg.get_int("steps", steps_default))
 
 
 def _density_from(cfg: ScenarioConfig) -> SpectralDensity:
     j0 = cfg.get_float("j0", required=True)
     j1 = cfg.get_float("j1", 0.0)
-    with _keyed():
-        if j1 == 0.0:
-            return SpectralDensity.constant(j0)
-        gamma = cfg.get_float("gamma")
-        if gamma is None:
-            raise ConfigError("gamma is required when j1 > 0", key="gamma")
-        return SpectralDensity.lorentzian(j0, j1, cfg.get_float("e0", 0.0), gamma,
-                                          cfg.get_float("omega_cut", math.inf))
+    if j1 == 0.0:
+        return SpectralDensity.constant(j0)
+    gamma = cfg.get_float("gamma")
+    if gamma is None:
+        raise ConfigError("gamma is required when j1 > 0", key="gamma")
+    return SpectralDensity.lorentzian(j0, j1, cfg.get_float("e0", 0.0), gamma,
+                                      cfg.get_float("omega_cut", math.inf))
 
 
 class _SeedPool:
@@ -145,62 +152,59 @@ class _SeedPool:
         return self._rng
 
 
-def _sized(key: str, value: np.ndarray | None, shape: tuple) -> np.ndarray | None:
-    if value is not None and value.shape != shape:
-        raise ConfigError(f"shape {value.shape} does not match {shape} from dS and dE", key=key)
-    return value
-
-
 def _spec_from(cfg: ScenarioConfig, *, entangled: bool = False,
                amplitude_key: str = "c") -> tuple:
     d_s = cfg.get_int("dS", required=True)
     d_e = cfg.get_int("dE", required=True)
-    if d_s * d_e > MAX_COMPOSITE_DIM:
-        raise ConfigError(f"dS * dE = {d_s * d_e} exceeds {MAX_COMPOSITE_DIM}", key="dS")
+    CompositeSpec.check_dimensions(d_s, d_e)    # before any random matrix is drawn
     pool = _SeedPool(cfg)
     # generation order is fixed: hS, hE, hSE, amplitudes, dmat
     hams = []
     for key, dim in (("hS", d_s), ("hE", d_e), ("hSE", d_s * d_e)):
-        mat = _sized(key, cfg.get_matrix(key), (dim, dim))
+        mat = cfg.get_matrix(key)
         hams.append(random_hermitian(dim, pool.rng(key)) if mat is None else mat)
     h_s, h_e, h_se = hams
 
-    try:
-        with _keyed(c=amplitude_key, s_weights="smat", d_mat="dmat"):
-            if entangled:
-                a = _sized("a", cfg.get_matrix("a"), (d_s, d_e))
-                if a is None:
-                    a = random_amplitudes(d_s * d_e, pool.rng("a")).reshape(d_s, d_e)
-                initial = InitialState.entangled(a)
-            else:
-                smat = _sized("smat", cfg.get_matrix("smat"), (d_s, d_s))
-                c = (_sized(amplitude_key, cfg.get_vector(amplitude_key), (d_s,))
-                     if smat is None else None)
-                if smat is None and c is None:
-                    c = random_amplitudes(d_s, pool.rng(amplitude_key))
-                d_mat = _sized("dmat", cfg.get_matrix("dmat"), (d_e, d_e))
-                if d_mat is None:
-                    d_mat = (np.eye(1, dtype=complex) if d_e == 1
-                             else random_env_weights(d_e, pool.rng("dmat")))
-                initial = (InitialState.mixed_product(smat, d_mat) if smat is not None
-                           else InitialState.product(c, d_mat))
+    with _keyed(c=amplitude_key):
+        if entangled:
+            a = cfg.get_matrix("a")
+            if a is None:
+                a = random_amplitudes(d_s * d_e, pool.rng("a")).reshape(d_s, d_e)
+            initial = InitialState.entangled(a)
+        else:
+            smat = cfg.get_matrix("smat")
+            c = cfg.get_vector(amplitude_key) if smat is None else None
+            if smat is None and c is None:
+                c = random_amplitudes(d_s, pool.rng(amplitude_key))
+            d_mat = cfg.get_matrix("dmat")
+            if d_mat is None:
+                d_mat = (np.eye(1, dtype=complex) if d_e == 1
+                         else random_env_weights(d_e, pool.rng("dmat")))
+            initial = (InitialState.mixed_product(smat, d_mat) if smat is not None
+                       else InitialState.product(c, d_mat))
         return CompositeSpec(d_s=d_s, d_e=d_e, h_s=h_s, h_e=h_e, h_se=h_se,
                              initial=initial,
                              coupling_strength=cfg.get_float("coupling_strength", 1.0)), pool
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+
+
+def _span_from(cfg: ScenarioConfig, count_key: str, count_default: int) -> tuple:
+    """How many random times to draw (``count_key``) and the ``t_max`` they lie below."""
+    n = cfg.get_int(count_key, count_default)
+    if n < 1:
+        raise ConfigError(f"need {count_key} >= 1", key=count_key)
+    t_max = cfg.get_float("t_max", 2.0)
+    if not t_max > 0:
+        raise ConfigError("need t_max > 0", key="t_max")
+    return n, t_max
 
 
 def _triples_from(cfg: ScenarioConfig, pool: _SeedPool) -> list:
     times = cfg.get_vector("times", real=True)
     if times is not None:
-        if times.size != 3 or not (times[0] <= times[1] <= times[2]):
-            raise ConfigError("need an ordered [t0, ts, t] triple", key="times")
+        if times.size != 3:
+            raise ConfigError("need a [t0, ts, t] triple", key="times")
         return [tuple(times)]
-    n = cfg.get_int("n_triples", 5)
-    t_max = cfg.get_float("t_max", 2.0)
+    n, t_max = _span_from(cfg, "n_triples", 5)
     rng = pool.rng("times")
     triples = []
     for _ in range(n):
@@ -216,8 +220,7 @@ def _run_green(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     es = cfg.get_vector("es", required=True, real=True)
     density = _density_from(cfg)
     grid = _grid_from(cfg, 10.0, 1000)
-    with _keyed():
-        sol = solve_green(GreenProblem(es=es, density=density, grid=grid), strict=strict)
+    sol = solve_green(GreenProblem(es=es, density=density, grid=grid), strict=strict)
     times = grid.times()
     columns = ["t"]
     for k in range(es.size):
@@ -256,11 +259,10 @@ def _run_green_analytic(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     e0 = cfg.get_float("e0", required=True)
     gamma = cfg.get_float("gamma", required=True)
     grid = _grid_from(cfg, 10.0, 1000)
-    with _keyed():
-        problem = GreenProblem(es=es, density=SpectralDensity.lorentzian(j0, j1, e0, gamma),
-                               grid=grid)
-        num = solve_green(problem, strict=strict)
-        ana = analytic_green1_lorentzian(es, j0, j1, e0, gamma, grid)
+    problem = GreenProblem(es=es, density=SpectralDensity.lorentzian(j0, j1, e0, gamma),
+                           grid=grid)
+    num = solve_green(problem, strict=strict)
+    ana = analytic_green1_lorentzian(es, j0, j1, e0, gamma, grid)
     columns = ["t"]
     for k in range(es.size):
         columns += [f"abs_num_{k}", f"abs_ana_{k}", f"dev_{k}"]
@@ -335,7 +337,8 @@ def _run_divisibility(cfg: ScenarioConfig, strict: bool,
     spec, pool = _spec_from(cfg, entangled=entangled)
     triples = _triples_from(cfg, pool)
     defect = entangled_divisibility if entangled else divisibility_defect
-    rows = [[t0, ts, t, defect(spec, t0, ts, t)] for (t0, ts, t) in triples]
+    with _keyed(ts="times"):
+        rows = [[t0, ts, t, defect(spec, t0, ts, t)] for (t0, ts, t) in triples]
     defects = [r[3] for r in rows]
     expect = _expectation(cfg, spec.d_e)
     info = [f"dS: {spec.d_s}", f"dE: {spec.d_e}", f"expect: {expect}"]
@@ -357,8 +360,7 @@ def _run_master_check(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     spec, pool = _spec_from(child)
     times = cfg.get_vector("times", real=True)
     if times is None:
-        n = cfg.get_int("n_times", 10)
-        t_max = cfg.get_float("t_max", 2.0)
+        n, t_max = _span_from(cfg, "n_times", 10)
         times = np.sort(pool.rng("times").uniform(0.0, t_max, size=n))
     elif times.size == 0:
         raise ConfigError("need at least one time", key="times")
@@ -403,7 +405,7 @@ def _run_stationarity(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
 
 def _run_witness(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     spec, _ = _spec_from(cfg, amplitude_key="cA")
-    c_b = _sized("cB", cfg.get_vector("cB", required=True), (spec.d_s,))
+    c_b = cfg.get_vector("cB", required=True)
     grid = _grid_from(cfg, 5.0, 200)
     # cA already built the spec, so only cB can be at fault
     with _keyed(c="cB"):
@@ -437,8 +439,8 @@ def sweep_scenario(base_cfg: ScenarioConfig, key: str, values,
     """Run the base scenario once per swept value and merge the tables.
 
     An integral value is passed as an int, so integer keys such as
-    ``steps`` can be swept, and every child config is validated like a
-    parsed one.  The CSV column holds float(value) either way.
+    ``steps`` can be swept; a value outside its domain fails in its own
+    run.  The CSV column holds float(value) either way.
     """
     schema = SCHEMAS.get(base_cfg.scenario)
     if schema is None or base_cfg.scenario == "sweep":
@@ -460,8 +462,8 @@ def sweep_scenario(base_cfg: ScenarioConfig, key: str, values,
         child_values[key] = int(v) if float(v).is_integer() else float(v)
         child = ScenarioConfig(scenario=base_cfg.scenario, values=child_values,
                                tolerance_overrides=dict(base_cfg.tolerance_overrides))
-        _check_ranges(child)
-        result = _RUNNERS[base_cfg.scenario](child, strict)
+        with _keyed():
+            result = _RUNNERS[base_cfg.scenario](child, strict)
         if len(combined.columns) == 1:
             combined.columns = [key] + result.columns
         combined.rows.extend([float(v), *row] for row in result.rows)
@@ -492,7 +494,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", strict: bool = False) 
     runner = _RUNNERS.get(cfg.scenario, _run_sweep if cfg.scenario == "sweep" else None)
     if runner is None:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")
-    result = runner(cfg, strict)
+    with _keyed():
+        result = runner(cfg, strict)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, cfg.output_path)
     _write_csv(csv_path, result.columns, result.rows)

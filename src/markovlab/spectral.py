@@ -476,8 +476,7 @@ def analytic_green_const(es, j0: float, grid: TimeGrid) -> GreenSolution:
     which is j0 dt exp(-j0 dt) at e = 0.  Only there does it equal the
     linear-in-time form j0 dt g1.
     """
-    if j0 < 0:
-        raise DomainError("j0 must be nonnegative", "j0")
+    SpectralDensity.constant(j0)          # the domain of j0 is the density's
     es = np.asarray(es, dtype=float)
     dt = grid.times() - grid.t0
     g1 = np.exp(-1j * np.outer(dt, es - 1j * j0))
@@ -539,10 +538,7 @@ def analytic_green1_lorentzian(es, j0: float, j1: float, e0: float, gamma: float
     quadrature of the spectral density; the j1 -> 0 path returns the
     flat-background closed form exactly.
     """
-    if gamma <= 0:
-        raise DomainError("gamma must be positive", "gamma")
-    if j1 < 0 or j0 < 0:
-        raise DomainError("spectral strengths must be nonnegative", "j0" if j0 < 0 else "j1")
+    SpectralDensity.lorentzian(j0, j1, e0, gamma)   # the domain is the density's
     es = np.asarray(es, dtype=float)
     if j1 == 0:
         sol = analytic_green_const(es, j0, grid)
@@ -558,12 +554,11 @@ def analytic_green1_lorentzian(es, j0: float, j1: float, e0: float, gamma: float
 class AmplitudePhase:
     """Two-branch decomposition g1 = a1 exp(phi1_rate dt) + a2 exp(phi2_rate dt).
 
-    e_minus = e - e0, e_plus = e + e0, v = j0 - gamma, w = j0 + gamma.
+    e_minus = e - e0, v = j0 - gamma, w = j0 + gamma.
     The branch root is R = sqrt((e_minus - i v)^2 + 4 j1 gamma): this j1
     is half the kernel j1 of :func:`analytic_green1_lorentzian` and
     :func:`solve_green`, so ``amplitude_phase(..., j1 / 2, ...)`` gives
-    the branches of their g1.  c_mag = |R| and theta = arg(R^2) in
-    (-pi, pi], so R = c_mag * exp(i theta / 2).  Both phase rates decay
+    the branches of their g1.  c_mag = |R|, and both phase rates decay
     when w > c_mag.  The branches merge where R vanishes (e_minus = 0 and
     j1 = v^2 / (4 gamma)); :func:`amplitude_phase` raises
     :class:`BranchSingularityError` wherever |R|^2 <= 1e-13
@@ -575,9 +570,7 @@ class AmplitudePhase:
     phi1_rate: complex
     phi2_rate: complex
     c_mag: float
-    theta: float
     e_minus: float
-    e_plus: float
     v: float
     w: float
 
@@ -604,23 +597,18 @@ def amplitude_phase(es_level: float, j0: float, j1: float, e0: float,
     puts sqrt(z^2 + 4 j1 gamma) on the amp-phase axis.  a2 = 1 - a1
     exactly, and the j1 = 0 path returns the endpoint amplitudes exactly.
     """
-    if gamma <= 0:
-        raise DomainError("gamma must be positive", "gamma")
+    SpectralDensity.lorentzian(j0, j1, e0, gamma)   # the domain is the density's
     r, a1, a2, phi1, phi2 = _resonant_branches(es_level, j0, j1, e0, gamma, axis=2.0)
-    # arg R lies in (-pi/2, pi/2], so 2 arg R is arg(R^2) in (-pi, pi]
     return AmplitudePhase(a1=complex(a1), a2=complex(a2),
                           phi1_rate=complex(phi1), phi2_rate=complex(phi2),
-                          c_mag=float(abs(r)), theta=float(2.0 * np.angle(r)),
-                          e_minus=es_level - e0, e_plus=es_level + e0,
+                          c_mag=float(abs(r)), e_minus=es_level - e0,
                           v=j0 - gamma, w=j0 + gamma)
 
 
 def crossover_sweep(es_level: float, j0: float, e0: float, gamma: float,
                     j1_values) -> list[AmplitudePhase]:
-    """:func:`amplitude_phase` at each of a nonempty list of nonnegative j1."""
+    """:func:`amplitude_phase` at each of a nonempty list of j1."""
     j1_values = np.asarray(j1_values, dtype=float)
     if j1_values.size == 0:
         raise DomainError("j1_values must be nonempty", "j1_values")
-    if np.any(j1_values < 0):
-        raise DomainError("j1 values must be nonnegative", "j1_values")
     return [amplitude_phase(es_level, j0, float(j1), e0, gamma) for j1 in j1_values]

@@ -520,6 +520,15 @@ AMP_PHASE = "scenario = amp-phase\nes_level = 1.0\nj0 = 0.1\ne0 = 1.0\n"
     (AMP_PHASE + "gamma = 0\nj1_values = [0, 1]\n", "gamma"),
     (AMP_PHASE + "gamma = 0.5\nj1_values = [-1]\n", "j1_values"),
     (AMP_PHASE + "gamma = 0.5\nj1_values = [0, 0.08]\n", "j1_values"),
+    (AMP_PHASE.replace("j0 = 0.1", "j0 = -0.1") + "gamma = 0.5\nj1_values = [0, 1]\n", "j0"),
+    ("scenario = green\nes = [0.5]\nj0 = 0.1\nsteps = 1\n", "steps"),
+    ("scenario = sweep\nbase = green\nsweep_key = steps\nsweep_values = [100, 1]\n"
+     "es = [0.5]\nj0 = 0.1\n", "steps"),
+    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nn_triples = 0\n", "n_triples"),
+    ("scenario = master-check\ndS = 2\nseed = 1\nn_times = 0\n", "n_times"),
+    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nt_max = 0\n", "t_max"),
+    ("scenario = master-check\ndS = 2\nseed = 1\nt_max = 0\n", "t_max"),
+    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\ntimes = [0, 1, 0.5]\n", "times"),
 ], ids=["vector-sweep-key", "sweep-vector-sweep-key", "numeric-out", "negative-dS",
         "zero-dE", "empty-times", "hS-shape", "hE-shape", "hSE-shape", "c-length",
         "cA-length", "cB-length", "a-shape", "dmat-shape", "smat-shape",
@@ -527,7 +536,9 @@ AMP_PHASE = "scenario = amp-phase\nes_level = 1.0\nj0 = 0.1\ne0 = 1.0\n"
         "a-norm", "dmat-trace", "dmat-positivity", "smat-trace", "green-gamma",
         "green-omega_cut", "green-j0", "green-es", "green-t0", "analytic-gamma",
         "analytic-j0", "analytic-es", "analytic-double-root", "amp-phase-gamma",
-        "amp-phase-j1_values", "amp-phase-double-root"])
+        "amp-phase-j1_values", "amp-phase-double-root", "amp-phase-j0", "green-steps",
+        "sweep-steps", "n_triples-zero", "n_times-zero", "divisibility-t_max",
+        "master-check-t_max", "times-order"])
 def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, text, key):
     assert run_cli(tmp_path, text) == 2
     assert f"key {key!r}" in capsys.readouterr().err
@@ -689,49 +700,78 @@ def _literal(rows):
     return "[" + ", ".join("[" + ", ".join(map(repr, r)) + "]" for r in rows) + "]"
 
 
+def _size(draw, dim, wrong):
+    """dim, or a different positive size when ``wrong``."""
+    return dim + (draw(st.sampled_from([-1, 1])) if dim > 1 else 1) if wrong else dim
+
+
+def _weights_literal(draw, n):
+    """Diagonal weights, valid or not, as a matrix literal; the second item says which."""
+    weights = draw(st.lists(st.floats(-0.5, 2.0), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        weights = [abs(w) for w in weights]
+        total = sum(weights)
+        weights = [w / total for w in weights] if total > 1e-3 else [1.0] + [0.0] * (n - 1)
+    ok = min(weights) >= -1e-10 and abs(sum(weights) - 1.0) <= 1e-12
+    return _literal([[w if i == j else 0.0 for j in range(n)] for i, w in enumerate(weights)]), ok
+
+
+_STATE_KEYS = {"witness": ["cA", "dmat"], "divisibility": ["c", "dmat"],
+               "entangled": ["a"], "entropy": ["smat", "dmat"]}
+
+
 @st.composite
 def state_configs(draw):
-    """A witness, divisibility or entangled config and the amplitude/weight keys at fault.
+    """A witness, divisibility, entangled or entropy config and the keys at fault.
 
-    The keys are listed in the order the scenario checks them.
+    Each state and Hamiltonian key is omitted (cA and cB never are), or
+    given with a value that is valid or not and a size that is right or
+    wrong.  The keys at fault are listed in the order the run checks them:
+    the values of the initial state, then its sizes, then the shapes of
+    hS, hE and hSE, then cB.
     """
-    scenario = draw(st.sampled_from(["witness", "divisibility", "entangled"]))
+    scenario = draw(st.sampled_from(sorted(_STATE_KEYS)))
     d_s, d_e = draw(st.sampled_from([(a, b) for a in range(1, 5) for b in range(1, 5)
                                      if a * b <= 12]))
     lines = [f"scenario = {scenario}", f"dS = {d_s}", f"dE = {d_e}",
              f"seed = {draw(st.integers(0, 2**32 - 1))}",
              f"coupling_strength = {draw(st.floats(0.0, 5.0))!r}"]
-    bad = []
-    if scenario == "entangled":
-        keys = ["a"] if draw(st.booleans()) else []
-    else:
-        keys = ["cA", "dmat", "cB"] if scenario == "witness" else ["c", "dmat"]
-        keys = [k for k in keys if k in ("cA", "cB") or draw(st.booleans())]
-    for key in keys:
-        if key == "dmat":
-            weights = draw(st.lists(st.floats(-0.5, 2.0), min_size=d_e, max_size=d_e))
-            if draw(st.booleans()):
-                weights = [abs(w) for w in weights]
-                total = sum(weights)
-                weights = ([w / total for w in weights] if total > 1e-3
-                           else [1.0] + [0.0] * (d_e - 1))
-            ok = (min(weights) >= -1e-10 and abs(sum(weights) - 1.0) <= 1e-12)
-            rows = [[w if i == j else 0.0 for j in range(d_e)] for i, w in enumerate(weights)]
-            lines.append(f"dmat = {_literal(rows)}")
+    bad_value, bad_size, bad_shape, bad_cb = [], [], [], []
+    for key in _STATE_KEYS[scenario] + ["hS", "hE", "hSE"] + ["cB"] * (scenario == "witness"):
+        if key not in ("cA", "cB") and draw(st.booleans()):
+            continue
+        wrong = draw(st.integers(0, 5)) == 0
+        if key in ("dmat", "smat"):
+            n = _size(draw, d_e if key == "dmat" else d_s, wrong)
+            literal, ok = _weights_literal(draw, n)
         elif key == "a":
-            values, ok = _amplitudes(draw, d_s * d_e)
-            lines.append(f"a = {_literal([values[i * d_e:(i + 1) * d_e] for i in range(d_s)])}")
+            flip = draw(st.booleans())
+            rows, cols = _size(draw, d_s, wrong and flip), _size(draw, d_e, wrong and not flip)
+            values, ok = _amplitudes(draw, rows * cols)
+            literal = _literal([values[i * cols:(i + 1) * cols] for i in range(rows)])
+        elif key.startswith("h"):
+            n = _size(draw, {"hS": d_s, "hE": d_e, "hSE": d_s * d_e}[key], wrong)
+            diag = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+            literal = _literal([[x if i == j else 0.0 for j in range(n)]
+                                for i, x in enumerate(diag)])
+            ok = True
         else:
-            values, ok = _amplitudes(draw, d_s)
-            lines.append(f"{key} = [{', '.join(map(repr, values))}]")
-        if not ok:
-            bad.append(key)
-    if scenario == "witness":
+            values, ok = _amplitudes(draw, _size(draw, d_s, wrong))
+            literal = f"[{', '.join(map(repr, values))}]"
+        lines.append(f"{key} = {literal}")
+        if key == "cB":
+            bad_cb += [key] * (not ok or wrong)
+        elif key.startswith("h"):
+            bad_shape += [key] * wrong
+        else:
+            bad_value += [key] * (not ok)
+            bad_size += [key] * wrong
+    if scenario in ("witness", "entropy"):
         lines += [f"t1 = {draw(st.floats(0.1, 10.0))!r}", f"steps = {draw(st.integers(2, 60))}"]
     else:
         lines += [f"n_triples = {draw(st.integers(1, 3))}",
                   f"t_max = {draw(st.floats(0.1, 5.0))!r}"]
-    return "\n".join(lines + ["out = state.csv", ""]), bad
+    return "\n".join(lines + ["out = state.csv", ""]), bad_value + bad_size + bad_shape + bad_cb
 
 
 @settings(max_examples=150, deadline=None)

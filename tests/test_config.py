@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markovlab.cli import main
 from markovlab.config import SCHEMAS, ConfigError, parse_config
 
 MINIMAL_GREEN = """
@@ -79,11 +80,14 @@ def test_parse_unknown_scenario():
         parse_config("scenario = nonsense\n")
 
 
-def test_parse_rejects_bad_grid():
-    with pytest.raises(ConfigError, match="t1"):
-        parse_config("scenario = green\nes = [1.0]\nj0 = 0.1\nt0 = 2.0\nt1 = 1.0\n")
-    with pytest.raises(ConfigError, match="steps"):
-        parse_config("scenario = green\nes = [1.0]\nj0 = 0.1\nsteps = 1\n")
+def test_bad_grid_parses_and_the_run_exits_two_naming_the_key(tmp_path, capsys):
+    # t1 > t0 and steps >= 2 are TimeGrid's rules: the run checks them, not the parser
+    for grid, key in (("t0 = 2.0\nt1 = 1.0\n", "t1"), ("steps = 1\n", "steps")):
+        text = "scenario = green\nes = [1.0]\nj0 = 0.1\n" + grid
+        assert parse_config(text).get_float("j0") == 0.1
+        (tmp_path / "grid.cfg").write_text(text)
+        assert main(["--config", str(tmp_path / "grid.cfg"), "--out", str(tmp_path)]) == 2
+        assert f"key {key!r}" in capsys.readouterr().err
 
 
 def test_tolerance_overrides():

@@ -543,23 +543,16 @@ def test_phase_rate_sum_independent_of_j1():
         ap = amplitude_phase(1.5, 0.1, float(j1), 1.0, 0.2)
         total = ap.phi1_rate + ap.phi2_rate
         assert abs(total.real + ap.w) < 1e-10
-        assert abs(total.imag + ap.e_plus) < 1e-10
-
-
-def test_theta_in_principal_interval():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        ap = amplitude_phase(rng.normal(), abs(rng.normal()), abs(rng.normal()),
-                             rng.normal(), abs(rng.normal()) + 0.05)
-        assert -math.pi < ap.theta <= math.pi
+        assert abs(total.imag + (1.5 + 1.0)) < 1e-10
 
 
 def test_branch_reconstruction_matches_polar_form():
-    # c_mag * exp(i theta / 2) must be the principal root used by a1
+    # c_mag is |R| of the principal root that a1 = (1 + z / R) / 2 uses
     ap = amplitude_phase(0.8, 0.3, 0.9, 1.1, 0.4)
     z = ap.e_minus - 1j * ap.v
     r = np.sqrt(z * z + 4 * 0.9 * 0.4)
-    assert abs(ap.c_mag * np.exp(0.5j * ap.theta) - r) < 1e-12
+    assert abs(ap.c_mag - abs(r)) < 1e-12
+    assert abs(ap.a1 - 0.5 * (1.0 + z / r)) < 1e-12
 
 
 def _two_branch(ap, t):
