@@ -8,15 +8,23 @@ by ``,`` and every line ended by ``\\n``.  Identical configurations
 produce byte identical output; random pieces of a problem are always
 drawn from the explicit integer ``seed`` key in a fixed order.
 
+Each output file is replaced whole: the bytes go to a temp file in the
+same directory, the old file is removed and the temp file is renamed
+into place.  A reader sees the old file, briefly no file, or the new one
+complete, and a run that fails while writing leaves the old file as it
+was.  An output path that is a symlink or a hard link is replaced by a
+new regular file; the link's target is not written.
+
 Exit status: 0 all checks pass, 1 a scientific check failed, 2 usage or
 configuration error (raised as :class:`ConfigError` for the CLI).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,9 +86,29 @@ def _write_csv(path: str, columns, rows):
     :func:`markovlab.csvtext.csv_blocks` makes the bytes.
     """
     table = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(columns))
-    with open(path, "wb") as fh:
-        fh.write((",".join(columns) + "\n").encode())
-        fh.writelines(csv_blocks(table))
+    header = (",".join(columns) + "\n").encode()
+    _replace_file(path, itertools.chain([header], csv_blocks(table)))
+
+
+def _replace_file(path: str, chunks) -> None:
+    """Stream byte chunks into a temp file beside ``path``, then move it onto ``path``.
+
+    The old file is unlinked before the rename rather than replaced by it:
+    ext4 (``auto_da_alloc``) treats a rename over an existing file like a
+    truncate and flushes the new data at once, which costs as much as
+    rewriting the file in place.  On any error the temp file is removed.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        with suppress(FileNotFoundError):
+            os.unlink(path)
+        os.rename(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _summary_text(scenario: str, csv_name: str, result: ScenarioResult) -> str:
@@ -501,7 +529,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", strict: bool = False) 
     _write_csv(csv_path, result.columns, result.rows)
     summary = _summary_text(cfg.scenario, cfg.output_path, result)
     base, _ = os.path.splitext(csv_path)
-    with open(base + ".summary.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(summary)
+    _replace_file(base + ".summary.txt", [summary.encode("utf-8")])
     print(summary, end="")
     return 0 if result.passed else 1

@@ -383,6 +383,9 @@ def _recursive_levels(m_coef: np.ndarray, amp: complex, rate: complex, h: float,
     sections with poles (1 + p mu) / (1 - p mu): mu = m without a kernel,
     else the roots of mu^2 + (kappa (1 + amp p^2) - m) mu + amp - m kappa,
     q = (1 - p kappa) / (1 + p kappa), whose coefficients are O(1).
+    It raises OverflowError where the discriminant of that quadratic leaves
+    the float range, as it does for level energies beyond about 1e154 or a
+    resonance whose j1 gamma h is of that order.
     """
     p = 0.5 * h
     if amp == 0:
@@ -393,8 +396,14 @@ def _recursive_levels(m_coef: np.ndarray, amp: complex, rate: complex, h: float,
         kappa = np.tanh(0.5 * rate * h) / p
         big_p, big_q = np.array([1.0, -q]), p * amp * np.array([1.0, q])
         # both roots of mu^2 + b mu + c, the larger first to avoid cancellation
-        b, c = kappa * (1.0 + amp * p * p) - m_coef, amp - m_coef * kappa
-        s = np.sqrt(b * b - 4.0 * c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            b, c = kappa * (1.0 + amp * p * p) - m_coef, amp - m_coef * kappa
+            disc = b * b - 4.0 * c
+        if not np.isfinite(disc).all():
+            raise OverflowError(f"the resonant march leaves the float range: filter "
+                                f"coefficients |b| = {np.abs(b).max():.3e}, "
+                                f"|c| = {np.abs(c).max():.3e}")
+        s = np.sqrt(disc)
         big = -0.5 * (b + np.where((np.conj(b) * s).real < 0, -s, s))
         mu = np.stack([big, c / big], axis=1)          # Re b > 0, so big != 0
     poles = (1.0 + p * mu) / (1.0 - p * mu)
@@ -459,7 +468,13 @@ def solve_green(problem: GreenProblem, strict: bool = False) -> GreenSolution:
         kern = kernel_on_grid(problem.density, h * np.arange(grid.steps + 1))
         g1, g2 = _toeplitz_levels(m_coef, kern, h, j0)
     else:
-        g1, g2 = _recursive_levels(m_coef, *form, h, j0, grid.steps)
+        try:
+            g1, g2 = _recursive_levels(m_coef, *form, h, j0, grid.steps)
+        except OverflowError as exc:    # name the largest of the scales that form it
+            density = problem.density
+            scales = {"es": np.abs(problem.es).max(), "j0": density.j0,
+                      "j1": density.j1, "gamma": density.gamma}
+            raise DomainError(str(exc), max(scales, key=scales.get)) from None
     g1[0] = 1.0
     g2[0] = 0.0
     return GreenSolution(g1=_embed_diagonal(g1), g2=_embed_diagonal(g2))

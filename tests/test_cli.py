@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import markovlab
+from markovlab import scenarios
 from markovlab.cli import main
 from markovlab.config import ConfigError, parse_config
 from markovlab.scenarios import run_scenario, sweep_scenario
@@ -78,6 +79,32 @@ def test_cli_determinism(tmp_path):
     assert run_cli(tmp_path, DIV_UNIQUE, out="a") == 0
     assert run_cli(tmp_path, DIV_UNIQUE, out="b") == 0
     assert (tmp_path / "a" / "div.csv").read_bytes() == (tmp_path / "b" / "div.csv").read_bytes()
+
+
+def _files(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def test_rerun_replaces_outputs_with_identical_bytes(tmp_path):
+    assert run_cli(tmp_path, DIV_UNIQUE) == 0
+    first = _files(tmp_path / "out")
+    assert run_cli(tmp_path, DIV_UNIQUE) == 0
+    assert _files(tmp_path / "out") == first     # same names: no temp file left
+
+
+def test_failed_write_keeps_previous_outputs(tmp_path, monkeypatch, capsys):
+    assert run_cli(tmp_path, DIV_UNIQUE) == 0
+    before = _files(tmp_path / "out")
+    csv_blocks = scenarios.csv_blocks
+
+    def failing_blocks(table):
+        yield next(csv_blocks(table))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(scenarios, "csv_blocks", failing_blocks)
+    assert run_cli(tmp_path, DIV_UNIQUE, extra=("--seed", "21")) == 1
+    assert "i/o error: disk full" in capsys.readouterr().err
+    assert _files(tmp_path / "out") == before
 
 
 def test_cli_seed_flag_overrides(tmp_path):
@@ -558,6 +585,21 @@ def test_green_decay_bound_beyond_float_range_exits_two(tmp_path, capsys, levels
         assert run_cli(tmp_path, text) == 2
     assert f"key {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "green.csv").exists()
+
+
+@pytest.mark.parametrize("scenario, j1, gamma, key", [
+    ("green", "0.2", "1e160", "gamma"),
+    ("green-analytic", "1e300", "0.5", "j1"),
+])
+def test_resonance_beyond_float_range_exits_two(tmp_path, capsys, scenario, j1, gamma, key):
+    # the recursive march's filter coefficients leave the float range
+    text = (f"scenario = {scenario}\nes = [0.5]\nj0 = 0.1\nj1 = {j1}\ne0 = 0.3\n"
+            f"gamma = {gamma}\nt1 = 5\nsteps = 200\nout = res.csv\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepSizeWarning)
+        assert run_cli(tmp_path, text) == 2
+    assert f"key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "res.csv").exists()
 
 
 def test_amp_phase_amplitudes_beyond_float_range_exit_one(tmp_path):
