@@ -34,7 +34,7 @@ rng = np.random.default_rng(3)
 print("case 1: one environment state, strong coupling")
 spec = random_product_spec(3, 1, rng, coupling_strength=4.0)
 print(f"  classification: {classify_sufficient_conditions(spec)}")
-w0 = np.sort(np.linalg.eigvalsh(spec.initial.rho_s0()))
+w0 = np.sort(np.linalg.eigvalsh(spec.initial.rho_s0))
 for t in (0.5, 1.5, 2.5):
     form = effective_commutator_rhs(spec, t)
     w = np.sort(np.linalg.eigvalsh(evolve(spec, t).rho_s))

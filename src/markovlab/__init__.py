@@ -74,6 +74,6 @@ from markovlab.config import (
     ScenarioConfig,
     parse_config,
 )
-from markovlab.scenarios import run_scenario, sweep_scenario
+from markovlab.scenarios import run_scenario
 
 __version__ = "0.1.0"

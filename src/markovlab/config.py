@@ -5,8 +5,9 @@ Values are integers, reals, complex numbers written as ``re+imi`` (for
 example ``1.5-0.2i``), vectors ``[1, 2.5]``, matrices
 ``[[1+0i, 0+0i],[0+0i, 2+0i]]`` or bare strings.  Parsing checks what
 needs the line number: syntax, keys (strictly against the schema of the
-named scenario), literal types, finiteness and the Hermiticity of the
-matrices that must be Hermitian.  Numbers must be finite, except that
+named scenario), literal types, finiteness, the Hermiticity of the
+matrices that must be Hermitian, and that a sweep names a scalar key of
+its base and at least one value.  Numbers must be finite, except that
 ``inf`` is allowed for ``omega_cut`` (infinite band cut-off) and
 ``tol_*`` tolerances; ``nan`` is rejected everywhere, and so is an
 integer literal beyond the float range.  Range rules (t1 > t0, steps >=
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from markovlab.linalg import hermiticity_defect
+from markovlab.linalg import HERM_TOL, hermiticity_defect
 
 #: matrix-valued keys that must be Hermitian wherever they appear
 HERMITIAN_KEYS = ("hS", "hE", "hSE", "dmat", "smat")
@@ -311,7 +312,7 @@ def _validate(scenario: str, raw: dict, lines_of: dict) -> ScenarioConfig:
             continue
         allowed = schema.all_keys()
         if base_schema is not None:
-            allowed = allowed | base_schema.all_keys() | {"base", "sweep_key", "sweep_values"}
+            allowed = allowed | base_schema.all_keys()
         if key not in allowed:
             raise ConfigError(f"unknown key for scenario {scenario!r}", line=line, key=key)
         if key in _NAME_KEYS and not isinstance(value, str):
@@ -321,7 +322,7 @@ def _validate(scenario: str, raw: dict, lines_of: dict) -> ScenarioConfig:
                     or value.shape[0] != value.shape[1]):
                 raise ConfigError("expected a square matrix literal", line=line, key=key)
             defect = hermiticity_defect(value)
-            if defect > 1e-12:
+            if defect > HERM_TOL:
                 raise ConfigError(f"matrix is not Hermitian (defect {defect:.3e})",
                                   line=line, key=key)
         values[key] = value
@@ -329,6 +330,16 @@ def _validate(scenario: str, raw: dict, lines_of: dict) -> ScenarioConfig:
     missing = schema.required - set(values)
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
+    if base_schema is not None:    # the swept key is a scalar parameter of the base
+        key = raw["sweep_key"]
+        if key not in base_schema.all_keys():
+            raise ConfigError(f"not a key of scenario {base!r}", line=lines_of["sweep_key"],
+                              key=key)
+        if isinstance(raw.get(key), (np.ndarray, str)):
+            raise ConfigError("swept key must hold a scalar", line=lines_of[key], key=key)
+        if np.size(raw["sweep_values"]) == 0:
+            raise ConfigError("need at least one value to sweep",
+                              line=lines_of["sweep_values"], key="sweep_values")
 
     return ScenarioConfig(scenario=scenario, values=values, tolerance_overrides=tolerances)
 

@@ -28,7 +28,7 @@ matmul, and maps compose as (d_s^2, d_s^2) matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -77,83 +77,74 @@ def _psd_factor(m: np.ndarray) -> np.ndarray:
     return v[:, keep] * np.sqrt(w[keep])
 
 
+#: the constructor argument that gives the system part of each kind of initial state
+_STATE_ARG = {"product": "c", "mixed-product": "s_weights", "entangled": "a"}
+
+
 @dataclass(frozen=True)
 class InitialState:
-    """Initial data of the composite system at t0.
+    """Initial data of the composite system at t0, built by one of three constructors.
 
     ``product``        pure system amplitudes c with environment weights d_mat.
     ``mixed-product``  system weight matrix s_weights with environment d_mat.
     ``entangled``      joint amplitudes a[i, alpha] of a pure composite state.
+
+    ``rho_s0`` and ``env_weights`` are the reduced states of S and E at t0.
+    ``d_mat`` is the environment factor of a product-type state and None
+    for an entangled one.  ``factor`` is a rank factor F of the composite
+    state, F F^dag = rho_full(), formed on first use from the stored
+    system factor: the column c, sqrt(s_weights) or the column vec(a).
     """
 
     kind: str
-    c: np.ndarray | None = None
-    s_weights: np.ndarray | None = None
-    d_mat: np.ndarray | None = None
-    a: np.ndarray | None = None
+    rho_s0: np.ndarray
+    env_weights: np.ndarray
+    d_mat: np.ndarray | None
+    sys_factor: np.ndarray = field(repr=False)
 
     @classmethod
     def product(cls, c, d_mat) -> "InitialState":
-        return cls(kind="product", c=_amplitudes(c, "c").ravel(),
-                   d_mat=_weights(d_mat, "d_mat", "environment weights"))
+        c = _amplitudes(c, "c").ravel()
+        d_mat = _weights(d_mat, "d_mat", "environment weights")
+        return cls("product", np.outer(c, c.conj()), d_mat, d_mat, c[:, None])
 
     @classmethod
     def mixed_product(cls, s_weights, d_mat) -> "InitialState":
-        return cls(kind="mixed-product",
-                   s_weights=_weights(s_weights, "s_weights", "system weights"),
-                   d_mat=_weights(d_mat, "d_mat", "environment weights"))
+        s_weights = _weights(s_weights, "s_weights", "system weights")
+        d_mat = _weights(d_mat, "d_mat", "environment weights")
+        return cls("mixed-product", s_weights, d_mat, d_mat, _psd_factor(s_weights))
 
     @classmethod
     def entangled(cls, a) -> "InitialState":
         if np.ndim(a) != 2:
             raise DomainError("entangled amplitudes must form a d_s x d_e matrix", "a")
-        return cls(kind="entangled", a=_amplitudes(a, "a"))
+        a = _amplitudes(a, "a")
+        return cls("entangled", a @ a.conj().T, np.einsum("ia,ib->ab", a, a.conj()), None,
+                   a.reshape(-1, 1))
 
     @property
     def d_s(self) -> int:
-        if self.kind == "product":
-            return self.c.size
-        if self.kind == "mixed-product":
-            return self.s_weights.shape[0]
-        return self.a.shape[0]
+        return self.rho_s0.shape[0]
 
     @property
     def d_e(self) -> int:
-        return self.d_mat.shape[0] if self.kind != "entangled" else self.a.shape[1]
-
-    def rho_s0(self) -> np.ndarray:
-        if self.kind == "product":
-            return np.outer(self.c, self.c.conj())
-        if self.kind == "mixed-product":
-            return self.s_weights.copy()
-        return self.a @ self.a.conj().T
+        return self.env_weights.shape[0]
 
     def rho_full(self) -> np.ndarray:
-        if self.kind == "entangled":
-            psi = self.a.reshape(-1)
+        if self.d_mat is None:
+            psi = self.sys_factor[:, 0]
             return np.outer(psi, psi.conj())
-        return tensor_product(self.rho_s0(), self.d_mat)
+        return tensor_product(self.rho_s0, self.d_mat)
 
+    @cached_property
     def factor(self) -> np.ndarray:
-        """Rank factor F of the composite state: F F^dag = rho_full().
-
-        ``product`` gives c x sqrt(d_mat), ``mixed-product``
-        sqrt(s_weights) x sqrt(d_mat) and ``entangled`` the column vec(a);
-        the square roots keep only the eigenvectors of positive weight.
-        """
-        if self.kind == "entangled":
-            return self.a.reshape(-1, 1)
-        sys = self.c[:, None] if self.kind == "product" else _psd_factor(self.s_weights)
-        return np.kron(sys, _psd_factor(self.d_mat))
-
-    def env_weights(self) -> np.ndarray:
-        """Initial environment statistics (reduced state of E at t0)."""
-        if self.kind == "entangled":
-            return np.einsum("ia,ib->ab", self.a, self.a.conj())
-        return self.d_mat
+        """F with F F^dag = rho_full(); the square roots keep only weights > 0."""
+        if self.d_mat is None:
+            return self.sys_factor
+        return np.kron(self.sys_factor, _psd_factor(self.d_mat))
 
     def env_purity_defect(self) -> float:
-        d = self.env_weights()
+        d = self.env_weights
         return float(np.abs(d @ d - d).max())
 
 
@@ -173,11 +164,11 @@ class CompositeSpec:
         self.check_dimensions(self.d_s, self.d_e)
         initial = self.initial
         if initial.d_s != self.d_s:
-            arg = {"product": "c", "mixed-product": "s_weights"}.get(initial.kind, "a")
-            raise DomainError(f"initial state has d_s = {initial.d_s}, not {self.d_s}", arg)
+            raise DomainError(f"initial state has d_s = {initial.d_s}, not {self.d_s}",
+                              _STATE_ARG[initial.kind])
         if initial.d_e != self.d_e:
             raise DomainError(f"initial state has d_e = {initial.d_e}, not {self.d_e}",
-                              "a" if initial.kind == "entangled" else "d_mat")
+                              _STATE_ARG[initial.kind] if initial.d_mat is None else "d_mat")
         for arg, dim in (("h_s", self.d_s), ("h_e", self.d_e), ("h_se", self.d_s * self.d_e)):
             mat = getattr(self, arg)
             if np.shape(mat) != (dim, dim):
@@ -287,7 +278,7 @@ def supermatrix(spec: CompositeSpec, t: float, t0: float = 0.0) -> np.ndarray:
     delta_{i1 j1} delta_{i2 j2} at t = t0; reshaped to (d_s^2, d_s^2) it acts
     on row-vectorised weights from the right.
     """
-    if spec.initial.kind == "entangled":
+    if spec.initial.d_mat is None:
         raise ValueError("the super matrix needs a product-type initial state")
     entries = _supermatrix_entries(spec.propagator.unitary(t - t0), spec.initial.d_mat,
                                    spec.d_s, spec.d_e)
@@ -330,14 +321,14 @@ def entangled_divisibility(spec: CompositeSpec, t0: float, ts: float, t: float) 
     (a one-state environment, or amplitudes supported on a block the
     coupling does not leave), and generically positive otherwise.
     """
-    if spec.initial.kind != "entangled":
+    if spec.initial.d_mat is not None:
         raise ValueError("entangled_divisibility needs an entangled initial state")
     _check_triple(t0, ts, t)
     prop = spec.propagator
     rho_ts, rho_t = np.concatenate([
         trace_env_factored(psi, spec.d_s)
-        for psi, in prop.states(np.array([ts - t0, t - t0]), spec.initial.factor())])
-    mid = _supermatrix_entries(prop.unitary(t - ts), spec.initial.env_weights(),
+        for psi, in prop.states(np.array([ts - t0, t - t0]), spec.initial.factor)])
+    mid = _supermatrix_entries(prop.unitary(t - ts), spec.initial.env_weights,
                                spec.d_s, spec.d_e)
     lhs = rho_ts.reshape(-1) @ mid
     return float(np.abs(lhs.reshape(spec.d_s, spec.d_s) - rho_t).max())
@@ -374,7 +365,7 @@ def environment_stationarity(spec: CompositeSpec, grid: TimeGrid) -> MarkovDiagn
     if spec.d_e > 1:
         # a one-state environment is identically stationary; only larger
         # environments can actually move
-        factor = spec.initial.factor()
+        factor = spec.initial.factor
         rho_e0 = trace_sys_factored(factor[None], spec.d_s, spec.d_e)[0]
         distance = np.concatenate([
             trace_distance(trace_sys_factored(psi, spec.d_s, spec.d_e), rho_e0)
@@ -412,7 +403,7 @@ def distinguishability_witness(state_a, state_b, spec: CompositeSpec,
     matrix.  A strictly memoryless evolution never increases the
     distance, so a positive derivative anywhere flags backflow.
     """
-    if spec.initial.kind == "entangled":
+    if spec.initial.d_mat is None:
         raise ValueError("the witness needs a product-type environment state")
     factors = []
     for state in (state_a, state_b):
@@ -420,8 +411,8 @@ def distinguishability_witness(state_a, state_b, spec: CompositeSpec,
                    else InitialState.mixed_product(state, spec.initial.d_mat))
         if initial.d_s != spec.d_s:
             raise DomainError(f"state dimension {initial.d_s} does not match d_s = {spec.d_s}",
-                              "c" if initial.kind == "product" else "s_weights")
-        factors.append(initial.factor())
+                              _STATE_ARG[initial.kind])
+        factors.append(initial.factor)
     times = grid.times()
     dist = np.concatenate([
         trace_distance(trace_env_factored(psi_a, spec.d_s),
@@ -457,7 +448,7 @@ def entropy_sie_check(spec: CompositeSpec, grid: TimeGrid) -> EntropyReport:
     prop = spec.propagator
     entropy = np.concatenate([
         von_neumann_entropy(trace_env_factored(psi, spec.d_s))
-        for psi, in prop.states(grid.times() - grid.t0, spec.initial.factor())])
+        for psi, in prop.states(grid.times() - grid.t0, spec.initial.factor)])
     rate = _finite_difference_rate(entropy, grid.h)
     max_rate = float(np.abs(rate).max())
     delta = min(spec.d_s, spec.d_e)

@@ -69,8 +69,8 @@ def classify_sufficient_conditions(spec: CompositeSpec) -> SufficientConditions:
     unique = spec.d_e == 1
     commuting = env_coupling_commutator_norm(spec) < _COMMUTE_TOL
     mixed = False
-    if spec.initial.kind != "entangled":
-        rho_s0 = spec.initial.rho_s0()
+    if spec.initial.d_mat is not None:
+        rho_s0 = spec.initial.rho_s0
         mixed = bool(
             np.abs(rho_s0 - np.eye(spec.d_s) / spec.d_s).max() < _STATE_TOL
             and np.abs(spec.initial.d_mat - np.eye(spec.d_e) / spec.d_e).max() < _STATE_TOL
@@ -89,7 +89,7 @@ class CommutatorForm:
 
 def _effective_hamiltonian(spec: CompositeSpec) -> np.ndarray:
     """H_eff = H_S + V <H_SE>, averaged over product-type environment weights."""
-    if spec.initial.kind == "entangled":
+    if spec.initial.d_mat is None:
         raise PreconditionError("commutator form needs a product-type initial state")
     h_int = (spec.coupling_strength * spec.h_se).reshape(spec.d_s, spec.d_e, spec.d_s, spec.d_e)
     return spec.h_s + np.einsum("iajb,ba->ij", h_int, spec.initial.d_mat)
@@ -118,7 +118,7 @@ def commutator_residuals(spec: CompositeSpec, times) -> tuple[np.ndarray, np.nda
     eigenvalues are the squared singular values of a, padded with zeros.
     """
     h_eff = _effective_hamiltonian(spec)
-    w0 = np.linalg.eigvalsh(spec.initial.rho_s0())
+    w0 = np.linalg.eigvalsh(spec.initial.rho_s0)
 
     def drift(psi):
         s2 = np.linalg.svd(psi.reshape(len(psi), spec.d_s, -1), compute_uv=False) ** 2
@@ -126,7 +126,7 @@ def commutator_residuals(spec: CompositeSpec, times) -> tuple[np.ndarray, np.nda
         return np.abs(w - w0).max(axis=1)
 
     blocks = [(_commutator_residuals(spec, psi, h_eff), drift(psi))
-              for psi, in spec.propagator.states(np.asarray(times, float), spec.initial.factor())]
+              for psi, in spec.propagator.states(np.asarray(times, float), spec.initial.factor)]
     return (np.concatenate([r for r, _ in blocks]),
             np.concatenate([d for _, d in blocks]))
 
@@ -140,7 +140,7 @@ def effective_commutator_rhs(spec: CompositeSpec, t: float) -> CommutatorForm:
     for diagnostics.
     """
     h_eff = _effective_hamiltonian(spec)
-    [(psi,)] = spec.propagator.states(np.array([t]), spec.initial.factor())
+    [(psi,)] = spec.propagator.states(np.array([t]), spec.initial.factor)
     rho_s = trace_env_factored(psi, spec.d_s)[0]
     rhs = -1j * (h_eff @ rho_s - rho_s @ h_eff)
     residual = float(_commutator_residuals(spec, psi, h_eff)[0])
@@ -176,7 +176,7 @@ def commuting_block_evolution(spec: CompositeSpec, t: float) -> BlockMixture:
     H_S + B_a.  Environment weights are rotated into the H_E eigenbasis
     first.
     """
-    if spec.initial.kind == "entangled":
+    if spec.initial.d_mat is None:
         raise PreconditionError("block mixture needs a product-type initial state")
     _, rot = np.linalg.eigh(spec.h_e)
     full_rot = tensor_product(np.eye(spec.d_s), rot)
@@ -201,7 +201,7 @@ def commuting_block_evolution(spec: CompositeSpec, t: float) -> BlockMixture:
             commutator_norm=env_coupling_commutator_norm(spec))
     w, v = np.linalg.eigh(spec.h_s + on_block)
     u = (v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
-    orbits = u @ spec.initial.rho_s0() @ u.conj().swapaxes(1, 2)
+    orbits = u @ spec.initial.rho_s0 @ u.conj().swapaxes(1, 2)
     rho = (d_diag[:, None, None] * orbits).sum(axis=0)
     residual = float(np.abs(rho - evolve_rho_s(spec, t)).max())
     return BlockMixture(rho_s=rho, residual=residual)

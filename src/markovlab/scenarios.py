@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from markovlab.config import SCHEMAS, ConfigError, ScenarioConfig
+from markovlab.config import ConfigError, ScenarioConfig
 from markovlab.csvtext import csv_blocks
 from markovlab.dynamics import (
     CompositeSpec,
@@ -183,7 +183,7 @@ class _SeedPool:
 def _spec_from(cfg: ScenarioConfig, *, entangled: bool = False,
                amplitude_key: str = "c") -> tuple:
     d_s = cfg.get_int("dS", required=True)
-    d_e = cfg.get_int("dE", required=True)
+    d_e = cfg.get_int("dE", 1)
     CompositeSpec.check_dimensions(d_s, d_e)    # before any random matrix is drawn
     pool = _SeedPool(cfg)
     # generation order is fixed: hS, hE, hSE, amplitudes, dmat
@@ -311,7 +311,7 @@ def _run_amp_phase(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     e0 = cfg.get_float("e0", required=True)
     gamma = cfg.get_float("gamma", required=True)
     j1_values = cfg.get_vector("j1_values", required=True, real=True)
-    with _keyed(j1="j1_values"):
+    with _keyed(j1="j1_values", es="es_level"):
         aps = crossover_sweep(es_level, j0, e0, gamma, j1_values)
     columns = ["j1", "abs_a1", "abs_a2", "re_phi1_rate", "im_phi1_rate",
                "re_phi2_rate", "im_phi2_rate", "decays"]
@@ -382,10 +382,7 @@ def _run_master_check(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     if cfg.get_int("dE", 1) != 1:
         raise ConfigError("the master-equation check needs a one-state environment "
                           "(dE = 1)", key="dE")
-    child = ScenarioConfig(scenario=cfg.scenario, values=dict(cfg.values),
-                           tolerance_overrides=dict(cfg.tolerance_overrides))
-    child.values["dE"] = 1
-    spec, pool = _spec_from(child)
+    spec, pool = _spec_from(cfg)
     times = cfg.get_vector("times", real=True)
     if times is None:
         n, t_max = _span_from(cfg, "n_times", 10)
@@ -433,11 +430,11 @@ def _run_stationarity(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
 
 def _run_witness(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     spec, _ = _spec_from(cfg, amplitude_key="cA")
-    c_b = cfg.get_vector("cB", required=True)
+    c_a, c_b = cfg.get_vector("cA"), cfg.get_vector("cB")
     grid = _grid_from(cfg, 5.0, 200)
     # cA already built the spec, so only cB can be at fault
     with _keyed(c="cB"):
-        result = distinguishability_witness(spec.initial.c, c_b, spec, grid)
+        result = distinguishability_witness(c_a, c_b, spec, grid)
     rows = [[t, d, r] for t, d, r in zip(result.times, result.distance, result.rate)]
     default = 1e-8 if spec.d_e == 1 else math.inf
     checks = [CheckRow("max_rate", result.max_rate,
@@ -462,56 +459,30 @@ _RUNNERS = {
 # ------------------------------------------------------------------ sweep
 
 
-def sweep_scenario(base_cfg: ScenarioConfig, key: str, values,
-                   strict: bool = False) -> ScenarioResult:
+def _run_sweep(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     """Run the base scenario once per swept value and merge the tables.
 
     An integral value is passed as an int, so integer keys such as
     ``steps`` can be swept; a value outside its domain fails in its own
     run.  The CSV column holds float(value) either way.
     """
-    schema = SCHEMAS.get(base_cfg.scenario)
-    if schema is None or base_cfg.scenario == "sweep":
-        raise ConfigError(f"cannot sweep scenario {base_cfg.scenario!r}")
-    if key not in schema.all_keys():
-        raise ConfigError(f"not a key of scenario {base_cfg.scenario!r}", key=key)
-    values = list(values)
-    if not values:
-        raise ConfigError("need at least one value to sweep", key="sweep_values")
-    if any(isinstance(v, (np.ndarray, list, str)) for v in values):
-        raise ConfigError("swept values must be scalars", key=key)
-    current = base_cfg.values.get(key)
-    if current is not None and isinstance(current, (np.ndarray, str)):
-        raise ConfigError("swept key must hold a scalar parameter", key=key)
-
-    combined = ScenarioResult(columns=[key], rows=[], checks=[], info=[])
+    base, key = cfg.get_str("base"), cfg.get_str("sweep_key")
+    values = cfg.get_vector("sweep_values", real=True)
+    base_values = {k: v for k, v in cfg.values.items()
+                   if k not in ("base", "sweep_key", "sweep_values", "out")}
+    combined = ScenarioResult([key], [], info=[f"runs: {values.size}"])
     for v in values:
-        child_values = dict(base_cfg.values)
-        child_values[key] = int(v) if float(v).is_integer() else float(v)
-        child = ScenarioConfig(scenario=base_cfg.scenario, values=child_values,
-                               tolerance_overrides=dict(base_cfg.tolerance_overrides))
-        with _keyed():
-            result = _RUNNERS[base_cfg.scenario](child, strict)
-        if len(combined.columns) == 1:
-            combined.columns = [key] + result.columns
+        child = ScenarioConfig(scenario=base, tolerance_overrides=dict(cfg.tolerance_overrides),
+                               values={**base_values,
+                                       key: int(v) if float(v).is_integer() else float(v)})
+        result = _RUNNERS[base](child, strict)
+        combined.columns[1:] = result.columns
         combined.rows.extend([float(v), *row] for row in result.rows)
         combined.checks.extend(
             CheckRow(f"{key}={float(v):.17g}:{c.name}", c.measured, c.bound, c.mode)
             for c in result.checks)
         combined.info.extend(f"{key}={float(v):.17g}: {line}" for line in result.info)
-    combined.info.insert(0, f"runs: {len(values)}")
     return combined
-
-
-def _run_sweep(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
-    base_name = cfg.get_str("base", required=True)
-    key = cfg.get_str("sweep_key", required=True)
-    sweep_values = cfg.get_vector("sweep_values", required=True, real=True)
-    base_values = {k: v for k, v in cfg.values.items()
-                   if k not in ("base", "sweep_key", "sweep_values", "out")}
-    base_cfg = ScenarioConfig(scenario=base_name, values=base_values,
-                              tolerance_overrides=dict(cfg.tolerance_overrides))
-    return sweep_scenario(base_cfg, key, list(sweep_values), strict)
 
 
 # ------------------------------------------------------------- top level

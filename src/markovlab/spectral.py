@@ -383,9 +383,8 @@ def _recursive_levels(m_coef: np.ndarray, amp: complex, rate: complex, h: float,
     sections with poles (1 + p mu) / (1 - p mu): mu = m without a kernel,
     else the roots of mu^2 + (kappa (1 + amp p^2) - m) mu + amp - m kappa,
     q = (1 - p kappa) / (1 + p kappa), whose coefficients are O(1).
-    It raises OverflowError where the discriminant of that quadratic leaves
-    the float range, as it does for level energies beyond about 1e154 or a
-    resonance whose j1 gamma h is of that order.
+    Its values are not finite where the discriminant of that quadratic leaves
+    the float range, as for level energies or j1 gamma h beyond about 1e154.
     """
     p = 0.5 * h
     if amp == 0:
@@ -396,14 +395,8 @@ def _recursive_levels(m_coef: np.ndarray, amp: complex, rate: complex, h: float,
         kappa = np.tanh(0.5 * rate * h) / p
         big_p, big_q = np.array([1.0, -q]), p * amp * np.array([1.0, q])
         # both roots of mu^2 + b mu + c, the larger first to avoid cancellation
-        with np.errstate(over="ignore", invalid="ignore"):
-            b, c = kappa * (1.0 + amp * p * p) - m_coef, amp - m_coef * kappa
-            disc = b * b - 4.0 * c
-        if not np.isfinite(disc).all():
-            raise OverflowError(f"the resonant march leaves the float range: filter "
-                                f"coefficients |b| = {np.abs(b).max():.3e}, "
-                                f"|c| = {np.abs(c).max():.3e}")
-        s = np.sqrt(disc)
+        b, c = kappa * (1.0 + amp * p * p) - m_coef, amp - m_coef * kappa
+        s = np.sqrt(b * b - 4.0 * c)
         big = -0.5 * (b + np.where((np.conj(b) * s).real < 0, -s, s))
         mu = np.stack([big, c / big], axis=1)          # Re b > 0, so big != 0
     poles = (1.0 + p * mu) / (1.0 - p * mu)
@@ -464,17 +457,17 @@ def solve_green(problem: GreenProblem, strict: bool = False) -> GreenSolution:
     j0 = problem.density.delta_weight()
     m_coef = -(1j * problem.es + j0)
     form = _exponential_form(problem.density)
-    if form is None:
-        kern = kernel_on_grid(problem.density, h * np.arange(grid.steps + 1))
-        g1, g2 = _toeplitz_levels(m_coef, kern, h, j0)
-    else:
-        try:
+    with np.errstate(all="ignore"):    # a value beyond the float range fails below
+        if form is None:
+            kern = kernel_on_grid(problem.density, h * np.arange(grid.steps + 1))
+            g1, g2 = _toeplitz_levels(m_coef, kern, h, j0)
+        else:
             g1, g2 = _recursive_levels(m_coef, *form, h, j0, grid.steps)
-        except OverflowError as exc:    # name the largest of the scales that form it
-            density = problem.density
-            scales = {"es": np.abs(problem.es).max(), "j0": density.j0,
-                      "j1": density.j1, "gamma": density.gamma}
-            raise DomainError(str(exc), max(scales, key=scales.get)) from None
+    if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
+        density = problem.density    # name the largest of the scales that form the march
+        scales = {"es": np.abs(problem.es).max(), "j0": density.j0,
+                  "j1": density.j1, "gamma": density.gamma}
+        raise DomainError("the march leaves the float range", max(scales, key=scales.get))
     g1[0] = 1.0
     g2[0] = 0.0
     return GreenSolution(g1=_embed_diagonal(g1), g2=_embed_diagonal(g2))
@@ -516,19 +509,27 @@ def _resonant_branches(es, j0: float, j1: float, e0: float, gamma: float,
     :func:`_upper_branch`), so (a1, a2) is exactly (1, 0) or (0, 1).
     For j1 > 0 the branches merge where |R|^2 <= 1e-13 (|z|^2 + 2 axis
     j1 gamma), and :class:`BranchSingularityError` names the critical
-    j1 = -z^2 / (2 axis gamma) on the caller's axis.  Returns (R, a1, a2,
-    phi1, phi2), elementwise in ``es``.
+    j1 = -z^2 / (2 axis gamma) on the caller's axis.  Where z^2 leaves the
+    float range and 2 axis j1 gamma does not, a DomainError names the
+    largest of es, e0, j0 and gamma.  Returns (R, a1, a2, phi1, phi2),
+    elementwise in ``es``.
     """
     es = np.asarray(es, dtype=float)
-    z = (es - e0) - 1j * (j0 - gamma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (es - e0) - 1j * (j0 - gamma)
+        zz = z * z
     if j1 == 0:
         ratio = np.where(_upper_branch(es - e0, j0 - gamma), 1.0, -1.0)
         # adding 0.0 clears signed zeros, so arg R stays in (-pi/2, pi/2]
         r = ratio * z + 0.0
     else:
         strength = 2.0 * axis * j1 * gamma
+        if math.isfinite(strength) and not np.isfinite(zz).all():
+            scales = {"es": np.abs(es).max(), "e0": abs(e0), "j0": j0, "gamma": gamma}
+            raise DomainError("z^2 = ((e - e0) - i (j0 - gamma))^2 leaves the float range",
+                              max(scales, key=scales.get))
         # adding 0j turns a -0 imaginary part into +0: the cut maps to +i
-        r = np.sqrt(z * z + (strength + 0j))
+        r = np.sqrt(zz + (strength + 0j))
         bad = np.abs(r) ** 2 <= 1e-13 * (np.abs(z) ** 2 + strength)
         if np.any(bad):
             k = int(np.argmax(bad))

@@ -216,7 +216,7 @@ def test_criterion_09_master_equation_commutator_form():
     worst_drift = 0.0
     for _ in range(5):
         spec = random_product_spec(3, 1, rng, coupling_strength=float(rng.uniform(0.5, 5)))
-        w0 = np.sort(np.linalg.eigvalsh(spec.initial.rho_s0()))
+        w0 = np.sort(np.linalg.eigvalsh(spec.initial.rho_s0))
         for t in rng.uniform(0.0, 2.5, size=10):
             form = effective_commutator_rhs(spec, float(t))
             worst_resid = max(worst_resid, form.residual)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import markovlab
 from markovlab import scenarios
 from markovlab.cli import main
-from markovlab.config import ConfigError, parse_config
-from markovlab.scenarios import run_scenario, sweep_scenario
+from markovlab.config import ConfigError
+from markovlab.scenarios import run_scenario
 from markovlab.spectral import StepSizeWarning
 
 
@@ -358,14 +358,6 @@ n_triples = 2
     assert "key 't_max'" in capsys.readouterr().err
 
 
-def test_sweep_rejects_non_scalar_key(tmp_path):
-    cfg = parse_config("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nn_triples = 2\n")
-    with pytest.raises(ConfigError, match="hS"):
-        sweep_scenario(cfg, "hS", [1.0, 2.0])
-    with pytest.raises(ConfigError, match="scalars"):
-        sweep_scenario(cfg, "coupling_strength", [np.array([1.0, 2.0])])
-
-
 def test_sweep_gamma_approaches_flat_background(tmp_path):
     # as the resonance width closes the propagator returns to the pure
     # flat-background exponential
@@ -505,6 +497,8 @@ def test_integer_beyond_float_range_exits_two(tmp_path, capsys, text, line, key)
 GREEN_RESONANCE = "scenario = green\nes = [0.5]\nj0 = 0.1\nj1 = 0.2\ne0 = 0.3\n"
 ANALYTIC = "scenario = green-analytic\nes = [1.0]\nj0 = 0.1\nj1 = 0.8\ne0 = 1.0\n"
 AMP_PHASE = "scenario = amp-phase\nes_level = 1.0\nj0 = 0.1\ne0 = 1.0\n"
+#: (e - e0)^2 leaves the float range: e0 is at fault, not j1
+HUGE_E0 = "e0 = 6.97e201\nj0 = 0.001\ngamma = 0.13\n"
 
 
 @pytest.mark.parametrize("text, key", [
@@ -556,6 +550,11 @@ AMP_PHASE = "scenario = amp-phase\nes_level = 1.0\nj0 = 0.1\ne0 = 1.0\n"
     ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nt_max = 0\n", "t_max"),
     ("scenario = master-check\ndS = 2\nseed = 1\nt_max = 0\n", "t_max"),
     ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\ntimes = [0, 1, 0.5]\n", "times"),
+    pytest.param("scenario = green\nes = [1.5e182]\nj0 = 0.0012\nj1 = 5.1e258\ne0 = 2.7\n"
+                 "gamma = 0.0245\nomega_cut = 1.2e-62\nt1 = 5\nsteps = 200\n", "j1",
+                 marks=pytest.mark.filterwarnings("ignore::markovlab.spectral.StepSizeWarning")),
+    ("scenario = green-analytic\nes = [0.2097]\nj1 = 1.1e-205\n" + HUGE_E0, "e0"),
+    ("scenario = amp-phase\nes_level = 0.2097\nj1_values = [1.1e-205]\n" + HUGE_E0, "e0"),
 ], ids=["vector-sweep-key", "sweep-vector-sweep-key", "numeric-out", "negative-dS",
         "zero-dE", "empty-times", "hS-shape", "hE-shape", "hSE-shape", "c-length",
         "cA-length", "cB-length", "a-shape", "dmat-shape", "smat-shape",
@@ -565,7 +564,8 @@ AMP_PHASE = "scenario = amp-phase\nes_level = 1.0\nj0 = 0.1\ne0 = 1.0\n"
         "analytic-j0", "analytic-es", "analytic-double-root", "amp-phase-gamma",
         "amp-phase-j1_values", "amp-phase-double-root", "amp-phase-j0", "green-steps",
         "sweep-steps", "n_triples-zero", "n_times-zero", "divisibility-t_max",
-        "master-check-t_max", "times-order"])
+        "master-check-t_max", "times-order", "cut-off-march-overflow", "analytic-huge-e0",
+        "amp-phase-huge-e0"])
 def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, text, key):
     assert run_cli(tmp_path, text) == 2
     assert f"key {key!r}" in capsys.readouterr().err
@@ -868,17 +868,20 @@ def spectral_configs(draw):
 @settings(max_examples=150, deadline=None)
 @given(text=spectral_configs(), strict=st.booleans())
 def test_spectral_configs_at_extreme_magnitudes_exit_cleanly(tmp_path_factory, text, strict):
-    # exit 0 does not yet imply finite output at these magnitudes, so only
-    # the status and the key of a configuration error are asserted
+    # a configuration error names its key, and exit 0 means every cell is finite
     out = tmp_path_factory.mktemp("spectral")
     cfg = out / "spectral.cfg"
     cfg.write_text(text)
     err = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
+        # _resonant_branches still warns where 2 axis j1 gamma leaves the float range
         warnings.simplefilter("ignore", RuntimeWarning)
         warnings.simplefilter("ignore", StepSizeWarning)
         status = main(["--config", str(cfg), "--out", str(out), *(["--strict"] * strict)])
     assert status in (0, 1, 2)
     if status == 2:
         assert "key '" in err.getvalue()
+    if status == 0:
+        table = np.loadtxt(out / "spectral.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.isfinite(table).all()

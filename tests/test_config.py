@@ -160,6 +160,20 @@ def test_inf_allowed_for_cutoff_tolerances_and_swept_cutoff():
                      "sweep_values = [0.1, inf]\nes = [1.0]\nj0 = 0.2\n")
 
 
+@pytest.mark.parametrize("lines, line, key, message", [
+    (["base = divisibility", "sweep_key = bogus", "sweep_values = [1, 2]"], 3, "bogus",
+     "not a key of scenario 'divisibility'"),
+    (["base = divisibility", "sweep_key = coupling_strength", "sweep_values = []"], 4,
+     "sweep_values", "need at least one value"),
+    (["base = divisibility", "hS = [[1, 0], [0, 2]]", "sweep_key = hS", "sweep_values = [1]"],
+     3, "hS", "swept key must hold a scalar"),
+], ids=["unknown-key", "empty-values", "matrix-base-value"])
+def test_parse_checks_the_sweep_naming_key_and_line(lines, line, key, message):
+    text = "\n".join(["scenario = sweep", *lines, "dS = 2", "dE = 1", "seed = 1", ""])
+    with pytest.raises(ConfigError, match=f"line {line}: key {key!r}: {message}"):
+        parse_config(text)
+
+
 # ------------------------------------------- generated configuration text
 
 _KEYS = sorted(

@@ -73,7 +73,7 @@ def test_initial_state_env_weights_and_purity():
     rng = np.random.default_rng(0)
     a = random_amplitudes(4, rng).reshape(2, 2)
     st = InitialState.entangled(a)
-    d_eff = st.env_weights()
+    d_eff = st.env_weights
     assert abs(np.trace(d_eff) - 1.0) < 1e-12
     # reduced environment state of a pure composite state is pure only
     # for product amplitudes
@@ -233,7 +233,7 @@ def test_supermatrix_contraction_matches_evolve():
         d2 = spec.d_s ** 2
         sm = supermatrix(spec, 1.1).reshape(d2, d2)
         res = evolve(spec, 1.1)
-        rho_t = (spec.initial.rho_s0().reshape(-1) @ sm).reshape(spec.d_s, spec.d_s)
+        rho_t = (spec.initial.rho_s0.reshape(-1) @ sm).reshape(spec.d_s, spec.d_s)
         assert np.abs(rho_t - res.rho_s).max() < 1e-10
 
 
@@ -609,7 +609,7 @@ def test_engine_matches_per_time_oracle(kind, steps, t1, data):
     grid = TimeGrid(0.0, t1, steps)
     dts = grid.times() - grid.t0
     prop = spec.propagator
-    factor = spec.initial.factor()
+    factor = spec.initial.factor
     assert np.abs(factor @ factor.conj().T - spec.initial.rho_full()).max() < 1e-14
     # a block smaller than the grid, so the engine walks several blocks
     chunk = data.draw(st.integers(1, steps))
