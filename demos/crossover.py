@@ -12,10 +12,11 @@ the branch-root magnitude C.
 
 import numpy as np
 
-from markovlab import crossover_sweep
+from markovlab import amplitude_phase
 
 j1_values = np.concatenate(([0.0], np.logspace(-2, 6, 17)))
-aps = crossover_sweep(es_level=1.5, j0=0.1, e0=1.0, gamma=0.2, j1_values=j1_values)
+aps = [amplitude_phase(es_level=1.5, j0=0.1, j1=j1, e0=1.0, gamma=0.2)
+       for j1 in j1_values.tolist()]
 
 print("      j1      |A1|      |A2|   Re(phi1)   Re(phi2)  decays")
 for j1, ap in zip(j1_values, aps):

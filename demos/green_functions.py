@@ -24,7 +24,7 @@ t = grid.times()
 
 # flat spectrum: pure exponential decay, slope -J0 in log scale
 flat = solve_green(GreenProblem(es=es, density=SpectralDensity.constant(0.2), grid=grid))
-g1_flat, _ = flat.level(0)
+g1_flat = flat.g1[:, 0, 0]
 slope = np.polyfit(t[1:], np.log(np.abs(g1_flat[1:])), 1)[0]
 print("flat background J0 = 0.2")
 print(f"  fitted decay slope of log|G1|: {slope:.6f}  (expected -0.200000)")
@@ -32,9 +32,9 @@ print(f"  fitted decay slope of log|G1|: {slope:.6f}  (expected -0.200000)")
 # resonant spectrum: the same solver, now with a smooth memory kernel
 dens = SpectralDensity.lorentzian(j0=0.1, j1=1.0, e0=1.0, gamma=0.2)
 res = solve_green(GreenProblem(es=es, density=dens, grid=grid))
-g1_res, _ = res.level(0)
+g1_res = res.g1[:, 0, 0]
 ana = analytic_green1_lorentzian(es, 0.1, 1.0, 1.0, 0.2, grid)
-g1_ana, _ = ana.level(0)
+g1_ana = ana.g1[:, 0, 0]
 print("\nLorentzian resonance j1 = 1.0, e0 = 1.0, gamma = 0.2")
 print(f"  solver vs closed form, max deviation: {np.abs(g1_res - g1_ana).max():.3e}")
 

@@ -30,7 +30,6 @@ from markovlab.spectral import (
     amplitude_phase,
     analytic_green1_lorentzian,
     analytic_green_const,
-    crossover_sweep,
     kernel_on_grid,
     solve_green,
 )

@@ -5,36 +5,37 @@ Values are integers, reals, complex numbers written as ``re+imi`` (for
 example ``1.5-0.2i``), vectors ``[1, 2.5]``, matrices
 ``[[1+0i, 0+0i],[0+0i, 2+0i]]`` or bare strings.  Parsing checks what
 needs the line number: syntax, keys (strictly against the schema of the
-named scenario), literal types, finiteness, the Hermiticity of the
-matrices that must be Hermitian, and that a sweep names a scalar key of
-its base and at least one value.  Numbers must be finite, except that
-``inf`` is allowed for ``omega_cut`` (infinite band cut-off) and
-``tol_*`` tolerances; ``nan`` is rejected everywhere, and so is an
-integer literal beyond the float range.  Range rules (t1 > t0, steps >=
-2, a nonnegative j0, a normalised state, ...) belong to the domain
-object that takes the value, and fail when the scenario runs.
+named scenario), finiteness, and each value against the kind of its key
+in ``_KINDS``: an integer, a real, a vector of reals or of complex
+amplitudes (at least one entry), a matrix (Hermitian for Hamiltonians
+and weights), a bare name, or one of a few names.  Values are stored in
+normal form: reals as ``float``, vectors as float or complex arrays,
+matrices as complex arrays.  Numbers must be finite, except that ``inf``
+is allowed for ``omega_cut`` (infinite band cut-off) and ``tol_*``
+tolerances; ``nan`` is rejected everywhere, and so is an integer literal
+beyond the float range.  A sweep names a scalar key of its base and at
+least one value, each checked as that key's kind; the rest of the sweep
+is validated exactly as a config of its base whose swept key holds the
+first value.  Range rules (t1 > t0, steps >= 2, a nonnegative j0, a
+normalised state, ...) belong to the domain object that takes the value,
+and fail when the scenario runs.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from markovlab.linalg import HERM_TOL, hermiticity_defect
 
-#: matrix-valued keys that must be Hermitian wherever they appear
-HERMITIAN_KEYS = ("hS", "hE", "hSE", "dmat", "smat")
-
 _GRID_KEYS = frozenset({"t0", "t1", "steps"})
 _SPEC_KEYS = frozenset({"dS", "dE", "hS", "hE", "hSE", "c", "dmat",
                         "coupling_strength", "seed"})
 _TRIPLE_KEYS = frozenset({"times", "n_triples", "t_max"})
 #: keys whose value may be infinite, besides the ``tol_*`` tolerances
-_INFINITE_OK = frozenset({"omega_cut"})
-#: keys whose value is a bare name (``base`` is checked with the sweep)
-_NAME_KEYS = frozenset({"out", "expect", "sweep_key"})
+#: (each swept value is checked against the rule of the swept key)
+_INFINITE_OK = frozenset({"omega_cut", "sweep_values"})
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,82 @@ class ConfigError(ValueError):
         self.key = key
 
 
+def _integer(value) -> int:
+    if not isinstance(value, int):
+        raise ValueError("expected an integer")
+    return value
+
+
+def _real(value) -> float:
+    if not isinstance(value, (int, float)):
+        raise ValueError("expected a real number")
+    return float(value)
+
+
+def _entries(value) -> list:
+    if not isinstance(value, list) or any(isinstance(v, list) for v in value):
+        raise ValueError("expected a vector")
+    if not value:
+        raise ValueError("need at least one value")
+    return value
+
+
+def _reals(value) -> np.ndarray:
+    return np.array([_real(v) for v in _entries(value)])
+
+
+def _amplitudes(value) -> np.ndarray:
+    return np.array(_entries(value), dtype=complex)
+
+
+def _matrix(value) -> np.ndarray:
+    if not (isinstance(value, list) and value and all(isinstance(r, list) for r in value)):
+        raise ValueError("expected a matrix")
+    return np.array(value, dtype=complex)
+
+
+def _hermitian(value) -> np.ndarray:
+    mat = _matrix(value)
+    if mat.shape[0] != mat.shape[1]:
+        raise ValueError("expected a square matrix literal")
+    defect = hermiticity_defect(mat)
+    if defect > HERM_TOL:
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+    return mat
+
+
+def _name(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("expected a bare name")
+    return value
+
+
+def _one_of(*names):
+    def kind(value) -> str:
+        if value not in names:
+            raise ValueError(f"expected one of {', '.join(names)}")
+        return value
+    return kind
+
+
+#: the kind of each key: a function that returns a parsed value in normal
+#: form or raises ValueError saying what it expected.  A ``tol_*``
+#: tolerance is a real; a swept value has the kind of the swept key.
+_KINDS = {
+    **dict.fromkeys(["dS", "dE", "seed", "steps", "n_triples", "n_times"], _integer),
+    **dict.fromkeys(["t0", "t1", "t_max", "j0", "j1", "e0", "gamma", "omega_cut",
+                     "es_level", "coupling_strength"], _real),
+    **dict.fromkeys(["es", "j1_values", "times"], _reals),
+    **dict.fromkeys(["c", "cA", "cB"], _amplitudes),
+    **dict.fromkeys(["hS", "hE", "hSE", "dmat", "smat"], _hermitian),
+    "a": _matrix,
+    **dict.fromkeys(["out", "sweep_key"], _name),
+    "expect": _one_of("divisible", "nondivisible", "report"),
+    "base": _one_of(*(name for name in SCHEMAS if name != "sweep")),
+    "sweep_values": _entries,
+}
+
+
 def _parse_scalar(token: str, line: int):
     token = token.strip()
     if not token:
@@ -148,6 +225,7 @@ def _split_top_level(text: str, line: int) -> list[str]:
 
 
 def _parse_value(text: str, line: int):
+    """A scalar, a vector as a list of scalars, or a matrix as a list of equal rows."""
     text = text.strip()
     if text.startswith("[["):
         if not text.endswith("]]"):
@@ -164,24 +242,24 @@ def _parse_value(text: str, line: int):
             rows.append(row)
         if len({len(r) for r in rows}) != 1:
             raise ConfigError("matrix rows have unequal lengths", line=line)
-        return np.array(rows, dtype=complex)
+        return rows
     if text.startswith("["):
         if not text.endswith("]"):
             raise ConfigError("vector literal must end with ']'", line=line)
         inner = text[1:-1].strip()
         if not inner:
-            return np.array([], dtype=float)
+            return []
         items = [_parse_scalar(tok, line) for tok in _split_top_level(inner, line)]
         if any(isinstance(v, str) for v in items):
             raise ConfigError("vector entries must be numbers", line=line)
-        if any(isinstance(v, complex) for v in items):
-            return np.array(items, dtype=complex)
-        return np.array(items, dtype=float)
+        return items
     return _parse_scalar(text, line)
 
 
 @dataclass
 class ScenarioConfig:
+    """A validated config: each value in the normal form of its key's kind."""
+
     scenario: str
     values: dict = field(default_factory=dict)
     tolerance_overrides: dict = field(default_factory=dict)
@@ -190,49 +268,8 @@ class ScenarioConfig:
     def output_path(self) -> str:
         return self.values.get("out", f"{self.scenario}.csv")
 
-    # ------------------------------------------------------ typed getters
-
-    def _get(self, key: str, kinds, default=None, required=False):
-        if key not in self.values:
-            if required:
-                raise ConfigError("required key is missing", key=key)
-            return default
-        val = self.values[key]
-        if not isinstance(val, kinds):
-            raise ConfigError(f"expected {kinds}, got {type(val).__name__}", key=key)
-        return val
-
-    def get_int(self, key, default=None, required=False) -> int | None:
-        val = self._get(key, int, default, required)
-        return val
-
-    def get_float(self, key, default=None, required=False) -> float | None:
-        val = self._get(key, (int, float), default, required)
-        return None if val is None else float(val)
-
-    def get_str(self, key, default=None, required=False) -> str | None:
-        return self._get(key, str, default, required)
-
-    def get_vector(self, key, default=None, required=False, real=False) -> np.ndarray | None:
-        val = self._get(key, np.ndarray, default, required)
-        if val is None:
-            return None
-        if val.ndim != 1:
-            raise ConfigError("expected a vector", key=key)
-        if real:
-            if np.iscomplexobj(val) and np.abs(val.imag).max() > 0:
-                raise ConfigError("expected real entries", key=key)
-            return val.real.astype(float)
-        return val.astype(complex)
-
-    def get_matrix(self, key, default=None, required=False) -> np.ndarray | None:
-        val = self._get(key, np.ndarray, default, required)
-        if val is not None and val.ndim != 2:
-            raise ConfigError("expected a matrix", key=key)
-        return val
-
     def tolerance(self, name: str, default: float) -> float:
-        return float(self.tolerance_overrides.get(name, default))
+        return self.tolerance_overrides.get(name, default)
 
 
 def parse_config(text: str, scenario_override: str | None = None) -> ScenarioConfig:
@@ -276,70 +313,70 @@ def parse_config(text: str, scenario_override: str | None = None) -> ScenarioCon
     return _validate(scenario, raw, lines_of)
 
 
+def _normal(key: str, value, line: int, name: str | None = None):
+    """``value`` checked as the kind of ``key`` and put in its normal form.
+
+    An error names ``line`` and ``name`` (by default ``key``).
+    """
+    name = name or key
+    if not isinstance(value, str):
+        numbers = np.asarray(value, dtype=complex)
+        if np.isnan(numbers).any():
+            raise ConfigError("value is NaN", line=line, key=name)
+        if not (np.isfinite(numbers).all() or key in _INFINITE_OK or key.startswith("tol_")):
+            raise ConfigError("value must be finite", line=line, key=name)
+    try:
+        return (_real if key.startswith("tol_") else _KINDS[key])(value)
+    except ValueError as exc:
+        raise ConfigError(str(exc), line=line, key=name) from None
+
+
+def _require(schema: _Schema, raw: dict) -> None:
+    missing = sorted(schema.required - set(raw))
+    if missing:
+        raise ConfigError("required key is missing", key=missing[0])
+
+
 def _validate(scenario: str, raw: dict, lines_of: dict) -> ScenarioConfig:
+    if scenario == "sweep":
+        return _validate_sweep(raw, lines_of)
     schema = SCHEMAS[scenario]
     values: dict = {}
     tolerances: dict = {}
-    base_schema = None
-    if scenario == "sweep":
-        base = raw.get("base")
-        if not isinstance(base, str) or base not in SCHEMAS or base == "sweep":
-            raise ConfigError("sweep needs 'base = <scenario>'", key="base")
-        base_schema = SCHEMAS[base]
-
-    infinite_ok = _INFINITE_OK
-    sweep_key = raw.get("sweep_key")
-    if isinstance(sweep_key, str) and sweep_key in _INFINITE_OK:
-        infinite_ok = infinite_ok | {"sweep_values"}
     for key, value in raw.items():
-        line = lines_of.get(key)
-        finite = (np.isfinite(value).all() if isinstance(value, np.ndarray)
-                  else isinstance(value, (int, str)) or cmath.isfinite(value))
-        if not finite:
-            if np.isnan(value).any():
-                raise ConfigError("value is NaN", line=line, key=key)
-            if key not in infinite_ok and not key.startswith("tol_"):
-                raise ConfigError("value must be finite", line=line, key=key)
+        line = lines_of[key]
         if key.startswith("tol_"):
-            name = key[4:]
-            known = schema.tolerances | (base_schema.tolerances if base_schema else frozenset())
-            if name not in known:
+            if key[4:] not in schema.tolerances:
                 raise ConfigError(f"unknown tolerance for scenario {scenario!r}",
                                   line=line, key=key)
-            if not isinstance(value, (int, float)):
-                raise ConfigError("tolerance must be a real number", line=line, key=key)
-            tolerances[name] = float(value)
-            continue
-        allowed = schema.all_keys()
-        if base_schema is not None:
-            allowed = allowed | base_schema.all_keys()
-        if key not in allowed:
+            tolerances[key[4:]] = _normal(key, value, line)
+        elif key in schema.all_keys():
+            values[key] = _normal(key, value, line)
+        else:
             raise ConfigError(f"unknown key for scenario {scenario!r}", line=line, key=key)
-        if key in _NAME_KEYS and not isinstance(value, str):
-            raise ConfigError("expected a bare name", line=line, key=key)
-        if key in HERMITIAN_KEYS:
-            if (not isinstance(value, np.ndarray) or value.ndim != 2
-                    or value.shape[0] != value.shape[1]):
-                raise ConfigError("expected a square matrix literal", line=line, key=key)
-            defect = hermiticity_defect(value)
-            if defect > HERM_TOL:
-                raise ConfigError(f"matrix is not Hermitian (defect {defect:.3e})",
-                                  line=line, key=key)
-        values[key] = value
-
-    missing = schema.required - set(values)
-    if missing:
-        raise ConfigError(f"missing required keys: {sorted(missing)}")
-    if base_schema is not None:    # the swept key is a scalar parameter of the base
-        key = raw["sweep_key"]
-        if key not in base_schema.all_keys():
-            raise ConfigError(f"not a key of scenario {base!r}", line=lines_of["sweep_key"],
-                              key=key)
-        if isinstance(raw.get(key), (np.ndarray, str)):
-            raise ConfigError("swept key must hold a scalar", line=lines_of[key], key=key)
-        if np.size(raw["sweep_values"]) == 0:
-            raise ConfigError("need at least one value to sweep",
-                              line=lines_of["sweep_values"], key="sweep_values")
-
+    _require(schema, values)
     return ScenarioConfig(scenario=scenario, values=values, tolerance_overrides=tolerances)
 
+
+def _validate_sweep(raw: dict, lines_of: dict) -> ScenarioConfig:
+    """A scalar key of the base and its values; the rest is validated as the base.
+
+    The base sees the swept key holding the first value.
+    """
+    _require(SCHEMAS["sweep"], raw)
+    base = _normal("base", raw["base"], lines_of["base"])
+    key = _normal("sweep_key", raw["sweep_key"], lines_of["sweep_key"])
+    if key not in SCHEMAS[base].all_keys():
+        raise ConfigError(f"not a key of scenario {base!r}", line=lines_of["sweep_key"],
+                          key=key)
+    if _KINDS[key] not in (_integer, _real):
+        raise ConfigError("swept key must hold a scalar",
+                          line=lines_of.get(key, lines_of["sweep_key"]), key=key)
+    line = lines_of["sweep_values"]
+    swept = [_normal(key, v, line, name="sweep_values")
+             for v in _normal("sweep_values", raw["sweep_values"], line)]
+    body = {k: v for k, v in raw.items() if k not in SCHEMAS["sweep"].required}
+    cfg = _validate(base, {**body, key: swept[0]}, {**lines_of, key: line})
+    return ScenarioConfig(scenario="sweep", tolerance_overrides=cfg.tolerance_overrides,
+                          values={**cfg.values, "base": base, "sweep_key": key,
+                                  "sweep_values": swept})

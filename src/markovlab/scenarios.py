@@ -47,8 +47,8 @@ from markovlab.spectral import (
     GreenProblem,
     SpectralDensity,
     TimeGrid,
+    amplitude_phase,
     analytic_green1_lorentzian,
-    crossover_sweep,
     solve_green,
 )
 
@@ -148,28 +148,26 @@ def _keyed(**keys):
 
 
 def _grid_from(cfg: ScenarioConfig, t1_default: float, steps_default: int) -> TimeGrid:
-    return TimeGrid(cfg.get_float("t0", 0.0),
-                    cfg.get_float("t1", t1_default),
-                    cfg.get_int("steps", steps_default))
+    v = cfg.values
+    return TimeGrid(v.get("t0", 0.0), v.get("t1", t1_default), v.get("steps", steps_default))
 
 
 def _density_from(cfg: ScenarioConfig) -> SpectralDensity:
-    j0 = cfg.get_float("j0", required=True)
-    j1 = cfg.get_float("j1", 0.0)
+    v = cfg.values
+    j1 = v.get("j1", 0.0)
     if j1 == 0.0:
-        return SpectralDensity.constant(j0)
-    gamma = cfg.get_float("gamma")
-    if gamma is None:
+        return SpectralDensity.constant(v["j0"])
+    if "gamma" not in v:
         raise ConfigError("gamma is required when j1 > 0", key="gamma")
-    return SpectralDensity.lorentzian(j0, j1, cfg.get_float("e0", 0.0), gamma,
-                                      cfg.get_float("omega_cut", math.inf))
+    return SpectralDensity.lorentzian(v["j0"], j1, v.get("e0", 0.0), v["gamma"],
+                                      v.get("omega_cut", math.inf))
 
 
 class _SeedPool:
     """Deterministic source for the pieces a config leaves unspecified."""
 
     def __init__(self, cfg: ScenarioConfig):
-        self._seed = cfg.get_int("seed")
+        self._seed = cfg.values.get("seed")
         self._rng = None
 
     def rng(self, key: str) -> np.random.Generator:
@@ -182,29 +180,29 @@ class _SeedPool:
 
 def _spec_from(cfg: ScenarioConfig, *, entangled: bool = False,
                amplitude_key: str = "c") -> tuple:
-    d_s = cfg.get_int("dS", required=True)
-    d_e = cfg.get_int("dE", 1)
+    v = cfg.values
+    d_s, d_e = v["dS"], v.get("dE", 1)
     CompositeSpec.check_dimensions(d_s, d_e)    # before any random matrix is drawn
     pool = _SeedPool(cfg)
     # generation order is fixed: hS, hE, hSE, amplitudes, dmat
     hams = []
     for key, dim in (("hS", d_s), ("hE", d_e), ("hSE", d_s * d_e)):
-        mat = cfg.get_matrix(key)
+        mat = v.get(key)
         hams.append(random_hermitian(dim, pool.rng(key)) if mat is None else mat)
     h_s, h_e, h_se = hams
 
     with _keyed(c=amplitude_key):
         if entangled:
-            a = cfg.get_matrix("a")
+            a = v.get("a")
             if a is None:
                 a = random_amplitudes(d_s * d_e, pool.rng("a")).reshape(d_s, d_e)
             initial = InitialState.entangled(a)
         else:
-            smat = cfg.get_matrix("smat")
-            c = cfg.get_vector(amplitude_key) if smat is None else None
+            smat = v.get("smat")
+            c = v.get(amplitude_key) if smat is None else None
             if smat is None and c is None:
                 c = random_amplitudes(d_s, pool.rng(amplitude_key))
-            d_mat = cfg.get_matrix("dmat")
+            d_mat = v.get("dmat")
             if d_mat is None:
                 d_mat = (np.eye(1, dtype=complex) if d_e == 1
                          else random_env_weights(d_e, pool.rng("dmat")))
@@ -212,22 +210,22 @@ def _spec_from(cfg: ScenarioConfig, *, entangled: bool = False,
                        else InitialState.product(c, d_mat))
         return CompositeSpec(d_s=d_s, d_e=d_e, h_s=h_s, h_e=h_e, h_se=h_se,
                              initial=initial,
-                             coupling_strength=cfg.get_float("coupling_strength", 1.0)), pool
+                             coupling_strength=v.get("coupling_strength", 1.0)), pool
 
 
 def _span_from(cfg: ScenarioConfig, count_key: str, count_default: int) -> tuple:
     """How many random times to draw (``count_key``) and the ``t_max`` they lie below."""
-    n = cfg.get_int(count_key, count_default)
+    n = cfg.values.get(count_key, count_default)
     if n < 1:
         raise ConfigError(f"need {count_key} >= 1", key=count_key)
-    t_max = cfg.get_float("t_max", 2.0)
+    t_max = cfg.values.get("t_max", 2.0)
     if not t_max > 0:
         raise ConfigError("need t_max > 0", key="t_max")
     return n, t_max
 
 
 def _triples_from(cfg: ScenarioConfig, pool: _SeedPool) -> list:
-    times = cfg.get_vector("times", real=True)
+    times = cfg.values.get("times")
     if times is not None:
         if times.size != 3:
             raise ConfigError("need a [t0, ts, t] triple", key="times")
@@ -245,7 +243,7 @@ def _triples_from(cfg: ScenarioConfig, pool: _SeedPool) -> list:
 
 
 def _run_green(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
-    es = cfg.get_vector("es", required=True, real=True)
+    es = cfg.values["es"]
     density = _density_from(cfg)
     grid = _grid_from(cfg, 10.0, 1000)
     sol = solve_green(GreenProblem(es=es, density=density, grid=grid), strict=strict)
@@ -281,11 +279,7 @@ def _run_green(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
 
 
 def _run_green_analytic(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
-    es = cfg.get_vector("es", required=True, real=True)
-    j0 = cfg.get_float("j0", required=True)
-    j1 = cfg.get_float("j1", required=True)
-    e0 = cfg.get_float("e0", required=True)
-    gamma = cfg.get_float("gamma", required=True)
+    es, j0, j1, e0, gamma = (cfg.values[k] for k in ("es", "j0", "j1", "e0", "gamma"))
     grid = _grid_from(cfg, 10.0, 1000)
     problem = GreenProblem(es=es, density=SpectralDensity.lorentzian(j0, j1, e0, gamma),
                            grid=grid)
@@ -306,13 +300,10 @@ def _run_green_analytic(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
 
 
 def _run_amp_phase(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
-    es_level = cfg.get_float("es_level", required=True)
-    j0 = cfg.get_float("j0", required=True)
-    e0 = cfg.get_float("e0", required=True)
-    gamma = cfg.get_float("gamma", required=True)
-    j1_values = cfg.get_vector("j1_values", required=True, real=True)
+    es_level, j0, e0, gamma, j1_values = (
+        cfg.values[k] for k in ("es_level", "j0", "e0", "gamma", "j1_values"))
     with _keyed(j1="j1_values", es="es_level"):
-        aps = crossover_sweep(es_level, j0, e0, gamma, j1_values)
+        aps = [amplitude_phase(es_level, j0, j1, e0, gamma) for j1 in j1_values.tolist()]
     columns = ["j1", "abs_a1", "abs_a2", "re_phi1_rate", "im_phi1_rate",
                "re_phi2_rate", "im_phi2_rate", "decays"]
     # |a1|, |a2|, |a1 + a2 - 1|: np.hypot is abs(complex) to the last bit, and
@@ -339,16 +330,6 @@ def _run_amp_phase(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     return ScenarioResult(columns, rows, checks, [f"points: {j1_values.size}"])
 
 
-def _expectation(cfg: ScenarioConfig, d_e: int) -> str:
-    expect = cfg.get_str("expect")
-    if expect is None:
-        return "divisible" if d_e == 1 else "report"
-    if expect not in ("divisible", "nondivisible", "report"):
-        raise ConfigError("expect must be divisible, nondivisible or report",
-                          key="expect")
-    return expect
-
-
 def _defect_checks(cfg: ScenarioConfig, expect: str, defects) -> list:
     if expect == "divisible":
         return [CheckRow("defect_max", max(defects),
@@ -368,7 +349,7 @@ def _run_divisibility(cfg: ScenarioConfig, strict: bool,
     with _keyed(ts="times"):
         rows = [[t0, ts, t, defect(spec, t0, ts, t)] for (t0, ts, t) in triples]
     defects = [r[3] for r in rows]
-    expect = _expectation(cfg, spec.d_e)
+    expect = cfg.values.get("expect", "divisible" if spec.d_e == 1 else "report")
     info = [f"dS: {spec.d_s}", f"dE: {spec.d_e}", f"expect: {expect}"]
     if entangled:
         info.append(f"env_purity_defect: {spec.initial.env_purity_defect():.6e}")
@@ -379,16 +360,14 @@ def _run_divisibility(cfg: ScenarioConfig, strict: bool,
 
 
 def _run_master_check(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
-    if cfg.get_int("dE", 1) != 1:
+    if cfg.values.get("dE", 1) != 1:
         raise ConfigError("the master-equation check needs a one-state environment "
                           "(dE = 1)", key="dE")
     spec, pool = _spec_from(cfg)
-    times = cfg.get_vector("times", real=True)
+    times = cfg.values.get("times")
     if times is None:
         n, t_max = _span_from(cfg, "n_times", 10)
         times = np.sort(pool.rng("times").uniform(0.0, t_max, size=n))
-    elif times.size == 0:
-        raise ConfigError("need at least one time", key="times")
     residual, drift = commutator_residuals(spec, times)
     rows = np.column_stack([times, residual, drift])
     checks = [
@@ -430,7 +409,7 @@ def _run_stationarity(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
 
 def _run_witness(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     spec, _ = _spec_from(cfg, amplitude_key="cA")
-    c_a, c_b = cfg.get_vector("cA"), cfg.get_vector("cB")
+    c_a, c_b = cfg.values["cA"], cfg.values["cB"]
     grid = _grid_from(cfg, 5.0, 200)
     # cA already built the spec, so only cB can be at fault
     with _keyed(c="cB"):
@@ -462,19 +441,15 @@ _RUNNERS = {
 def _run_sweep(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     """Run the base scenario once per swept value and merge the tables.
 
-    An integral value is passed as an int, so integer keys such as
-    ``steps`` can be swept; a value outside its domain fails in its own
-    run.  The CSV column holds float(value) either way.
+    The parser checked each value as the swept key's kind (an int for
+    ``steps``); a value outside its domain fails in its own run.  The CSV
+    column holds float(value).
     """
-    base, key = cfg.get_str("base"), cfg.get_str("sweep_key")
-    values = cfg.get_vector("sweep_values", real=True)
-    base_values = {k: v for k, v in cfg.values.items()
-                   if k not in ("base", "sweep_key", "sweep_values", "out")}
-    combined = ScenarioResult([key], [], info=[f"runs: {values.size}"])
+    base, key, values = (cfg.values[k] for k in ("base", "sweep_key", "sweep_values"))
+    combined = ScenarioResult([key], [], info=[f"runs: {len(values)}"])
     for v in values:
-        child = ScenarioConfig(scenario=base, tolerance_overrides=dict(cfg.tolerance_overrides),
-                               values={**base_values,
-                                       key: int(v) if float(v).is_integer() else float(v)})
+        child = ScenarioConfig(scenario=base, values={**cfg.values, key: v},
+                               tolerance_overrides=cfg.tolerance_overrides)
         result = _RUNNERS[base](child, strict)
         combined.columns[1:] = result.columns
         combined.rows.extend([float(v), *row] for row in result.rows)

@@ -290,11 +290,6 @@ class GreenSolution:
         if self.g2 is not None and np.abs(self.g2[0]).max() != 0.0:
             raise ValueError("g2 must vanish exactly at t0")
 
-    def level(self, k: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """1-d trajectories of g1 (and g2 if present) for level k."""
-        g2 = None if self.g2 is None else self.g2[:, k, k]
-        return self.g1[:, k, k], g2
-
 
 def _embed_diagonal(levels: np.ndarray) -> np.ndarray:
     n_times, n_lev = levels.shape
@@ -509,28 +504,31 @@ def _resonant_branches(es, j0: float, j1: float, e0: float, gamma: float,
     :func:`_upper_branch`), so (a1, a2) is exactly (1, 0) or (0, 1).
     For j1 > 0 the branches merge where |R|^2 <= 1e-13 (|z|^2 + 2 axis
     j1 gamma), and :class:`BranchSingularityError` names the critical
-    j1 = -z^2 / (2 axis gamma) on the caller's axis.  Where z^2 leaves the
-    float range and 2 axis j1 gamma does not, a DomainError names the
-    largest of es, e0, j0 and gamma.  Returns (R, a1, a2, phi1, phi2),
-    elementwise in ``es``.
+    j1 = -z^2 / (2 axis gamma) on the caller's axis.  Where z^2, 2 axis j1
+    gamma or their sum leaves the float range, a DomainError names the
+    largest of es, e0, j0, gamma and j1.  Returns (R, a1, a2, phi1,
+    phi2), elementwise in ``es``.
     """
     es = np.asarray(es, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         z = (es - e0) - 1j * (j0 - gamma)
         zz = z * z
+        strength = 2.0 * axis * j1 * gamma
+        size = np.abs(zz) + strength     # bounds |R^2|
     if j1 == 0:
         ratio = np.where(_upper_branch(es - e0, j0 - gamma), 1.0, -1.0)
         # adding 0.0 clears signed zeros, so arg R stays in (-pi/2, pi/2]
         r = ratio * z + 0.0
     else:
-        strength = 2.0 * axis * j1 * gamma
-        if math.isfinite(strength) and not np.isfinite(zz).all():
-            scales = {"es": np.abs(es).max(), "e0": abs(e0), "j0": j0, "gamma": gamma}
-            raise DomainError("z^2 = ((e - e0) - i (j0 - gamma))^2 leaves the float range",
-                              max(scales, key=scales.get))
+        if not np.isfinite(size).all():
+            scales = {"es": np.abs(es).max(), "e0": abs(e0), "j0": j0, "gamma": gamma,
+                      "j1": j1}
+            raise DomainError("R^2 = ((e - e0) - i (j0 - gamma))^2 + 2 axis j1 gamma "
+                              "leaves the float range", max(scales, key=scales.get))
         # adding 0j turns a -0 imaginary part into +0: the cut maps to +i
-        r = np.sqrt(zz + (strength + 0j))
-        bad = np.abs(r) ** 2 <= 1e-13 * (np.abs(z) ** 2 + strength)
+        rr = zz + (strength + 0j)
+        r = np.sqrt(rr)
+        bad = np.abs(rr) <= 1e-13 * size
         if np.any(bad):
             k = int(np.argmax(bad))
             crit = -np.ravel(z)[k] ** 2 / (2.0 * axis * gamma)
@@ -619,12 +617,3 @@ def amplitude_phase(es_level: float, j0: float, j1: float, e0: float,
                           phi1_rate=complex(phi1), phi2_rate=complex(phi2),
                           c_mag=float(abs(r)), e_minus=es_level - e0,
                           v=j0 - gamma, w=j0 + gamma)
-
-
-def crossover_sweep(es_level: float, j0: float, e0: float, gamma: float,
-                    j1_values) -> list[AmplitudePhase]:
-    """:func:`amplitude_phase` at each of a nonempty list of j1."""
-    j1_values = np.asarray(j1_values, dtype=float)
-    if j1_values.size == 0:
-        raise DomainError("j1_values must be nonempty", "j1_values")
-    return [amplitude_phase(es_level, j0, float(j1), e0, gamma) for j1 in j1_values]

@@ -49,7 +49,7 @@ def test_criterion_01_markovian_exponential_decay():
     j0 = 0.2
     grid = TimeGrid(0.0, 10.0, 10000)
     sol = solve_green(GreenProblem(es=es, density=SpectralDensity.constant(j0), grid=grid))
-    g1, _ = sol.level(0)
+    g1 = sol.g1[:, 0, 0]
     t = grid.times()
     resid = float(np.abs(np.log(np.abs(g1[1:])) + j0 * (t[1:] - t[0])).max())
     report(1, resid < 1e-6,

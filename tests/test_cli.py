@@ -501,60 +501,83 @@ AMP_PHASE = "scenario = amp-phase\nes_level = 1.0\nj0 = 0.1\ne0 = 1.0\n"
 HUGE_E0 = "e0 = 6.97e201\nj0 = 0.001\ngamma = 0.13\n"
 
 
-@pytest.mark.parametrize("text, key", [
-    ("scenario = divisibility\ndS = 2\ndE = 1\nsweep_key = [1, 2]\n", "sweep_key"),
+@pytest.mark.parametrize("text, expected", [
+    ("scenario = divisibility\ndS = 2\ndE = 1\nsweep_key = [1, 2]\n", "key 'sweep_key'"),
     ("scenario = sweep\nbase = divisibility\ndS = 2\ndE = 1\nseed = 1\n"
-     "sweep_key = [1, 2]\nsweep_values = [1, 2]\n", "sweep_key"),
-    (DIV_UNIQUE.replace("out = div.csv", "out = 5"), "out"),
-    ("scenario = divisibility\ndS = -2\ndE = 1\nseed = 1\n", "dS"),
-    ("scenario = entropy\ndS = 2\ndE = 0\nseed = 1\n", "dE"),
-    ("scenario = master-check\ndS = 2\nseed = 1\ntimes = []\n", "times"),
+     "sweep_key = [1, 2]\nsweep_values = [1, 2]\n", "key 'sweep_key'"),
+    (DIV_UNIQUE.replace("out = div.csv", "out = 5"), "key 'out'"),
+    ("scenario = divisibility\ndS = -2\ndE = 1\nseed = 1\n", "key 'dS'"),
+    ("scenario = entropy\ndS = 2\ndE = 0\nseed = 1\n", "key 'dE'"),
+    ("scenario = master-check\ndS = 2\nseed = 1\ntimes = []\n", "line 4: key 'times'"),
     ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nhS = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n",
-     "hS"),
-    ("scenario = divisibility\ndS = 2\ndE = 2\nseed = 1\nhE = [[1]]\n", "hE"),
-    ("scenario = stationarity\ndS = 2\ndE = 1\nseed = 1\nhSE = [[1]]\n", "hSE"),
-    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nc = [1, 0, 0]\n", "c"),
-    ("scenario = witness\ndS = 2\ndE = 1\nseed = 6\ncA = [1, 0, 0]\ncB = [0, 1]\n", "cA"),
-    ("scenario = witness\ndS = 2\ndE = 1\nseed = 6\ncA = [1, 0]\ncB = [0, 1, 0]\n", "cB"),
-    ("scenario = entangled\ndS = 2\ndE = 2\nseed = 1\na = [[1, 0, 0]]\n", "a"),
-    ("scenario = divisibility\ndS = 2\ndE = 2\nseed = 1\ndmat = [[1]]\n", "dmat"),
-    ("scenario = entropy\ndS = 2\ndE = 1\nseed = 1\nsmat = [[1]]\n", "smat"),
-    ("scenario = divisibility\ndS = 9\ndE = 9\nseed = 1\n", "dS"),
-    ("scenario = master-check\ndS = 65\nseed = 1\n", "dS"),
-    ("scenario = witness\ndS = 2\ndE = 1\nseed = 6\ncA = [1.0, 1.0]\ncB = [0, 1]\n", "cA"),
-    ("scenario = witness\ndS = 2\ndE = 1\nseed = 6\ncA = [1, 0]\ncB = [1.0, 1.0]\n", "cB"),
-    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nc = [1.0, 1.0]\n", "c"),
-    ("scenario = entangled\ndS = 2\ndE = 2\nseed = 1\na = [[1, 0], [0, 1]]\n", "a"),
-    ("scenario = divisibility\ndS = 2\ndE = 2\nseed = 1\ndmat = [[1, 0], [0, 1]]\n", "dmat"),
+     "key 'hS'"),
+    ("scenario = divisibility\ndS = 2\ndE = 2\nseed = 1\nhE = [[1]]\n", "key 'hE'"),
+    ("scenario = stationarity\ndS = 2\ndE = 1\nseed = 1\nhSE = [[1]]\n", "key 'hSE'"),
+    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nc = [1, 0, 0]\n", "key 'c'"),
+    ("scenario = witness\ndS = 2\ndE = 1\nseed = 6\ncA = [1, 0, 0]\ncB = [0, 1]\n", "key 'cA'"),
+    ("scenario = witness\ndS = 2\ndE = 1\nseed = 6\ncA = [1, 0]\ncB = [0, 1, 0]\n", "key 'cB'"),
+    ("scenario = entangled\ndS = 2\ndE = 2\nseed = 1\na = [[1, 0, 0]]\n", "key 'a'"),
+    ("scenario = divisibility\ndS = 2\ndE = 2\nseed = 1\ndmat = [[1]]\n", "key 'dmat'"),
+    ("scenario = entropy\ndS = 2\ndE = 1\nseed = 1\nsmat = [[1]]\n", "key 'smat'"),
+    ("scenario = divisibility\ndS = 9\ndE = 9\nseed = 1\n", "key 'dS'"),
+    ("scenario = master-check\ndS = 65\nseed = 1\n", "key 'dS'"),
+    ("scenario = witness\ndS = 2\ndE = 1\nseed = 6\ncA = [1.0, 1.0]\ncB = [0, 1]\n", "key 'cA'"),
+    ("scenario = witness\ndS = 2\ndE = 1\nseed = 6\ncA = [1, 0]\ncB = [1.0, 1.0]\n", "key 'cB'"),
+    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nc = [1.0, 1.0]\n", "key 'c'"),
+    ("scenario = entangled\ndS = 2\ndE = 2\nseed = 1\na = [[1, 0], [0, 1]]\n", "key 'a'"),
+    ("scenario = divisibility\ndS = 2\ndE = 2\nseed = 1\ndmat = [[1, 0], [0, 1]]\n",
+     "key 'dmat'"),
     ("scenario = stationarity\ndS = 2\ndE = 2\nseed = 1\ndmat = [[1.5, 0], [0, -0.5]]\n",
-     "dmat"),
-    ("scenario = entropy\ndS = 2\ndE = 1\nseed = 1\nsmat = [[1, 0], [0, 1]]\n", "smat"),
-    (GREEN_RESONANCE + "gamma = 0\n", "gamma"),
-    (GREEN_RESONANCE + "gamma = 0.5\nomega_cut = 0\n", "omega_cut"),
-    ("scenario = green\nes = [0.5]\nj0 = -0.1\n", "j0"),
-    ("scenario = green\nes = []\nj0 = 0.1\n", "es"),
-    ("scenario = green\nes = [0.5]\nj0 = 0.1\nt0 = 20\n", "t1"),
-    (ANALYTIC + "gamma = 0\n", "gamma"),
-    (ANALYTIC.replace("j0 = 0.1", "j0 = -0.1") + "gamma = 0.5\n", "j0"),
-    (ANALYTIC.replace("es = [1.0]", "es = []") + "gamma = 0.5\n", "es"),
-    (ANALYTIC.replace("j1 = 0.8", "j1 = 0.16") + "gamma = 0.5\n", "j1"),
-    (AMP_PHASE + "gamma = 0\nj1_values = [0, 1]\n", "gamma"),
-    (AMP_PHASE + "gamma = 0.5\nj1_values = [-1]\n", "j1_values"),
-    (AMP_PHASE + "gamma = 0.5\nj1_values = [0, 0.08]\n", "j1_values"),
-    (AMP_PHASE.replace("j0 = 0.1", "j0 = -0.1") + "gamma = 0.5\nj1_values = [0, 1]\n", "j0"),
-    ("scenario = green\nes = [0.5]\nj0 = 0.1\nsteps = 1\n", "steps"),
+     "key 'dmat'"),
+    ("scenario = entropy\ndS = 2\ndE = 1\nseed = 1\nsmat = [[1, 0], [0, 1]]\n", "key 'smat'"),
+    (GREEN_RESONANCE + "gamma = 0\n", "key 'gamma'"),
+    (GREEN_RESONANCE + "gamma = 0.5\nomega_cut = 0\n", "key 'omega_cut'"),
+    ("scenario = green\nes = [0.5]\nj0 = -0.1\n", "key 'j0'"),
+    ("scenario = green\nes = []\nj0 = 0.1\n", "line 2: key 'es'"),
+    ("scenario = green\nes = [0.5]\nj0 = 0.1\nt0 = 20\n", "key 't1'"),
+    (ANALYTIC + "gamma = 0\n", "key 'gamma'"),
+    (ANALYTIC.replace("j0 = 0.1", "j0 = -0.1") + "gamma = 0.5\n", "key 'j0'"),
+    (ANALYTIC.replace("es = [1.0]", "es = []") + "gamma = 0.5\n", "line 2: key 'es'"),
+    (ANALYTIC.replace("j1 = 0.8", "j1 = 0.16") + "gamma = 0.5\n", "key 'j1'"),
+    (AMP_PHASE + "gamma = 0\nj1_values = [0, 1]\n", "key 'gamma'"),
+    (AMP_PHASE + "gamma = 0.5\nj1_values = [-1]\n", "key 'j1_values'"),
+    (AMP_PHASE + "gamma = 0.5\nj1_values = [0, 0.08]\n", "key 'j1_values'"),
+    (AMP_PHASE.replace("j0 = 0.1", "j0 = -0.1") + "gamma = 0.5\nj1_values = [0, 1]\n",
+     "key 'j0'"),
+    ("scenario = green\nes = [0.5]\nj0 = 0.1\nsteps = 1\n", "key 'steps'"),
     ("scenario = sweep\nbase = green\nsweep_key = steps\nsweep_values = [100, 1]\n"
-     "es = [0.5]\nj0 = 0.1\n", "steps"),
-    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nn_triples = 0\n", "n_triples"),
-    ("scenario = master-check\ndS = 2\nseed = 1\nn_times = 0\n", "n_times"),
-    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nt_max = 0\n", "t_max"),
-    ("scenario = master-check\ndS = 2\nseed = 1\nt_max = 0\n", "t_max"),
-    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\ntimes = [0, 1, 0.5]\n", "times"),
+     "es = [0.5]\nj0 = 0.1\n", "key 'steps'"),
+    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nn_triples = 0\n", "key 'n_triples'"),
+    ("scenario = master-check\ndS = 2\nseed = 1\nn_times = 0\n", "key 'n_times'"),
+    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nt_max = 0\n", "key 't_max'"),
+    ("scenario = master-check\ndS = 2\nseed = 1\nt_max = 0\n", "key 't_max'"),
+    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\ntimes = [0, 1, 0.5]\n", "key 'times'"),
     pytest.param("scenario = green\nes = [1.5e182]\nj0 = 0.0012\nj1 = 5.1e258\ne0 = 2.7\n"
-                 "gamma = 0.0245\nomega_cut = 1.2e-62\nt1 = 5\nsteps = 200\n", "j1",
+                 "gamma = 0.0245\nomega_cut = 1.2e-62\nt1 = 5\nsteps = 200\n", "key 'j1'",
                  marks=pytest.mark.filterwarnings("ignore::markovlab.spectral.StepSizeWarning")),
-    ("scenario = green-analytic\nes = [0.2097]\nj1 = 1.1e-205\n" + HUGE_E0, "e0"),
-    ("scenario = amp-phase\nes_level = 0.2097\nj1_values = [1.1e-205]\n" + HUGE_E0, "e0"),
+    ("scenario = green-analytic\nes = [0.2097]\nj1 = 1.1e-205\n" + HUGE_E0, "key 'e0'"),
+    ("scenario = amp-phase\nes_level = 0.2097\nj1_values = [1.1e-205]\n" + HUGE_E0, "key 'e0'"),
+    ("scenario = amp-phase\nes_level = 0\nj0 = 0\ne0 = 0\ngamma = 1e155\nj1_values = [1e153]\n",
+     "key 'gamma'"),
+    ("scenario = amp-phase\nj0 = 0\ne0 = -4.3e-70\ngamma = 1.61e159\nes_level = 0\n"
+     "j1_values = [0, 1e299, 0, -1]\n", "key 'j1_values'"),
+    ("scenario = divisibility\ndS = 2.5\ndE = 1\nseed = 1\n", "line 2: key 'dS'"),
+    ("scenario = green\nes = [0.5]\nj0 = 0.1\nsteps = 100.0\n", "line 4: key 'steps'"),
+    ("scenario = green\nes = 1.0\nj0 = 0.1\n", "line 2: key 'es'"),
+    ("scenario = green\nes = [0.5]\nj0 = [0.1]\n", "line 3: key 'j0'"),
+    ("scenario = amp-phase\nes_level = 1.5\nj0 = 0.1\ne0 = 1.0\ngamma = 0.2\n"
+     "j1_values = []\n", "line 6: key 'j1_values'"),
+    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\ncoupling_strength = 1+2i\n",
+     "line 5: key 'coupling_strength'"),
+    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\ntimes = [[0, 1, 2]]\n",
+     "line 5: key 'times'"),
+    ("scenario = witness\ndS = 2\ndE = 1\nseed = 6\ncA = [[1, 0]]\ncB = [0, 1]\n",
+     "line 5: key 'cA'"),
+    ("scenario = entangled\ndS = 2\ndE = 2\nseed = 1\na = [1, 0, 0, 0]\n", "line 5: key 'a'"),
+    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nexpect = maybe\n",
+     "line 5: key 'expect'"),
+    ("scenario = sweep\nbase = divisibility\nsweep_key = coupling_strength\n"
+     "sweep_values = [1, 2]\ndS = 2\nseed = 1\n", "key 'dE'"),
 ], ids=["vector-sweep-key", "sweep-vector-sweep-key", "numeric-out", "negative-dS",
         "zero-dE", "empty-times", "hS-shape", "hE-shape", "hSE-shape", "c-length",
         "cA-length", "cB-length", "a-shape", "dmat-shape", "smat-shape",
@@ -565,10 +588,14 @@ HUGE_E0 = "e0 = 6.97e201\nj0 = 0.001\ngamma = 0.13\n"
         "amp-phase-j1_values", "amp-phase-double-root", "amp-phase-j0", "green-steps",
         "sweep-steps", "n_triples-zero", "n_times-zero", "divisibility-t_max",
         "master-check-t_max", "times-order", "cut-off-march-overflow", "analytic-huge-e0",
-        "amp-phase-huge-e0"])
-def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, text, key):
+        "amp-phase-huge-e0", "amp-phase-huge-gamma", "amp-phase-huge-j1",
+        "fractional-dS", "fractional-steps", "scalar-es", "vector-j0", "empty-j1_values",
+        "complex-coupling", "matrix-times", "matrix-cA", "vector-a", "unknown-expect",
+        "sweep-missing-dE"])
+def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, text, expected):
+    # a value of the wrong kind is a parse error, so its line is named too
     assert run_cli(tmp_path, text) == 2
-    assert f"key {key!r}" in capsys.readouterr().err
+    assert expected in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("levels, j0, t1, key", [
@@ -600,16 +627,6 @@ def test_resonance_beyond_float_range_exits_two(tmp_path, capsys, scenario, j1, 
         assert run_cli(tmp_path, text) == 2
     assert f"key {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "res.csv").exists()
-
-
-def test_amp_phase_amplitudes_beyond_float_range_exit_one(tmp_path):
-    # |a1| leaves the float range: the sum check reads NaN and fails, no traceback
-    text = ("scenario = amp-phase\nes_level = 0\nj0 = 0\ne0 = 0\ngamma = 1e155\n"
-            "j1_values = [1e153]\nout = amp.csv\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert run_cli(tmp_path, text) == 1
-    assert "amp_sum_defect  measured nan" in (tmp_path / "out" / "amp.summary.txt").read_text()
 
 
 def test_stationarity_huge_coupling_exits_zero_with_finite_output(tmp_path):
@@ -875,8 +892,6 @@ def test_spectral_configs_at_extreme_magnitudes_exit_cleanly(tmp_path_factory, t
     err = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        # _resonant_branches still warns where 2 axis j1 gamma leaves the float range
-        warnings.simplefilter("ignore", RuntimeWarning)
         warnings.simplefilter("ignore", StepSizeWarning)
         status = main(["--config", str(cfg), "--out", str(out), *(["--strict"] * strict)])
     assert status in (0, 1, 2)

@@ -20,9 +20,10 @@ steps = 1000
 def test_parse_minimal_green_fills_defaults():
     cfg = parse_config(MINIMAL_GREEN)
     assert cfg.scenario == "green"
-    assert cfg.get_float("j0") == 0.2
-    assert np.array_equal(cfg.get_vector("es", real=True), [1.0])
-    assert cfg.get_float("j1", 0.0) == 0.0
+    assert cfg.values["j0"] == 0.2
+    assert cfg.values["es"].dtype == float and np.array_equal(cfg.values["es"], [1.0])
+    assert cfg.values["steps"] == 1000 and isinstance(cfg.values["t0"], float)
+    assert "j1" not in cfg.values
     assert cfg.output_path == "green.csv"
 
 
@@ -35,7 +36,7 @@ hS = [[1+0i, 0.5-0.25i],[0.5+0.25i, 2+0i]]
 times = [0.0, 0.5, 1.0]
 seed = 1
 """)
-    h = cfg.get_matrix("hS")
+    h = cfg.values["hS"]
     assert h.shape == (2, 2)
     assert h[0, 1] == 0.5 - 0.25j
 
@@ -84,7 +85,7 @@ def test_bad_grid_parses_and_the_run_exits_two_naming_the_key(tmp_path, capsys):
     # t1 > t0 and steps >= 2 are TimeGrid's rules: the run checks them, not the parser
     for grid, key in (("t0 = 2.0\nt1 = 1.0\n", "t1"), ("steps = 1\n", "steps")):
         text = "scenario = green\nes = [1.0]\nj0 = 0.1\n" + grid
-        assert parse_config(text).get_float("j0") == 0.1
+        assert parse_config(text).values["j0"] == 0.1
         (tmp_path / "grid.cfg").write_text(text)
         assert main(["--config", str(tmp_path / "grid.cfg"), "--out", str(tmp_path)]) == 2
         assert f"key {key!r}" in capsys.readouterr().err
@@ -110,7 +111,7 @@ def test_comments_and_blank_lines_ignored():
 
 def test_inf_parses_for_cutoff():
     cfg = parse_config(MINIMAL_GREEN + "j1 = 0.5\ngamma = 0.2\nomega_cut = inf\n")
-    assert np.isinf(cfg.get_float("omega_cut"))
+    assert np.isinf(cfg.values["omega_cut"])
 
 
 HEADS = {"green": "scenario = green\nes = [1.0]\nj0 = 0.2\n",
@@ -154,7 +155,7 @@ def test_inf_allowed_for_cutoff_tolerances_and_swept_cutoff():
     assert np.isinf(cfg.tolerance("decay_residual", 1.0))
     cfg = parse_config("scenario = sweep\nbase = green\nsweep_key = omega_cut\n"
                        "sweep_values = [10.0, inf]\nes = [1.0]\nj0 = 0.2\n")
-    assert np.isinf(cfg.get_vector("sweep_values", real=True)[1])
+    assert np.isinf(cfg.values["sweep_values"][1])
     with pytest.raises(ConfigError, match="sweep_values"):
         parse_config("scenario = sweep\nbase = green\nsweep_key = j0\n"
                      "sweep_values = [0.1, inf]\nes = [1.0]\nj0 = 0.2\n")
@@ -167,7 +168,18 @@ def test_inf_allowed_for_cutoff_tolerances_and_swept_cutoff():
      "sweep_values", "need at least one value"),
     (["base = divisibility", "hS = [[1, 0], [0, 2]]", "sweep_key = hS", "sweep_values = [1]"],
      3, "hS", "swept key must hold a scalar"),
-], ids=["unknown-key", "empty-values", "matrix-base-value"])
+    (["base = divisibility", "sweep_key = hS", "sweep_values = [1]"], 3, "hS",
+     "swept key must hold a scalar"),
+    (["base = divisibility", "sweep_key = n_triples", "sweep_values = [2, 2.5]"], 4,
+     "sweep_values", "expected an integer"),
+    (["base = divisibility", "sweep_key = t_max", "sweep_values = [[1, 2]]"], 4,
+     "sweep_values", "expected a vector"),
+    (["base = sweep", "sweep_key = t_max", "sweep_values = [1]"], 2, "base",
+     "expected one of green, "),
+    (["base = divisibility", "sweep_key = t_max", "sweep_values = [1]", "expect = maybe"], 5,
+     "expect", "expected one of divisible, nondivisible, report"),
+], ids=["unknown-key", "empty-values", "matrix-base-value", "matrix-key", "fractional-int",
+        "matrix-values", "sweep-base", "base-kind"])
 def test_parse_checks_the_sweep_naming_key_and_line(lines, line, key, message):
     text = "\n".join(["scenario = sweep", *lines, "dS = 2", "dE = 1", "seed = 1", ""])
     with pytest.raises(ConfigError, match=f"line {line}: key {key!r}: {message}"):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -19,7 +20,6 @@ from markovlab.spectral import (
     amplitude_phase,
     analytic_green1_lorentzian,
     analytic_green_const,
-    crossover_sweep,
     kernel_on_grid,
     solve_green,
 )
@@ -263,7 +263,7 @@ def test_solve_green_constant_matches_exponential():
     j0 = 0.2
     grid = TimeGrid(0.0, 10.0, 10000)
     sol = solve_green(GreenProblem(es=es, density=SpectralDensity.constant(j0), grid=grid))
-    g1, _ = sol.level(0)
+    g1 = sol.g1[:, 0, 0]
     expect = np.exp(-1j * (1.0 - 1j * j0) * (grid.times() - grid.t0))
     assert np.abs(g1 - expect).max() < 1e-6
 
@@ -273,7 +273,7 @@ def test_solve_green_zero_density_pure_phase():
     sol = solve_green(GreenProblem(es=es, density=SpectralDensity.constant(0.0),
                                    grid=TimeGrid(0.0, 8.0, 2000)))
     for k in range(2):
-        g1, _ = sol.level(k)
+        g1 = sol.g1[:, k, k]
         assert np.abs(np.abs(g1) - 1.0).max() < 1e-12
 
 
@@ -435,7 +435,7 @@ def test_const_form_initial_and_zero_j0():
 def test_const_form_log_magnitude_linear():
     grid = TimeGrid(0.0, 10.0, 1000)
     sol = analytic_green_const(np.array([1.3]), 0.4, grid)
-    g1, _ = sol.level(0)
+    g1 = sol.g1[:, 0, 0]
     t = grid.times()
     resid = np.abs(np.log(np.abs(g1[1:])) + 0.4 * t[1:]).max()
     assert resid < 1e-9
@@ -444,7 +444,7 @@ def test_const_form_log_magnitude_linear():
 def test_const_form_decay_value():
     grid = TimeGrid(0.0, 2.0, 2)
     sol = analytic_green_const(np.array([1.0]), 0.5, grid)
-    g1, g2 = sol.level(0)
+    g1, g2 = sol.g1[:, 0, 0], sol.g2[:, 0, 0]
     assert abs(abs(g1[-1]) - math.exp(-1.0)) < 1e-14
     # g2 = j0 exp(-j0 dt) sin(e dt) / e
     assert abs(g2[-1] - 0.5 * math.exp(-1.0) * math.sin(2.0)) < 1e-14
@@ -476,7 +476,7 @@ def test_lorentzian_form_small_gamma_limit():
 def test_lorentzian_form_oscillates():
     grid = TimeGrid(0.0, 20.0, 4000)
     sol = analytic_green1_lorentzian(np.array([1.0]), 0.1, 1.0, 1.0, 0.2, grid)
-    g1, _ = sol.level(0)
+    g1 = sol.g1[:, 0, 0]
     slope_signs = np.sign(np.diff(np.abs(g1)))
     assert np.any(slope_signs[1:] != slope_signs[:-1])
 
@@ -570,7 +570,7 @@ def test_amplitude_phase_at_half_j1_reconstructs_closed_form(e, j0, j1, e0, gamm
     except BranchSingularityError:
         assume(False)
     rebuilt = _two_branch(amplitude_phase(e, j0, 0.5 * j1, e0, gamma), grid.times())
-    assert np.abs(rebuilt - ana.level(0)[0]).max() < 1e-13
+    assert np.abs(rebuilt - ana.g1[:, 0, 0]).max() < 1e-13
 
 
 @pytest.mark.parametrize("e, j0, j1, e0, gamma", [
@@ -582,29 +582,29 @@ def test_amplitude_phase_at_half_j1_matches_solve_green(e, j0, j1, e0, gamma):
     grid = TimeGrid(0.0, 10.0, 10000)
     density = SpectralDensity.lorentzian(j0=j0, j1=j1, e0=e0, gamma=gamma)
     num = solve_green(GreenProblem(es=np.array([e]), density=density, grid=grid))
-    g1 = num.level(0)[0]
+    g1 = num.g1[:, 0, 0]
     t = grid.times()
     assert np.abs(_two_branch(amplitude_phase(e, j0, 0.5 * j1, e0, gamma), t) - g1).max() < 1e-3
     # at the same j1 the branches belong to a resonance twice as strong
     assert np.abs(_two_branch(amplitude_phase(e, j0, j1, e0, gamma), t) - g1).max() > 1e-2
 
 
-def test_crossover_sweep_endpoints_and_decay_flag():
-    j1s = np.concatenate(([0.0], np.logspace(-2, 6, 30)))
-    aps = crossover_sweep(1.5, 0.1, 1.0, 0.2, j1s)
-    assert abs(aps[0].a1) == 1.0 and abs(aps[0].a2) == 0.0
-    assert abs(abs(aps[-1].a1) - 0.5) < 1e-2
-    for j1, ap in zip(j1s, aps):
-        assert ap == amplitude_phase(1.5, 0.1, j1, 1.0, 0.2)
+def test_amplitude_phase_decay_flag_across_the_crossover():
+    # w > |R| bounds |Im R|, so a decaying pair has both rates in the left half plane
+    flags = set()
+    for es_level, j1 in itertools.product((1.5, 1.0), np.logspace(-2, 6, 30)):
+        ap = amplitude_phase(es_level, 0.1, float(j1), 1.0, 0.2)
         assert ap.decays == (ap.w > ap.c_mag)
+        if ap.decays:
+            assert ap.phi1_rate.real < 0 and ap.phi2_rate.real < 0
         assert abs(ap.a1) + abs(ap.a2) >= 1.0 - 1e-15
+        flags.add(ap.decays)
+    assert flags == {True, False}
 
 
-def test_crossover_sweep_rejects_bad_input():
-    with pytest.raises(ValueError, match="nonempty"):
-        crossover_sweep(1.0, 0.1, 1.0, 0.2, [])
+def test_amplitude_phase_rejects_negative_j1():
     with pytest.raises(ValueError, match="nonnegative"):
-        crossover_sweep(1.0, 0.1, 1.0, 0.2, [-1.0])
+        amplitude_phase(1.0, 0.1, -1.0, 1.0, 0.2)
 
 
 # ----------------------------------------------------------------- grids
