@@ -183,10 +183,10 @@ _KINDS = {
 }
 
 
-def _parse_scalar(token: str, line: int):
+def _parse_scalar(token: str):
     token = token.strip()
     if not token:
-        raise ConfigError("empty value", line=line)
+        raise ValueError("empty value")
     try:
         value = int(token)
     except ValueError:
@@ -206,7 +206,7 @@ def _parse_scalar(token: str, line: int):
     return token
 
 
-def _split_top_level(text: str, line: int) -> list[str]:
+def _split_top_level(text: str) -> list[str]:
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch == "[":
@@ -214,7 +214,7 @@ def _split_top_level(text: str, line: int) -> list[str]:
         elif ch == "]":
             depth -= 1
             if depth < 0:
-                raise ConfigError("unbalanced brackets", line=line)
+                raise ValueError("unbalanced brackets")
         if ch == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
@@ -224,36 +224,35 @@ def _split_top_level(text: str, line: int) -> list[str]:
     return parts
 
 
-def _parse_value(text: str, line: int):
-    """A scalar, a vector as a list of scalars, or a matrix as a list of equal rows."""
+def _parse_value(text: str):
+    """A scalar, a vector (a list of scalars) or a matrix (a list of equal rows)."""
     text = text.strip()
     if text.startswith("[["):
         if not text.endswith("]]"):
-            raise ConfigError("matrix literal must end with ']]'", line=line)
+            raise ValueError("matrix literal must end with ']]'")
         rows = []
-        for row_text in _split_top_level(text[1:-1], line):
+        for row_text in _split_top_level(text[1:-1]):
             row_text = row_text.strip()
             if not (row_text.startswith("[") and row_text.endswith("]")):
-                raise ConfigError("malformed matrix row", line=line)
-            row = [_parse_scalar(tok, line)
-                   for tok in _split_top_level(row_text[1:-1], line)]
+                raise ValueError("malformed matrix row")
+            row = [_parse_scalar(tok) for tok in _split_top_level(row_text[1:-1])]
             if any(isinstance(v, str) for v in row):
-                raise ConfigError("matrix entries must be numbers", line=line)
+                raise ValueError("matrix entries must be numbers")
             rows.append(row)
         if len({len(r) for r in rows}) != 1:
-            raise ConfigError("matrix rows have unequal lengths", line=line)
+            raise ValueError("matrix rows have unequal lengths")
         return rows
     if text.startswith("["):
         if not text.endswith("]"):
-            raise ConfigError("vector literal must end with ']'", line=line)
+            raise ValueError("vector literal must end with ']'")
         inner = text[1:-1].strip()
         if not inner:
             return []
-        items = [_parse_scalar(tok, line) for tok in _split_top_level(inner, line)]
+        items = [_parse_scalar(tok) for tok in _split_top_level(inner)]
         if any(isinstance(v, str) for v in items):
-            raise ConfigError("vector entries must be numbers", line=line)
+            raise ValueError("vector entries must be numbers")
         return items
-    return _parse_scalar(text, line)
+    return _parse_scalar(text)
 
 
 @dataclass
@@ -291,9 +290,11 @@ def parse_config(text: str, scenario_override: str | None = None) -> ScenarioCon
         if key in raw or (key == "scenario" and scenario is not None):
             raise ConfigError("duplicate key", line=lineno, key=key)
         try:
-            value = _parse_value(value_text, lineno)
+            value = _parse_value(value_text)
         except OverflowError:
             raise ConfigError("integer beyond the float range", line=lineno, key=key) from None
+        except ValueError as exc:
+            raise ConfigError(str(exc), line=lineno, key=key) from None
         if key == "scenario":
             if not isinstance(value, str):
                 raise ConfigError("scenario must be a name", line=lineno)

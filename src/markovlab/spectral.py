@@ -27,10 +27,9 @@ in closed form: the exponential of the infinite cut-off, exponential
 integrals for a finite cut-off, and the exact transform of a tabulated
 density's piecewise-linear interpolant; none uses adaptive quadrature.
 
-Importing the module loads numpy only.  The functions that call scipy
-(``exp1`` in the finite cut-off kernel, the FFT in the Toeplitz solve and
-its G2 convolution) import ``scipy.special`` and ``scipy.fft`` on first
-use, so code that needs only :class:`TimeGrid` never loads scipy.
+The module needs numpy only: the exponential integral of the finite
+cut-off is a power series, a continued fraction or an asymptotic series,
+and the Toeplitz solve and its G2 convolution use ``numpy.fft``.
 """
 
 from __future__ import annotations
@@ -170,21 +169,48 @@ def _table_kernel(om: np.ndarray, va: np.ndarray, lags: np.ndarray) -> np.ndarra
     return out / (2.0 * math.pi)
 
 
-#: Above this |Re z|, exp(z) or E1(z) leaves the double range (e^709), so
-#: f(z) = exp(z) E1(z) takes its asymptotic series, whose eight terms stay
-#: within 1e-17 relative for |z| > 500.
+#: f(z) = exp(z) E1(z) in the lower half plane takes one of three expansions.
+#: - The asymptotic series sum_k (-1)^k k! / z^(k+1), 40 terms, within
+#:   1e-16 relative for |z| >= 40: where |Re z| > 500, beyond which exp(z)
+#:   or E1(z) leaves the double range (e^709), and next to the cut (inside
+#:   the parabola |z| + Re z < 4) from |z| = 40 on.
+#: - The power series -gamma_E - log z - sum_k (-z)^k / (k k!) next to the
+#:   cut below |z| = 40, where it loses at most a factor e^4 to cancellation.
+#: - Elsewhere the continued fraction 1 / (z + 1 - 1 / (z + 3 - 4 / (z + 5
+#:   - ..))), which converges like exp(-4 sqrt(depth (|z| + Re z) / 2)):
+#:   45 levels reach 1e-16.  Its approximants have poles along the cut, so
+#:   it is never used next to it.
 _ASYMPTOTIC_RE = 500.0
-_ASYMPTOTIC_SERIES = [(-1) ** k * math.factorial(k) for k in range(7, -1, -1)]
+_SERIES_RADIUS = 40.0
+_NEAR_CUT = 4.0
+_FRACTION_DEPTH = 45
+_ASYMPTOTIC_SERIES = [(-1) ** k * math.factorial(k) for k in range(39, -1, -1)]
+_E1_SERIES = [(-1) ** k / (k * math.factorial(k)) for k in range(1, 142)]
 
 
 def _scaled_exp1(z: np.ndarray) -> np.ndarray:
-    """f(z) = exp(z) E1(z); sum_k (-1)^k k! / z^(k+1) where |Re z| is large."""
-    import scipy.special
-    far = np.abs(z.real) > _ASYMPTOTIC_RE
-    near = np.where(far, 1.0, z)
-    inv = 1.0 / np.where(far, z, 1.0)
-    return np.where(far, inv * np.polyval(_ASYMPTOTIC_SERIES, inv),
-                    np.exp(near) * scipy.special.exp1(near))
+    """f(z) = exp(z) E1(z) for complex z with Im z <= 0, elementwise."""
+    out = np.empty_like(z)
+    size = np.abs(z)
+    near_cut = size + z.real < _NEAR_CUT
+    series = near_cut & (size < _SERIES_RADIUS)
+    far = (np.abs(z.real) > _ASYMPTOTIC_RE) | (near_cut & ~series)
+    fraction = ~(series | far)
+    if far.any():
+        inv = 1.0 / z[far]
+        out[far] = inv * np.polyval(_ASYMPTOTIC_SERIES, inv)
+    if series.any():
+        near = z[series]
+        # 3 |z| + 21 terms bring the series within 1e-17 relative
+        power_sum = near * np.polyval(_E1_SERIES[int(3.0 * size[series].max()) + 20::-1], near)
+        out[series] = np.exp(near) * (-np.euler_gamma - np.log(near) - power_sum)
+    if fraction.any():
+        rest = z[fraction]
+        tail = rest + (2 * _FRACTION_DEPTH + 1)
+        for k in range(_FRACTION_DEPTH, 0, -1):
+            tail = rest + (2 * k - 1) - k * k / tail
+        out[fraction] = 1.0 / tail
+    return out
 
 
 def _cut_kernel(j1: float, gamma: float, e0: float, cut: float,
@@ -205,7 +231,8 @@ def _cut_kernel(j1: float, gamma: float, e0: float, cut: float,
     at_zero = lags == 0
     s = np.where(at_zero, 1.0, np.abs(lags))
     z = -1j * cut * s
-    tails = np.exp(1j * cut * s) * (_scaled_exp1(z + gamma * s) - _scaled_exp1(z - gamma * s))
+    plus, minus = _scaled_exp1(np.stack([z + gamma * s, z - gamma * s]))   # one pass for both
+    tails = np.exp(1j * cut * s) * (plus - minus)
     gamma_i = np.where(at_zero, 2.0 * math.atan(cut / gamma),
                        math.pi * np.exp(-gamma * s) + tails.imag)
     return (0.5 * j1 * gamma / math.pi) * np.exp(-1j * e0 * lags) * gamma_i
@@ -301,11 +328,24 @@ def _embed_diagonal(levels: np.ndarray) -> np.ndarray:
 
 def _causal_product(x: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
     """First ``count`` terms of the convolution of x and y along axis 0: one FFT pass."""
-    import scipy.fft
     x, y = x[:count], y[:count]
-    size = scipy.fft.next_fast_len(len(x) + len(y) - 1)
-    return scipy.fft.ifft(scipy.fft.fft(x, size, axis=0) * scipy.fft.fft(y, size, axis=0),
-                          axis=0)[:count]
+    size = _fast_len(len(x) + len(y) - 1)
+    return np.fft.ifft(np.fft.fft(x, size, axis=0) * np.fft.fft(y, size, axis=0),
+                       axis=0)[:count]
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length the FFT splits into small factors."""
+    best = 1 << (n - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            # the least power of two times odd that reaches n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
 
 
 def _trapezoid_convolution(kern: np.ndarray, sig: np.ndarray, h: float) -> np.ndarray:

@@ -578,6 +578,12 @@ HUGE_E0 = "e0 = 6.97e201\nj0 = 0.001\ngamma = 0.13\n"
      "line 5: key 'expect'"),
     ("scenario = sweep\nbase = divisibility\nsweep_key = coupling_strength\n"
      "sweep_values = [1, 2]\ndS = 2\nseed = 1\n", "key 'dE'"),
+    ("scenario = sweep\nbase = divisibility\nsweep_key = coupling_strength\n"
+     "sweep_values = [1, [2]]\ndS = 2\ndE = 1\nseed = 1\n", "line 4: key 'sweep_values'"),
+    ("scenario = green\nes = [0.5, ]\nj0 = 0.1\n", "line 2: key 'es': empty value"),
+    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nhS = [[1, 0], [0]]\n",
+     "line 5: key 'hS'"),
+    ("scenario = green\nes = [0.5\nj0 = 0.1\n", "line 2: key 'es'"),
 ], ids=["vector-sweep-key", "sweep-vector-sweep-key", "numeric-out", "negative-dS",
         "zero-dE", "empty-times", "hS-shape", "hE-shape", "hSE-shape", "c-length",
         "cA-length", "cB-length", "a-shape", "dmat-shape", "smat-shape",
@@ -591,7 +597,8 @@ HUGE_E0 = "e0 = 6.97e201\nj0 = 0.001\ngamma = 0.13\n"
         "amp-phase-huge-e0", "amp-phase-huge-gamma", "amp-phase-huge-j1",
         "fractional-dS", "fractional-steps", "scalar-es", "vector-j0", "empty-j1_values",
         "complex-coupling", "matrix-times", "matrix-cA", "vector-a", "unknown-expect",
-        "sweep-missing-dE"])
+        "sweep-missing-dE", "nested-sweep-value", "empty-entry", "ragged-matrix",
+        "unclosed-vector"])
 def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, text, expected):
     # a value of the wrong kind is a parse error, so its line is named too
     assert run_cli(tmp_path, text) == 2
@@ -660,38 +667,6 @@ DYNAMICS_RUNS = {
              "sweep_values = [0.1, 1.0]\ndS = 2\ndE = 1\nseed = 3\nn_triples = 3\n",
 }
 
-# argv: the package whose modules are listed, the output directory, config paths
-NO_SCIPY_SCRIPT = """
-import sys
-import markovlab, markovlab.cli
-package = sys.argv[1]
-statuses = [markovlab.cli.main(["--config", path, "--out", sys.argv[2]])
-            for path in sys.argv[3:]]
-loaded = sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
-print(statuses, loaded, file=sys.stderr)
-"""
-
-
-def _run_fresh(tmp_path, runs, package, prelude=""):
-    """Run configs in a fresh interpreter; the last stderr line: statuses, loaded modules."""
-    paths = []
-    for name, text in runs.items():
-        paths.append(tmp_path / f"{name}.cfg")
-        paths[-1].write_text(text)
-    src = os.path.dirname(os.path.dirname(markovlab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", prelude + NO_SCIPY_SCRIPT, package,
-                           str(tmp_path / "out"), *map(str, paths)],
-                          env=env, capture_output=True, text=True, check=True)
-    return proc.stderr.splitlines()[-1], len(paths)
-
-
-def test_dynamics_scenarios_never_load_scipy(tmp_path):
-    line, n_runs = _run_fresh(tmp_path, DYNAMICS_RUNS, "scipy")
-    assert line == f"{[0] * n_runs} []"
-
-
 GREEN_LEVELS = "es = [-0.4, 0.6]\nj0 = 0.1\nt1 = 4\nsteps = 200\n"
 GREEN_RUNS = {
     "lorentzian": "scenario = green\n" + GREEN_LEVELS + "j1 = 0.8\ne0 = 0.2\ngamma = 0.5\n",
@@ -704,6 +679,38 @@ GREEN_RUNS = {
                  "j1_values = [0, 0.1, 1, 10]\n",
 }
 
+# argv: output directory, config paths; the last stderr line lists the exit
+# statuses and the loaded scipy modules
+NO_SCIPY_SCRIPT = """
+import sys
+import markovlab, markovlab.cli
+statuses = [markovlab.cli.main(["--config", path, "--out", sys.argv[1]])
+            for path in sys.argv[2:]]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(statuses, loaded, file=sys.stderr)
+"""
+
+
+def _run_fresh(tmp_path, runs, prelude=""):
+    """Run configs in a fresh interpreter; the last stderr line: statuses, loaded modules."""
+    paths = []
+    for name, text in runs.items():
+        paths.append(tmp_path / f"{name}.cfg")
+        paths[-1].write_text(text)
+    src = os.path.dirname(os.path.dirname(markovlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", prelude + NO_SCIPY_SCRIPT,
+                           str(tmp_path / "out"), *map(str, paths)],
+                          env=env, capture_output=True, text=True, check=True)
+    return proc.stderr.splitlines()[-1], len(paths)
+
+
+def test_dynamics_scenarios_never_load_scipy(tmp_path):
+    line, n_runs = _run_fresh(tmp_path, DYNAMICS_RUNS)
+    assert line == f"{[0] * n_runs} []"
+
+
 TABULATED_SOLVE = """
 import numpy as np
 import markovlab as ml
@@ -715,8 +722,8 @@ ml.solve_green(ml.GreenProblem(es=np.array([-0.3, 0.5]), density=density,
 
 
 def test_green_scenarios_never_load_scipy_signal(tmp_path):
-    # the Green solver needs scipy.special and scipy.fft only
-    line, n_runs = _run_fresh(tmp_path, GREEN_RUNS, "scipy.signal", prelude=TABULATED_SOLVE)
+    # the Green solver, the finite cut-off included, loads no scipy module at all
+    line, n_runs = _run_fresh(tmp_path, GREEN_RUNS, prelude=TABULATED_SOLVE)
     assert line == f"{[0] * n_runs} []"
 
 

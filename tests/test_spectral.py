@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.signal
+import scipy.special
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -25,8 +26,10 @@ from markovlab.spectral import (
 )
 from markovlab.spectral import (
     _SERIES_THETA,
+    _fast_len,
     _pole_powers,
     _pole_scan,
+    _scaled_exp1,
     _trapezoid_convolution,
 )
 
@@ -171,6 +174,45 @@ def test_kernel_finite_cutoff_large_lag(gamma_s):
     next_term = 4 * cut / ((cut**2 + gamma**2) ** 2 * s**2)
     assert abs(got[0] - scale * np.exp(-1j * e0 * s) * lead) <= 2 * scale * next_term
     assert abs(got[1] - np.conj(got[0])) < 1e-15 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(angle=st.floats(-math.pi, 0.0, exclude_min=True), log_size=st.floats(-8.0, 4.0))
+def test_scaled_exp1_matches_scipy(angle, log_size):
+    z = 10.0 ** log_size * complex(math.cos(angle), math.sin(angle))
+    # past |Re z| = 600 exp(z) or E1(z) is no longer a normal double
+    assume(abs(z.real) <= 600.0)
+    want = np.exp(z) * scipy.special.exp1(z)
+    # scipy's exp1 itself is off by up to 1.7e-12 just inside |z| = 5
+    assert abs(_scaled_exp1(np.array([z]))[0] - want) <= 5e-12 * abs(want)
+
+
+#: exp(z) E1(z) by mpmath at 40 digits, on both sides of each seam of
+#: _scaled_exp1: |z| + Re z = 4, |z| = 40 along the cut (z = -41.0369..
+#: is a pole of the 45-level continued fraction), |Re z| = 500, and the
+#: ends of the range.
+EXP1_SEAMS = [
+    ((1.4999999990000001-2.00000000075j), (0.2357426115730767+0.21572882860923667j)),
+    ((1.5000000010000003-1.9999999992499997j), (0.2357426117209687+0.2157288283943082j)),
+    ((-16.000000001-11.999999998666667j), (-0.04057156809192122+0.032651620356355444j)),
+    ((-15.999999999-12.000000001333333j), (-0.040571568085993374+0.032651620363182865j)),
+    ((-39.999999-0.01j), (-0.02565886175169863+6.588627762928325e-06j)),
+    ((-40.000001-0.01j), (-0.02565886043397332+6.588627085672696e-06j)),
+    ((-41.036931930855836-1e-12j), (-0.0249933991369213+6.298375899803086e-16j)),
+    ((-500.000001-3j), (-0.002003943659887272+1.2047854803793666e-05j)),
+    ((-499.999999-3j), (-0.0020039436679185948+1.204785490036734e-05j)),
+    ((500.000001-3j), (0.00199594433192119+1.1951857108272873e-05j)),
+    ((499.999999-3j), (0.0019959443398885235+1.195185720369459e-05j)),
+    ((1e-08-1e-08j), (17.496891681593755+0.7853979862825131j)),
+    ((3-4000j), (2.4999969531303907e-07+0.0002499997343753838j)),
+    ((-10000-1e-06j), (-0.00010001000200060025+1.000200060024012e-14j)),
+]
+
+
+def test_scaled_exp1_at_the_seams():
+    z, want = np.array(EXP1_SEAMS).T
+    got = _scaled_exp1(z)
+    assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
 
 
 def test_kernel_tabulated_matches_lorentzian_samples():
@@ -395,15 +437,22 @@ def test_pole_scan_matches_sosfilt(n, levels, sections, seed):
     assert (np.abs(got - want).max(axis=1) <= 1e-13 * np.abs(want).max(axis=1)).all()
 
 
+def test_fast_len_is_the_least_5_smooth_length():
+    smooth = sorted(2**a * 3**b * 5**c for a in range(13) for b in range(8) for c in range(6))
+    for n in range(1, 4001):
+        assert _fast_len(n) == next(m for m in smooth if m >= n)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 600), levels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_trapezoid_convolution_matches_per_level_fftconvolve(n, levels, seed):
-    # one batched FFT pass does the same arithmetic as one fftconvolve per level
+def test_trapezoid_convolution_matches_per_level_fft(n, levels, seed):
+    # one batched FFT pass does the same arithmetic as one FFT product per level
     rng = np.random.default_rng(seed)
     kern = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     sig = rng.normal(size=(n + 1, levels)) + 1j * rng.normal(size=(n + 1, levels))
     h = 0.01
-    want = np.stack([scipy.signal.fftconvolve(kern, sig[:, lev])[: n + 1]
+    size = _fast_len(2 * n + 1)
+    want = np.stack([np.fft.ifft(np.fft.fft(kern, size) * np.fft.fft(sig[:, lev], size))[: n + 1]
                      for lev in range(levels)], axis=1)
     want -= 0.5 * np.outer(kern, sig[0])
     want -= 0.5 * kern[0] * sig
