@@ -8,12 +8,13 @@ needs the line number: syntax, keys (strictly against the schema of the
 named scenario), finiteness, and each value against the kind of its key
 in ``_KINDS``: an integer, a real, a vector of reals or of complex
 amplitudes (at least one entry), a matrix (Hermitian for Hamiltonians
-and weights), a bare name, or one of a few names.  Values are stored in
-normal form: reals as ``float``, vectors as float or complex arrays,
-matrices as complex arrays.  Numbers must be finite, except that ``inf``
-is allowed for ``omega_cut`` (infinite band cut-off) and ``tol_*``
-tolerances; ``nan`` is rejected everywhere, and so is an integer literal
-beyond the float range.  A sweep names a scalar key of its base and at
+and weights), a bare name, a file name without a directory (``out``) or
+one of a few names.  Values are stored in normal form: reals as
+``float``, vectors as float or complex arrays, matrices as complex
+arrays.  Numbers must be finite, except that ``inf`` is allowed for
+``omega_cut`` (infinite band cut-off) and ``tol_*`` tolerances; ``nan``
+is rejected everywhere, and so is an integer literal beyond the float
+range.  A sweep names a scalar key of its base and at
 least one value, each checked as that key's kind; the rest of the sweep
 is validated exactly as a config of its base whose swept key holds the
 first value.  Range rules (t1 > t0, steps >= 2, a nonnegative j0, a
@@ -23,6 +24,7 @@ and fail when the scenario runs.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,6 +159,13 @@ def _name(value) -> str:
     return value
 
 
+def _file_name(value) -> str:
+    name = _name(value)
+    if name in ("", ".", "..") or any(sep and sep in name for sep in (os.sep, os.altsep)):
+        raise ValueError("expected a bare file name, without a directory")
+    return name
+
+
 def _one_of(*names):
     def kind(value) -> str:
         if value not in names:
@@ -176,7 +185,8 @@ _KINDS = {
     **dict.fromkeys(["c", "cA", "cB"], _amplitudes),
     **dict.fromkeys(["hS", "hE", "hSE", "dmat", "smat"], _hermitian),
     "a": _matrix,
-    **dict.fromkeys(["out", "sweep_key"], _name),
+    "out": _file_name,
+    "sweep_key": _name,
     "expect": _one_of("divisible", "nondivisible", "report"),
     "base": _one_of(*(name for name in SCHEMAS if name != "sweep")),
     "sweep_values": _entries,

@@ -18,7 +18,8 @@ step is one ufunc, so no step can be contracted into a fused multiply-add.
 Text.  Each cell owns a row of character slots; a layout code (notation,
 decimal exponent for fixed notation, significant digits, sign) picks the
 slots it uses from a small pattern table, and the unused slots, zero
-bytes, are deleted from the block in one pass.
+bytes, are deleted from the block in one pass.  The blocks of one table
+share their work arrays.
 
 Fallback domain (``'%.17g' %`` one cell at a time): NaN, +-inf, values
 with |v| outside [1e-270, 1e270] other than +-0, and near-ties whose
@@ -36,7 +37,8 @@ _FAST_MIN, _FAST_MAX = 1e-270, 1e270
 _TIE_GUARD = 1e-9
 #: Dekker's splitting constant 2**27 + 1.
 _SPLIT = 134217729.0
-#: Cells formatted per block, which keeps the temporaries near 2 MB.
+#: Cells formatted per block; a table's work arrays (:class:`_Work`) hold
+#: one block, about 1.3 MB.
 _BLOCK_CELLS = 8192
 
 
@@ -76,6 +78,8 @@ _QUAD_SLOTS[:, ::2] = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48
 _QUAD_SLOTS = _QUAD_SLOTS.view(np.uint64).ravel()
 #: Exponent sign and three digits for x in [-_X_MAX, _X_MAX], one uint32.
 _X_MAX = 330
+#: 10**(12 - 4 j): a 17-digit integer // _GROUPS[j] % 10000 is its 4-digit group j.
+_GROUPS = 10 ** np.arange(12, -1, -4)
 _EXPONENTS = np.frombuffer(b"".join(b"%+04d" % x for x in range(-_X_MAX, _X_MAX + 1)),
                            dtype=np.uint32)
 
@@ -130,79 +134,116 @@ _CLASS_CODES = 34 * np.where(np.abs(np.arange(-_X_MAX, _X_MAX + 1)) < 100,
 _CLASS_CODES[_X_MAX - 4:_X_MAX + 17] = 34 * np.arange(_FIXED_CLASSES) - 2
 
 
-def _scaled(a, k):
-    """a * 10**k as a normalised double-double (s, r), |r| <= ulp(s) / 2."""
-    i = k - _K_MIN
-    hh, hl = _POW_HH[i], _POW_HL[i]
-    p = a * _POW_HI[i]
-    ah, al = _split(a)
-    err = al * hl - (((p - ah * hh) - al * hh) - ah * hl)
-    r = err + a * _POW_LO[i]
-    s = p + r
-    return s, r - (s - p)
+def _scaled(a, k, work):
+    """a * 10**k as a normalised double-double (s, r), |r| <= ulp(s) / 2.
+
+    Every step writes into ``work``, a (6, a.size) float64 array whose first
+    two rows are returned as s and r; ``k`` is overwritten.
+    """
+    s, r, p, t, hh, hl = work
+    i = np.subtract(k, _K_MIN, out=k)
+    np.multiply(a, _POW_HI.take(i, out=p, mode="clip"), out=p)
+    _POW_HH.take(i, out=hh, mode="clip")
+    _POW_HL.take(i, out=hl, mode="clip")
+    ah, al = s, r                             # Dekker's split of a, as _split
+    np.multiply(a, _SPLIT, out=t)
+    np.subtract(t, np.subtract(t, a, out=ah), out=ah)
+    np.subtract(a, ah, out=al)
+    # err = al hl - (((p - ah hh) - al hh) - ah hl), then r = err + a lo
+    np.subtract(p, np.multiply(ah, hh, out=t), out=t)
+    t -= np.multiply(al, hh, out=hh)
+    t -= np.multiply(ah, hl, out=hh)
+    np.subtract(np.multiply(al, hl, out=hl), t, out=t)
+    np.add(t, np.multiply(a, _POW_LO.take(i, out=hh, mode="clip"), out=hh), out=r)
+    np.add(p, r, out=s)
+    r -= np.subtract(s, p, out=t)
+    return s, r
 
 
-def _split_digits(d):
-    """17-digit integers as (leading digit, four 4-digit groups)."""
-    top = d // 10 ** 16
-    rest = d - top * 10 ** 16
-    high = rest // 10 ** 8
-    low = rest - high * 10 ** 8
-    quads = np.empty((d.size, 4), dtype=np.int64)
-    quads[:, 0] = high // 10000
-    quads[:, 1] = high - quads[:, 0] * 10000
-    quads[:, 2] = low // 10000
-    quads[:, 3] = low - quads[:, 2] * 10000
-    return top, quads
+class _Work:
+    """Work arrays of one table's blocks, sized for its largest block.
+
+    Each block writes an array before reading it, so every block of the
+    table reuses them.  ``text`` holds ``_WIDTH`` character slots per cell
+    and ``chars`` views it as a (cells, ``_WIDTH``) uint8 array.
+    """
+
+    def __init__(self, cells: int):
+        self.text = bytearray(cells * _WIDTH)
+        self.chars = np.frombuffer(self.text, dtype=np.uint8).reshape(cells, _WIDTH)
+        self.floats = np.empty((7, cells))
+        self.ints = np.empty((5, cells), dtype=np.int64)
+        self.slot = np.empty(cells, dtype=np.uint64)
 
 
-def _block_text(v, row_end):
+def _block_text(v, row_end, work):
     """Bytes of the flat float64 cells ``v``; ``row_end`` is ``_CODES`` for
-    the last cell of a row and 0 for the others."""
-    a = np.abs(v)
+    the last cell of a row and 0 for the others.  ``work`` is the table's
+    :class:`_Work`."""
+    n = v.size
+    a, *scaled = work.floats[:, :n]
+    x, d, nd, code, tmp = work.ints[:, :n]
+    slot = work.slot[:n]
+    np.abs(v, out=a)
     zero = a == 0.0
     fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
     a[~fast] = 1.0                            # keeps every later step finite
 
-    x = np.floor(np.log10(a)).astype(np.int64)
-    s, r = _scaled(a, 16 - x)
+    log = scaled[0]
+    np.copyto(x, np.floor(np.log10(a, out=log), out=log), casting="unsafe")
+    s, r = _scaled(a, np.subtract(16, x, out=d), scaled)
     low = (s < 1e16) | ((s == 1e16) & (r < 0.0))
     high = (s > 1e17) | ((s == 1e17) & (r >= 0.0))
     off = (low | high).nonzero()[0]
     if off.size:
         x[off] += np.where(high[off], 1, -1)
-        s[off], r[off] = _scaled(a[off], 16 - x[off])
-    whole = np.floor(r)
-    frac = r - whole
+        s[off], r[off] = _scaled(a[off], 16 - x[off], np.empty((6, off.size)))
+    whole, frac = a, scaled[2]                # a and the rows after s, r are free
+    np.subtract(r, np.floor(r, out=whole), out=frac)
     slow = ((np.abs(frac - 0.5) <= _TIE_GUARD) | ~(fast | zero)).nonzero()[0]
-    d = s.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    np.copyto(d, s, casting="unsafe")
+    np.copyto(tmp, whole, casting="unsafe")
+    d += tmp
+    d += frac > 0.5
     carry = (d == 10 ** 17).nonzero()[0]
     if carry.size:
         d[carry] = 10 ** 16
         x[carry] += 1
 
-    top, quads = _split_digits(d)
-    nd = np.full(v.size, 17)
-    even = (quads[:, 3] % 10 == 0).nonzero()[0]
+    top = np.floor_divide(d, 10 ** 16, out=code)    # the leading digit
+    nd.fill(17)
+    even = (np.remainder(d, 10, out=tmp) == 0).nonzero()[0]
     if even.size:
         tail = np.empty((even.size, 17), dtype=np.uint8)
         tail[:, 0] = 49                       # the leading digit is never 0
-        tail[:, 1:] = _QUAD_SLOTS[quads[even]].view(np.uint8)[:, ::2]
+        tail[:, 1:] = _QUAD_SLOTS[d[even, None] // _GROUPS % 10000].view(np.uint8)[:, ::2]
         nd[even] = 17 - np.argmax(tail[:, ::-1] != 48, axis=1)
     top[zero] = 0                             # a zero takes the layout of 1.0
-    chars = _PATTERNS.take(_CLASS_CODES[x + _X_MAX] + 2 * nd + np.signbit(v) + row_end,
-                           axis=0)
-    chars[:, _TOP] &= (top + 48).astype(np.uint8)
+    top += 48
+    lead = top.astype(np.uint8)
+    x += _X_MAX
+    code = _CLASS_CODES.take(x, out=code, mode="clip")
+    code += nd
+    code += nd
+    code += np.signbit(v)
+    code += row_end
+    # mode="clip" (every code is in range) writes into ``chars`` without a buffer
+    chars = _PATTERNS.take(code, axis=0, out=work.chars[:n], mode="clip")
+    chars[:, _TOP] &= lead
     pairs = chars[:, _QUAD_PAIRS].view(np.uint64)
-    pairs &= _QUAD_SLOTS[quads]
+    for j, group in enumerate(_GROUPS):
+        np.remainder(np.floor_divide(d, group, out=tmp), 10000, out=tmp)
+        pairs[:, j] &= _QUAD_SLOTS.take(tmp, out=slot, mode="clip")
     exponent = chars[:, _EXP].view(np.uint32)
-    exponent &= _EXPONENTS[x + _X_MAX, None]
+    exponent &= _EXPONENTS[x, None]
 
     for i in slow:
-        text = np.frombuffer(b"%.17g" % float(v[i]), dtype=np.uint8)
+        cell = np.frombuffer(b"%.17g" % float(v[i]), dtype=np.uint8)
         chars[i, :_SEP] = 0
-        chars[i, :text.size] = text
-    return chars.tobytes().translate(None, b"\0")
+        chars[i, :cell.size] = cell
+    if n < len(work.chars):                   # a last, shorter block
+        return chars.tobytes().translate(None, b"\0")
+    return work.text.translate(None, b"\0")
 
 
 def csv_blocks(table):
@@ -210,6 +251,8 @@ def csv_blocks(table):
 
     Each cell is ``'%.17g' % float(v)``, followed by ``,`` or, after the
     last cell of a row, by ``\\n``.  A table with no rows yields nothing.
+    Each chunk is a new ``bytes`` or ``bytearray`` that later blocks leave
+    as it is; the blocks share their work arrays.
     """
     table = np.asarray(table, dtype=np.float64)
     rows, cols = table.shape
@@ -217,6 +260,7 @@ def csv_blocks(table):
     row_end = np.zeros((min(rows, step), cols), dtype=np.int64)
     row_end[:, -1] = _CODES
     row_end = row_end.ravel()
+    work = _Work(row_end.size)
     for start in range(0, rows, step):
         block = table[start:start + step].ravel()
-        yield _block_text(block, row_end[:block.size])
+        yield _block_text(block, row_end[:block.size], work)

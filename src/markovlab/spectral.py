@@ -30,6 +30,12 @@ density's piecewise-linear interpolant; none uses adaptive quadrature.
 The module needs numpy only: the exponential integral of the finite
 cut-off is a power series, a continued fraction or an asymptotic series,
 and the Toeplitz solve and its G2 convolution use ``numpy.fft``.
+
+Layouts.  The public solutions (:class:`GreenSolution`) hold an n x n
+diagonal matrix per grid point, shape (T, n, n), where T is the number
+of grid points and n the number of levels.  The march and the closed
+forms work on (T, n) level arrays; the scenarios write those directly,
+and the public functions embed them as diagonals.
 """
 
 from __future__ import annotations
@@ -454,31 +460,32 @@ def _recursive_levels(m_coef: np.ndarray, amp: complex, rate: complex, h: float,
 
 def _pole_powers(poles: np.ndarray, steps: int) -> np.ndarray:
     """pole^k, k = 0 .. steps, per pole column, by products whose errors add like a random walk."""
-    table = np.repeat(poles.T[:, :, None], steps + 1, axis=2)
+    table = np.empty((*poles.T.shape, steps + 1), dtype=complex)
     table[:, :, 0] = 1.0
-    return np.cumprod(table, axis=2)
+    table[:, :, 1:] = poles.T[:, :, None]
+    return np.multiply.accumulate(table, axis=2, out=table)
 
 
 def _pole_scan(rows: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """Filter rows in place by 1 / prod(1 - pole z), one log-depth scan per pole:
-    after the passes with shifts 1, 2, .., s, entry k is sum_{j < 2s} pole^j x_{k-j}."""
+    after the passes with shifts 1, 2, .., s, entry k is sum_{j < 2s} pole^j x_{k-j}.
+    Every pass forms its products in one buffer."""
+    n = rows.shape[1]
+    product = np.empty_like(rows)
     for power in powers:
         shift = 1
-        while shift < rows.shape[1]:
-            rows[:, shift:] += power[:, shift:shift + 1] * rows[:, :-shift]
+        while shift < n:
+            np.multiply(power[:, shift:shift + 1], rows[:, :-shift], out=product[:, shift:])
+            rows[:, shift:] += product[:, shift:]
             shift *= 2
     return rows
 
 
-def solve_green(problem: GreenProblem, strict: bool = False) -> GreenSolution:
-    """Numerical solution of the two memory-kernel equations.
+def _solve_levels(problem: GreenProblem, strict: bool = False,
+                  stacklevel: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """g1 and g2 of every level, (T, n) each: the march of :func:`solve_green`.
 
-    The delta part of the kernel acts as a local decay term -J0 * G with
-    full weight from the first step on, so a flat spectral density
-    reproduces the pure exponential solution to discretisation accuracy.
-    The G2 equation is driven by the conjugate of the already computed
-    G1 history.  Both use the trapezoid march: a recursive filter for a
-    single exponential or zero smooth kernel, else a Toeplitz solve.
+    A :class:`StepSizeWarning` names the frame ``stacklevel`` levels up.
     """
     grid = problem.grid
     h = grid.h
@@ -488,7 +495,7 @@ def solve_green(problem: GreenProblem, strict: bool = False) -> GreenSolution:
                f"(h * scale = {h * scale:.3e} >= 0.1)")
         if strict:
             raise StepSizeError(msg)
-        warnings.warn(msg, StepSizeWarning, stacklevel=2)
+        warnings.warn(msg, StepSizeWarning, stacklevel=stacklevel)
     j0 = problem.density.delta_weight()
     m_coef = -(1j * problem.es + j0)
     form = _exponential_form(problem.density)
@@ -505,6 +512,20 @@ def solve_green(problem: GreenProblem, strict: bool = False) -> GreenSolution:
         raise DomainError("the march leaves the float range", max(scales, key=scales.get))
     g1[0] = 1.0
     g2[0] = 0.0
+    return g1, g2
+
+
+def solve_green(problem: GreenProblem, strict: bool = False) -> GreenSolution:
+    """Numerical solution of the two memory-kernel equations.
+
+    The delta part of the kernel acts as a local decay term -J0 * G with
+    full weight from the first step on, so a flat spectral density
+    reproduces the pure exponential solution to discretisation accuracy.
+    The G2 equation is driven by the conjugate of the already computed
+    G1 history.  Both use the trapezoid march: a recursive filter for a
+    single exponential or zero smooth kernel, else a Toeplitz solve.
+    """
+    g1, g2 = _solve_levels(problem, strict, stacklevel=3)
     return GreenSolution(g1=_embed_diagonal(g1), g2=_embed_diagonal(g2))
 
 
@@ -520,14 +541,19 @@ def analytic_green_const(es, j0: float, grid: TimeGrid) -> GreenSolution:
     linear-in-time form j0 dt g1.
     """
     SpectralDensity.constant(j0)          # the domain of j0 is the density's
-    es = np.asarray(es, dtype=float)
+    g1, g2 = _const_levels(np.asarray(es, dtype=float), j0, grid)
+    return GreenSolution(g1=_embed_diagonal(g1), g2=_embed_diagonal(g2))
+
+
+def _const_levels(es: np.ndarray, j0: float, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """g1 and g2 of :func:`analytic_green_const`, (T, n) each."""
     dt = grid.times() - grid.t0
     g1 = np.exp(-1j * np.outer(dt, es - 1j * j0))
     # sin(e dt) / e = dt sinc(e dt / pi), exact at e = 0
     g2 = (j0 * dt * np.exp(-j0 * dt))[:, None] * np.sinc(np.outer(dt, es) / np.pi)
     g1[0] = 1.0
     g2[0] = 0.0
-    return GreenSolution(g1=_embed_diagonal(g1), g2=_embed_diagonal(g2))
+    return g1, g2
 
 
 def _resonant_branches(es, j0: float, j1: float, e0: float, gamma: float,
@@ -593,15 +619,20 @@ def analytic_green1_lorentzian(es, j0: float, j1: float, e0: float, gamma: float
     flat-background closed form exactly.
     """
     SpectralDensity.lorentzian(j0, j1, e0, gamma)   # the domain is the density's
-    es = np.asarray(es, dtype=float)
+    g1 = _lorentzian_levels(np.asarray(es, dtype=float), j0, j1, e0, gamma, grid)
+    return GreenSolution(g1=_embed_diagonal(g1), g2=None)
+
+
+def _lorentzian_levels(es: np.ndarray, j0: float, j1: float, e0: float, gamma: float,
+                       grid: TimeGrid) -> np.ndarray:
+    """g1 of :func:`analytic_green1_lorentzian`, (T, n)."""
     if j1 == 0:
-        sol = analytic_green_const(es, j0, grid)
-        return GreenSolution(g1=sol.g1, g2=None)
+        return _const_levels(es, j0, grid)[0]
     dt = (grid.times() - grid.t0)[:, None]
     _, a1, a2, phi1, phi2 = _resonant_branches(es, j0, j1, e0, gamma)
     g1 = a1 * np.exp(phi1 * dt) + a2 * np.exp(phi2 * dt)
     g1[0] = 1.0
-    return GreenSolution(g1=_embed_diagonal(g1), g2=None)
+    return g1
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,9 +15,15 @@ from hypothesis import strategies as st
 import markovlab
 from markovlab import scenarios
 from markovlab.cli import main
-from markovlab.config import ConfigError
+from markovlab.config import ConfigError, parse_config
 from markovlab.scenarios import run_scenario
-from markovlab.spectral import StepSizeWarning
+from markovlab.spectral import (
+    GreenProblem,
+    SpectralDensity,
+    StepSizeWarning,
+    TimeGrid,
+    solve_green,
+)
 
 
 def run_cli(tmp_path, text, out="out", extra=()):
@@ -133,6 +140,42 @@ out = green.csv
     assert run_cli(tmp_path, text) == 0
     header = (tmp_path / "out" / "green.csv").read_text().splitlines()[0]
     assert header == "t,re_g1_0,im_g1_0,abs_g1_0,re_g2_0,im_g2_0"
+
+
+@pytest.mark.parametrize("keys, density", [
+    ("", SpectralDensity.constant(0.1)),
+    ("j1 = 0.8\ne0 = 0.3\ngamma = 0.5\n", SpectralDensity.lorentzian(0.1, 0.8, 0.3, 0.5)),
+    ("j1 = 0.8\ne0 = 0.3\ngamma = 0.5\nomega_cut = 2\n",
+     SpectralDensity.lorentzian(0.1, 0.8, 0.3, 0.5, omega_cut=2.0)),
+], ids=["constant", "lorentzian", "finite-cut"])
+def test_green_csv_holds_the_diagonals_of_solve_green(tmp_path, keys, density):
+    # the CLI writes the level arrays that solve_green embeds as diagonals
+    text = f"scenario = green\nes = [0.5, -0.2]\nj0 = 0.1\n{keys}t1 = 5\nsteps = 300\nout = g.csv\n"
+    assert run_cli(tmp_path, text) == 0
+    table = np.loadtxt(tmp_path / "out" / "g.csv", delimiter=",", skiprows=1)
+    cols = table[:, 1:].reshape(301, 2, 5)
+    sol = solve_green(GreenProblem(es=np.array([0.5, -0.2]), density=density,
+                                   grid=TimeGrid(0.0, 5.0, 300)))
+    g1 = np.diagonal(sol.g1, axis1=1, axis2=2)
+    g2 = np.diagonal(sol.g2, axis1=1, axis2=2)
+    for k, column in ((0, g1.real), (1, g1.imag), (3, g2.real), (4, g2.imag)):
+        assert np.array_equal(cols[:, :, k], column)
+
+
+def test_green_run_traces_at_most_three_tables(tmp_path):
+    # the march, the table and the CSV writer reuse their buffers, so the
+    # traced peak of a whole run stays within three float64 tables
+    cfg = parse_config("scenario = green\nes = [-0.4, 0.1, 0.7]\nj0 = 0.2\nj1 = 1.2\n"
+                       "e0 = 0.1\ngamma = 0.6\nt1 = 40\nsteps = 8000\n")
+    table_bytes = 8001 * (1 + 5 * 3) * 8
+    with contextlib.redirect_stdout(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert run_scenario(cfg, str(tmp_path)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 3 * table_bytes
 
 
 def test_flat_green_with_vanishing_g1_exits_one_without_runtime_warning(tmp_path):
@@ -584,6 +627,8 @@ HUGE_E0 = "e0 = 6.97e201\nj0 = 0.001\ngamma = 0.13\n"
     ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nhS = [[1, 0], [0]]\n",
      "line 5: key 'hS'"),
     ("scenario = green\nes = [0.5\nj0 = 0.1\n", "line 2: key 'es'"),
+    ("scenario = green\nes = [0.5]\nj0 = 0.1\nout = ../escaped.csv\n", "line 4: key 'out'"),
+    ("scenario = green\nes = [0.5]\nj0 = 0.1\nout = nosuch/x.csv\n", "line 4: key 'out'"),
 ], ids=["vector-sweep-key", "sweep-vector-sweep-key", "numeric-out", "negative-dS",
         "zero-dE", "empty-times", "hS-shape", "hE-shape", "hSE-shape", "c-length",
         "cA-length", "cB-length", "a-shape", "dmat-shape", "smat-shape",
@@ -598,7 +643,7 @@ HUGE_E0 = "e0 = 6.97e201\nj0 = 0.001\ngamma = 0.13\n"
         "fractional-dS", "fractional-steps", "scalar-es", "vector-j0", "empty-j1_values",
         "complex-coupling", "matrix-times", "matrix-cA", "vector-a", "unknown-expect",
         "sweep-missing-dE", "nested-sweep-value", "empty-entry", "ragged-matrix",
-        "unclosed-vector"])
+        "unclosed-vector", "out-parent-directory", "out-subdirectory"])
 def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, text, expected):
     # a value of the wrong kind is a parse error, so its line is named too
     assert run_cli(tmp_path, text) == 2

@@ -464,8 +464,9 @@ def test_trapezoid_convolution_matches_per_level_fft(n, levels, seed):
 def test_solve_green_step_guard():
     prob = GreenProblem(es=np.array([50.0]), density=SpectralDensity.constant(0.2),
                         grid=TimeGrid(0.0, 10.0, 100))
-    with pytest.warns(StepSizeWarning):
+    with pytest.warns(StepSizeWarning) as record:
         solve_green(prob)
+    assert record[0].filename == __file__       # the warning names the caller
     with pytest.raises(StepSizeError):
         solve_green(prob, strict=True)
 
