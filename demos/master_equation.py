@@ -21,13 +21,13 @@ from markovlab import (
     classify_sufficient_conditions,
     commuting_block_evolution,
     effective_commutator_rhs,
-    evolve,
     maximally_mixed_invariance,
     random_amplitudes,
     random_env_weights,
     random_hermitian,
     random_product_spec,
 )
+from markovlab.master import evolve_rho_s
 
 rng = np.random.default_rng(3)
 
@@ -37,7 +37,7 @@ print(f"  classification: {classify_sufficient_conditions(spec)}")
 w0 = np.sort(np.linalg.eigvalsh(spec.initial.rho_s0))
 for t in (0.5, 1.5, 2.5):
     form = effective_commutator_rhs(spec, t)
-    w = np.sort(np.linalg.eigvalsh(evolve(spec, t).rho_s))
+    w = np.sort(np.linalg.eigvalsh(evolve_rho_s(spec, t)))
     print(f"  t = {t}: commutator-form residual {form.residual:.3e}, "
           f"spectrum drift {np.abs(w - w0).max():.3e}")
 

@@ -36,17 +36,14 @@ from markovlab.spectral import (
 from markovlab.dynamics import (
     CompositeSpec,
     EntropyReport,
-    EvolveResult,
     InitialState,
     MarkovDiagnostics,
     WitnessResult,
-    build_total_hamiltonian,
     distinguishability_witness,
     divisibility_defect,
     entangled_divisibility,
     entropy_sie_check,
     environment_stationarity,
-    evolve,
     supermatrix,
 )
 from markovlab.master import (

@@ -14,12 +14,15 @@ one of a few names.  Values are stored in normal form: reals as
 arrays.  Numbers must be finite, except that ``inf`` is allowed for
 ``omega_cut`` (infinite band cut-off) and ``tol_*`` tolerances; ``nan``
 is rejected everywhere, and so is an integer literal beyond the float
-range.  A sweep names a scalar key of its base and at
-least one value, each checked as that key's kind; the rest of the sweep
-is validated exactly as a config of its base whose swept key holds the
-first value.  Range rules (t1 > t0, steps >= 2, a nonnegative j0, a
-normalised state, ...) belong to the domain object that takes the value,
-and fail when the scenario runs.
+range.  No input may be given twice: ``times`` replaces ``n_triples``,
+``n_times`` and ``t_max``, and ``smat`` replaces ``c``, so a config that
+holds both names the replaced key.  A sweep names a scalar key of its
+base and at least one value, each checked as that key's kind; the rest
+of the sweep, which may not give the swept key itself, is validated
+exactly as a config of its base whose swept key holds the first value.
+Range rules (t1 > t0, steps >= 2, a nonnegative j0, a normalised state,
+...) belong to the domain object that takes the value, and fail when the
+scenario runs.
 """
 
 from __future__ import annotations
@@ -29,12 +32,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from markovlab.linalg import HERM_TOL, hermiticity_defect
+from markovlab.linalg import require_hermitian
 
 _GRID_KEYS = frozenset({"t0", "t1", "steps"})
 _SPEC_KEYS = frozenset({"dS", "dE", "hS", "hE", "hSE", "c", "dmat",
                         "coupling_strength", "seed"})
 _TRIPLE_KEYS = frozenset({"times", "n_triples", "t_max"})
+#: a key that, when given, replaces the keys listed with it: a config that
+#: gives both would have those silently ignored
+_REPLACES = {"times": ("n_triples", "n_times", "t_max"), "smat": ("c",)}
 #: keys whose value may be infinite, besides the ``tol_*`` tolerances
 #: (each swept value is checked against the rule of the swept key)
 _INFINITE_OK = frozenset({"omega_cut", "sweep_values"})
@@ -144,13 +150,7 @@ def _matrix(value) -> np.ndarray:
 
 
 def _hermitian(value) -> np.ndarray:
-    mat = _matrix(value)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError("expected a square matrix literal")
-    defect = hermiticity_defect(mat)
-    if defect > HERM_TOL:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    return mat
+    return require_hermitian(_matrix(value), "matrix")
 
 
 def _name(value) -> str:
@@ -366,6 +366,11 @@ def _validate(scenario: str, raw: dict, lines_of: dict) -> ScenarioConfig:
         else:
             raise ConfigError(f"unknown key for scenario {scenario!r}", line=line, key=key)
     _require(schema, values)
+    for key, replaced in _REPLACES.items():
+        for ignored in replaced:
+            if key in values and ignored in values:
+                raise ConfigError(f"ignored when {key!r} is given", line=lines_of[ignored],
+                                  key=ignored)
     return ScenarioConfig(scenario=scenario, values=values, tolerance_overrides=tolerances)
 
 
@@ -387,6 +392,8 @@ def _validate_sweep(raw: dict, lines_of: dict) -> ScenarioConfig:
     swept = [_normal(key, v, line, name="sweep_values")
              for v in _normal("sweep_values", raw["sweep_values"], line)]
     body = {k: v for k, v in raw.items() if k not in SCHEMAS["sweep"].required}
+    if key in body:
+        raise ConfigError("ignored when swept by sweep_values", line=lines_of[key], key=key)
     cfg = _validate(base, {**body, key: swept[0]}, {**lines_of, key: line})
     return ScenarioConfig(scenario="sweep", tolerance_overrides=cfg.tolerance_overrides,
                           values={**cfg.values, "base": base, "sweep_key": key,

@@ -30,15 +30,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from markovlab.linalg import (
     MAX_COMPOSITE_DIM,
     DomainError,
+    # unused here, but perfbench/spans.py wraps every module's binding of it
+    # and perfbench/selftest.py reads this one
     partial_trace_env,
-    partial_trace_sys,
     require_hermitian,
     tensor_product,
     trace_distance,
@@ -190,22 +190,20 @@ class CompositeSpec:
         return Propagator(self)
 
 
-def build_total_hamiltonian(spec: CompositeSpec) -> np.ndarray:
-    eye_s = np.eye(spec.d_s)
-    eye_e = np.eye(spec.d_e)
-    return (tensor_product(spec.h_s, eye_e)
-            + tensor_product(eye_s, spec.h_e)
-            + spec.coupling_strength * spec.h_se)
-
-
 class Propagator:
-    """Shared eigendecomposition of H; builds U(dt) cheaply per time."""
+    """H = H_S x 1 + 1 x H_E + V H_SE and its shared eigendecomposition.
+
+    Builds U(dt) cheaply per time.  ``rho_full`` is the dense reference
+    state, independent of the rank-factor trajectories of ``states``.
+    """
 
     def __init__(self, spec: CompositeSpec):
         # no reference back to the spec, which caches this object: a cycle
         # would keep both alive until the cyclic garbage collector runs
         self.initial, self.d_s, self.d_e = spec.initial, spec.d_s, spec.d_e
-        self.hamiltonian = build_total_hamiltonian(spec)
+        self.hamiltonian = (tensor_product(spec.h_s, np.eye(spec.d_e))
+                            + tensor_product(np.eye(spec.d_s), spec.h_e)
+                            + spec.coupling_strength * spec.h_se)
         self.eigvals, self.eigvecs = np.linalg.eigh(self.hamiltonian)
 
     def unitary(self, dt: float) -> np.ndarray:
@@ -235,25 +233,6 @@ class Propagator:
         for start in range(0, dts.size, step):
             phases = np.exp(-1j * self.eigvals * dts[start:start + step, None])[:, :, None]
             yield [v @ (phases * c) for c in coeffs]
-
-
-class EvolveResult(NamedTuple):
-    rho_s: np.ndarray
-    rho_e: np.ndarray
-    rho_full: np.ndarray
-
-
-def evolve(spec: CompositeSpec, t: float) -> EvolveResult:
-    """Exact state of S, E and S+E at time t from the initial data at time 0."""
-    if t < 0:
-        raise ValueError(f"need t >= 0, got t = {t}")
-    rho = spec.propagator.rho_full(t)
-    rho_s = partial_trace_env(rho, spec.d_s, spec.d_e)
-    rho_e = partial_trace_sys(rho, spec.d_s, spec.d_e)
-    validate_density_matrix(rho, name="rho_full")
-    validate_density_matrix(rho_s, name="rho_s")
-    validate_density_matrix(rho_e, name="rho_e")
-    return EvolveResult(rho_s, rho_e, rho)
 
 
 def _supermatrix_entries(u: np.ndarray, d_weights: np.ndarray,

@@ -43,19 +43,21 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m) -> float:
-    """Max entrywise deviation of M from its conjugate transpose."""
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"hermiticity is undefined for shape {a.shape}")
-    return float(np.abs(a - a.conj().T).max())
+def require_hermitian(m, arg: str) -> np.ndarray:
+    """m as a complex matrix; DomainError naming ``arg`` unless it is finite and Hermitian.
 
-
-def require_hermitian(m, name: str = "matrix") -> np.ndarray:
-    a = as_complex_matrix(m)
-    defect = hermiticity_defect(a)
+    The one Hermiticity rule of the package: max |M - M^dag| entrywise
+    is at most HERM_TOL.
+    """
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {a.shape}", arg)
+    if not np.isfinite(a).all():
+        raise DomainError(f"{arg} contains NaN or Inf entries", arg)
+    defect = float(np.abs(a - a.conj().T).max())
     if defect > HERM_TOL:
-        raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {defect:.3e} > {HERM_TOL:g}")
+        raise DomainError(
+            f"{arg} is not Hermitian: max |M - M^dag| = {defect:.3e} > {HERM_TOL:g}", arg)
     return a
 
 
@@ -157,12 +159,7 @@ def trace_distance(a, b):
 
 def validate_density_matrix(rho, *, name: str = "density matrix") -> np.ndarray:
     """Check Hermiticity, unit trace and positivity at HERM_TOL, TRACE_TOL, EIG_FLOOR."""
-    a = as_complex_matrix(rho)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got {a.shape}")
-    defect = hermiticity_defect(a)
-    if defect > HERM_TOL:
-        raise ValueError(f"{name} not Hermitian: defect {defect:.3e} > {HERM_TOL:.1e}")
+    a = require_hermitian(rho, name)
     tr = complex(np.trace(a))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{name} trace {tr:.15g} deviates from 1 by more than {TRACE_TOL:.1e}")

@@ -36,12 +36,6 @@ _STATE_TOL = 1e-12
 class PreconditionError(RuntimeError):
     """A structure-specific oracle was invoked outside its validity domain."""
 
-    def __init__(self, message: str, *, residual: float | None = None,
-                 commutator_norm: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-        self.commutator_norm = commutator_norm
-
 
 def exact_rho_dot(spec: CompositeSpec, t: float) -> np.ndarray:
     """d rho_S / dt at time t, computed as Tr_E(-i [H, rho(t)])."""
@@ -136,8 +130,8 @@ def effective_commutator_rhs(spec: CompositeSpec, t: float) -> CommutatorForm:
 
     Valid exactly for a one-state environment, where
     H_eff = H_S + V <eta|H_SE|eta> generates the full reduced motion.
-    Outside that case the call fails with the measured residual attached
-    for diagnostics.
+    Outside that case the call fails with the measured residual in its
+    message.
     """
     h_eff = _effective_hamiltonian(spec)
     [(psi,)] = spec.propagator.states(np.array([t]), spec.initial.factor)
@@ -147,8 +141,7 @@ def effective_commutator_rhs(spec: CompositeSpec, t: float) -> CommutatorForm:
     if spec.d_e != 1:
         raise PreconditionError(
             f"the commutator form is only exact for a one-state environment "
-            f"(d_e = {spec.d_e}); measured residual {residual:.3e}",
-            residual=residual)
+            f"(d_e = {spec.d_e}); measured residual {residual:.3e}")
     return CommutatorForm(rhs=rhs, residual=residual)
 
 
@@ -187,18 +180,16 @@ def commuting_block_evolution(spec: CompositeSpec, t: float) -> BlockMixture:
     blocks[:, idx, :, idx] = 0.0
     off_norm = float(np.abs(blocks).max())
     if off_norm > 1e-10:
-        comm_norm = env_coupling_commutator_norm(spec)
         raise PreconditionError(
             f"coupling is not block diagonal in the environment eigenbasis "
-            f"(off-block norm {off_norm:.3e}); [1 x H_E, H_SE] norm is {comm_norm:.3e}",
-            commutator_norm=comm_norm)
+            f"(off-block norm {off_norm:.3e}); [1 x H_E, H_SE] norm is "
+            f"{env_coupling_commutator_norm(spec):.3e}")
     d_rot = rot.conj().T @ spec.initial.d_mat @ rot
     d_diag = np.real(np.diag(d_rot))
     if float(np.abs(d_rot - np.diag(d_diag)).max()) > 1e-10:
         raise PreconditionError(
             "environment weights are not diagonal in the H_E eigenbasis "
-            "(degenerate H_E with mismatched weights)",
-            commutator_norm=env_coupling_commutator_norm(spec))
+            "(degenerate H_E with mismatched weights)")
     w, v = np.linalg.eigh(spec.h_s + on_block)
     u = (v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
     orbits = u @ spec.initial.rho_s0 @ u.conj().swapaxes(1, 2)

@@ -102,9 +102,10 @@ class SpectralDensity:
                 raise ValueError("tabulated density needs a table")
             omega, values = self.table
             if len(omega) < 2 or np.any(np.diff(omega) <= 0):
-                raise ValueError("table grid must be strictly increasing with >= 2 points")
+                raise DomainError("table grid must be strictly increasing with >= 2 points",
+                                  "omega")
             if np.any(np.asarray(values) < 0):
-                raise ValueError("table values must be nonnegative")
+                raise DomainError("table values must be nonnegative", "values")
 
     @classmethod
     def constant(cls, j0: float) -> "SpectralDensity":
@@ -121,7 +122,7 @@ class SpectralDensity:
         om = np.asarray(omega, dtype=float)
         va = np.asarray(values, dtype=float)
         if om.shape != va.shape:
-            raise ValueError("omega and value arrays must have the same length")
+            raise DomainError("omega and value arrays must have the same length", "values")
         return cls(kind="tabulated", table=(om, va))
 
     def peak(self) -> float:

@@ -14,13 +14,13 @@ from markovlab.dynamics import (
     divisibility_defect,
     entangled_divisibility,
     entropy_sie_check,
-    evolve,
     supermatrix,
 )
-from markovlab.linalg import validate_density_matrix
+from markovlab.linalg import partial_trace_env, partial_trace_sys, validate_density_matrix
 from markovlab.master import (
     commuting_block_evolution,
     effective_commutator_rhs,
+    evolve_rho_s,
     maximally_mixed_invariance,
 )
 from markovlab.sampling import (
@@ -220,7 +220,7 @@ def test_criterion_09_master_equation_commutator_form():
         for t in rng.uniform(0.0, 2.5, size=10):
             form = effective_commutator_rhs(spec, float(t))
             worst_resid = max(worst_resid, form.residual)
-            w = np.sort(np.linalg.eigvalsh(evolve(spec, float(t)).rho_s))
+            w = np.sort(np.linalg.eigvalsh(evolve_rho_s(spec, float(t))))
             worst_drift = max(worst_drift, float(np.abs(w - w0).max()))
     ok = worst_resid < 1e-10 and worst_drift < 1e-9
     report(9, ok, f"commutator form residual {worst_resid:.3e} < 1e-10, "
@@ -265,8 +265,8 @@ def test_criterion_11_maximally_mixed_invariance():
         worst_closure = max(worst_closure, inv.unitarity_defect)
         # rho_S(ts) through the middle-segment map C(t, ts) against rho_S(t)
         ts, t = np.sort(rng.uniform(0.1, 2.0, size=2))
-        mid = np.tensordot(evolve(spec, ts).rho_s, supermatrix(spec, t, ts))
-        worst_div = max(worst_div, float(np.abs(mid - evolve(spec, t).rho_s).max()))
+        mid = np.tensordot(evolve_rho_s(spec, ts), supermatrix(spec, t, ts))
+        worst_div = max(worst_div, float(np.abs(mid - evolve_rho_s(spec, t)).max()))
     ok = worst_state < 1e-12 and worst_closure < 1e-10 and worst_div < 1e-10
     report(11, ok, f"maximally mixed state: drift {worst_state:.3e} < 1e-12, "
                    f"closure identity {worst_closure:.3e} < 1e-10, "
@@ -289,9 +289,10 @@ def test_criterion_12_state_validity_and_monotone_distance():
     ]
     for spec in specs:
         for t in (0.4, 1.1, 2.3):
-            res = evolve(spec, t)
-            validate_density_matrix(res.rho_s)
-            validate_density_matrix(res.rho_e)
+            rho = spec.propagator.rho_full(t)
+            validate_density_matrix(rho)
+            validate_density_matrix(partial_trace_env(rho, spec.d_s, spec.d_e))
+            validate_density_matrix(partial_trace_sys(rho, spec.d_s, spec.d_e))
     # one-state environment: distinguishability never grows
     worst_rate = -np.inf
     for _ in range(5):

@@ -317,6 +317,14 @@ out = wit.csv
     assert run_cli(tmp_path, text) == 0
 
 
+def test_witness_scenario_two_state_env_reports_backflow_unbounded(tmp_path):
+    text = ("scenario = witness\ndS = 2\ndE = 2\nseed = 6\ncA = [1.0, 0.0]\n"
+            "cB = [0.0, 1.0]\nsteps = 50\nout = witness.csv\n")
+    assert run_cli(tmp_path, text) == 0
+    assert len((tmp_path / "out" / "witness.csv").read_text().splitlines()) == 52
+    assert "<= inf  PASS" in (tmp_path / "out" / "witness.summary.txt").read_text()
+
+
 def test_entangled_scenario(tmp_path):
     text = """
 scenario = entangled
@@ -629,6 +637,17 @@ HUGE_E0 = "e0 = 6.97e201\nj0 = 0.001\ngamma = 0.13\n"
     ("scenario = green\nes = [0.5\nj0 = 0.1\n", "line 2: key 'es'"),
     ("scenario = green\nes = [0.5]\nj0 = 0.1\nout = ../escaped.csv\n", "line 4: key 'out'"),
     ("scenario = green\nes = [0.5]\nj0 = 0.1\nout = nosuch/x.csv\n", "line 4: key 'out'"),
+    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\ntimes = [0, 0.5, 1]\nn_triples = 7\n"
+     "t_max = 9\n", "line 6: key 'n_triples'"),
+    ("scenario = master-check\ndS = 2\nseed = 1\ntimes = [0.5, 1]\nn_times = 4\n",
+     "line 5: key 'n_times'"),
+    ("scenario = entropy\ndS = 2\ndE = 1\nseed = 1\nsmat = [[0.5, 0], [0, 0.5]]\nc = [1, 0]\n",
+     "line 6: key 'c'"),
+    ("scenario = sweep\nbase = divisibility\nsweep_key = coupling_strength\n"
+     "sweep_values = [1, 2]\ndS = 2\ndE = 1\nseed = 1\ncoupling_strength = 3\n",
+     "line 8: key 'coupling_strength'"),
+    ("scenario = sweep\nbase = divisibility\nsweep_key = bogus\nsweep_values = [1, 2]\n"
+     "dS = 2\ndE = 1\nseed = 1\nout = sweep.csv\n", "line 3: key 'bogus'"),
 ], ids=["vector-sweep-key", "sweep-vector-sweep-key", "numeric-out", "negative-dS",
         "zero-dE", "empty-times", "hS-shape", "hE-shape", "hSE-shape", "c-length",
         "cA-length", "cB-length", "a-shape", "dmat-shape", "smat-shape",
@@ -643,7 +662,8 @@ HUGE_E0 = "e0 = 6.97e201\nj0 = 0.001\ngamma = 0.13\n"
         "fractional-dS", "fractional-steps", "scalar-es", "vector-j0", "empty-j1_values",
         "complex-coupling", "matrix-times", "matrix-cA", "vector-a", "unknown-expect",
         "sweep-missing-dE", "nested-sweep-value", "empty-entry", "ragged-matrix",
-        "unclosed-vector", "out-parent-directory", "out-subdirectory"])
+        "unclosed-vector", "out-parent-directory", "out-subdirectory", "times-and-n_triples",
+        "times-and-n_times", "smat-and-c", "swept-key-in-body", "sweep-unknown-key"])
 def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, text, expected):
     # a value of the wrong kind is a parse error, so its line is named too
     assert run_cli(tmp_path, text) == 2

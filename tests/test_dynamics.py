@@ -11,16 +11,15 @@ from markovlab import dynamics
 from markovlab.dynamics import (
     CompositeSpec,
     InitialState,
-    build_total_hamiltonian,
     distinguishability_witness,
     divisibility_defect,
     entangled_divisibility,
     entropy_sie_check,
     environment_stationarity,
-    evolve,
     supermatrix,
 )
 from markovlab.linalg import (
+    DomainError,
     partial_trace_env,
     partial_trace_sys,
     tensor_product,
@@ -30,6 +29,7 @@ from markovlab.linalg import (
     validate_density_matrix,
     von_neumann_entropy,
 )
+from markovlab.master import evolve_rho_s
 from markovlab.sampling import (
     random_amplitudes,
     random_env_weights,
@@ -95,6 +95,17 @@ def test_spec_rejects_non_hermitian_and_oversize():
                       initial=InitialState.product(random_amplitudes(9, rng), np.eye(9) / 9))
 
 
+@pytest.mark.parametrize("arg, h_s, h_e", [
+    ("h_s", [[0, 1], [0, 0]], np.eye(2)),
+    ("h_e", np.eye(2), [[1, np.nan], [np.nan, 1]]),
+], ids=["h_s-not-hermitian", "h_e-nan"])
+def test_spec_names_the_hamiltonian_at_fault(arg, h_s, h_e):
+    init = InitialState.product([1.0, 0.0], np.eye(2) / 2)
+    with pytest.raises(DomainError) as err:
+        CompositeSpec(d_s=2, d_e=2, h_s=h_s, h_e=h_e, h_se=np.eye(4), initial=init)
+    assert err.value.arg == arg
+
+
 # ------------------------------------------------------------ hamiltonian
 
 
@@ -104,7 +115,7 @@ def test_total_hamiltonian_uncoupled_blocks():
     init = InitialState.product(random_amplitudes(2, rng), np.eye(2) / 2)
     spec = CompositeSpec(d_s=2, d_e=2, h_s=h_s, h_e=np.zeros((2, 2)),
                          h_se=np.zeros((4, 4)), initial=init)
-    h = build_total_hamiltonian(spec)
+    h = spec.propagator.hamiltonian
     assert np.abs(h - tensor_product(h_s, np.eye(2))).max() < 1e-14
     # each system level twofold degenerate
     w = np.sort(np.linalg.eigvalsh(h))
@@ -115,15 +126,15 @@ def test_total_hamiltonian_uncoupled_blocks():
 def test_total_hamiltonian_zero_coupling_and_hermiticity():
     rng = np.random.default_rng(3)
     spec = random_product_spec(2, 2, rng, coupling_strength=0.0)
-    h = build_total_hamiltonian(spec)
+    h = spec.propagator.hamiltonian
     expect = (tensor_product(spec.h_s, np.eye(2)) + tensor_product(np.eye(2), spec.h_e))
     assert np.abs(h - expect).max() < 1e-14
     spec2 = random_product_spec(2, 2, rng)
-    h2 = build_total_hamiltonian(spec2)
+    h2 = spec2.propagator.hamiltonian
     assert np.abs(h2 - h2.conj().T).max() < 1e-14
 
 
-# ----------------------------------------------------------------- evolve
+# -------------------------------------------------------- dense reference
 
 
 def test_evolve_initial_matrix_elements():
@@ -132,8 +143,8 @@ def test_evolve_initial_matrix_elements():
     spec = CompositeSpec(d_s=3, d_e=2, h_s=random_hermitian(3, rng),
                          h_e=random_hermitian(2, rng), h_se=random_hermitian(6, rng),
                          initial=InitialState.product(c, random_env_weights(2, rng)))
-    res = evolve(spec, 0.0)
-    assert np.abs(res.rho_s - np.outer(c, c.conj())).max() < 1e-14
+    rho_s = evolve_rho_s(spec, 0.0)
+    assert np.abs(rho_s - np.outer(c, c.conj())).max() < 1e-14
 
 
 def test_evolve_uncoupled_is_local_unitary():
@@ -144,12 +155,12 @@ def test_evolve_uncoupled_is_local_unitary():
                          h_se=np.zeros((6, 6)),
                          initial=InitialState.product(c, random_env_weights(3, rng)))
     t = 1.4
-    res = evolve(spec, t)
+    rho_s = evolve_rho_s(spec, t)
     w, v = np.linalg.eigh(h_s)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     rho0 = np.outer(c, c.conj())
-    assert np.abs(res.rho_s - u @ rho0 @ u.conj().T).max() < 1e-12
-    assert abs(von_neumann_entropy(res.rho_s) - von_neumann_entropy(rho0)) < 1e-10
+    assert np.abs(rho_s - u @ rho0 @ u.conj().T).max() < 1e-12
+    assert abs(von_neumann_entropy(rho_s) - von_neumann_entropy(rho0)) < 1e-10
 
 
 def test_evolve_single_env_state_formula():
@@ -163,12 +174,11 @@ def test_evolve_single_env_state_formula():
                          h_se=h_se, coupling_strength=1.3,
                          initial=InitialState.product(c, np.eye(1)))
     t = 0.9
-    res = evolve(spec, t)
     h_eff = h_s + 1.3 * h_se
     w, v = np.linalg.eigh(h_eff)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     rho0 = np.outer(c, c.conj())
-    assert np.abs(res.rho_s - u @ rho0 @ u.conj().T).max() < 1e-12
+    assert np.abs(evolve_rho_s(spec, t) - u @ rho0 @ u.conj().T).max() < 1e-12
 
 
 def test_evolve_states_stay_valid():
@@ -177,9 +187,10 @@ def test_evolve_states_stay_valid():
         spec = random_product_spec(rng.integers(2, 4), rng.integers(2, 4), rng,
                                    coupling_strength=float(rng.uniform(0.1, 5.0)))
         for t in (0.3, 1.1, 2.7):
-            res = evolve(spec, t)
-            validate_density_matrix(res.rho_s)
-            validate_density_matrix(res.rho_e)
+            rho = spec.propagator.rho_full(t)
+            validate_density_matrix(rho)
+            validate_density_matrix(partial_trace_env(rho, spec.d_s, spec.d_e))
+            validate_density_matrix(partial_trace_sys(rho, spec.d_s, spec.d_e))
 
 
 def test_evolve_schmidt_symmetry():
@@ -191,9 +202,9 @@ def test_evolve_schmidt_symmetry():
                          h_e=random_hermitian(3, rng), h_se=random_hermitian(6, rng),
                          initial=InitialState.product(random_amplitudes(2, rng), d_mat))
     for t in (0.5, 1.5):
-        res = evolve(spec, t)
-        assert abs(von_neumann_entropy(res.rho_s)
-                   - von_neumann_entropy(res.rho_e)) < 1e-9
+        rho = spec.propagator.rho_full(t)
+        assert abs(von_neumann_entropy(partial_trace_env(rho, 2, 3))
+                   - von_neumann_entropy(partial_trace_sys(rho, 2, 3))) < 1e-9
 
 
 def test_spec_and_its_cached_propagator_are_freed_without_the_cycle_collector():
@@ -206,13 +217,6 @@ def test_spec_and_its_cached_propagator_are_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
-
-
-def test_evolve_rejects_reverse_time():
-    rng = np.random.default_rng(9)
-    spec = random_product_spec(2, 2, rng)
-    with pytest.raises(ValueError, match="t >= 0"):
-        evolve(spec, -1.0)
 
 
 # ------------------------------------------------------------- super map
@@ -232,9 +236,8 @@ def test_supermatrix_contraction_matches_evolve():
         spec = random_product_spec(int(rng.integers(2, 5)), int(rng.integers(2, 5)), rng)
         d2 = spec.d_s ** 2
         sm = supermatrix(spec, 1.1).reshape(d2, d2)
-        res = evolve(spec, 1.1)
         rho_t = (spec.initial.rho_s0.reshape(-1) @ sm).reshape(spec.d_s, spec.d_s)
-        assert np.abs(rho_t - res.rho_s).max() < 1e-10
+        assert np.abs(rho_t - evolve_rho_s(spec, 1.1)).max() < 1e-10
 
 
 def test_supermatrix_against_loop_oracle():
@@ -393,8 +396,8 @@ def test_entangled_product_amplitudes_match_product_defect():
                               initial=InitialState.product(c, d_mat))
     ent = entangled_divisibility(spec_ent, 0.0, 0.6, 1.4)
     # the same state-level defect from the product spec's public map
-    mid = np.tensordot(evolve(spec_prod, 0.6).rho_s, supermatrix(spec_prod, 1.4, 0.6))
-    prod = float(np.abs(mid - evolve(spec_prod, 1.4).rho_s).max())
+    mid = np.tensordot(evolve_rho_s(spec_prod, 0.6), supermatrix(spec_prod, 1.4, 0.6))
+    prod = float(np.abs(mid - evolve_rho_s(spec_prod, 1.4)).max())
     assert abs(ent - prod) < 1e-12
 
 

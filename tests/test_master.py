@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from markovlab.dynamics import (
     CompositeSpec,
     InitialState,
-    evolve,
     supermatrix,
 )
 from markovlab.master import (
@@ -70,7 +69,7 @@ def test_rho_dot_matches_finite_difference():
     spec = random_product_spec(2, 3, rng)
     t, eps = 0.8, 1e-6
     got = exact_rho_dot(spec, t)
-    fd = (evolve(spec, t + eps).rho_s - evolve(spec, t - eps).rho_s) / (2 * eps)
+    fd = (evolve_rho_s(spec, t + eps) - evolve_rho_s(spec, t - eps)) / (2 * eps)
     assert np.abs(got - fd).max() < 1e-8
 
 
@@ -136,25 +135,25 @@ def test_commutator_form_uncoupled():
                          initial=InitialState.product(c, np.eye(1)))
     form = effective_commutator_rhs(spec, 1.2)
     assert form.residual < 1e-12
-    rho_s = evolve(spec, 1.2).rho_s
+    rho_s = evolve_rho_s(spec, 1.2)
     assert np.abs(form.rhs - (-1j) * (h_s @ rho_s - rho_s @ h_s)).max() < 1e-12
 
 
 def test_commutator_form_eigenvalue_constancy():
     rng = np.random.default_rng(10)
     spec = random_product_spec(3, 1, rng, coupling_strength=3.0)
-    w0 = np.sort(np.linalg.eigvalsh(evolve(spec, 0.0).rho_s))
+    w0 = np.sort(np.linalg.eigvalsh(evolve_rho_s(spec, 0.0)))
     for t in (0.5, 1.5, 2.5):
-        w = np.sort(np.linalg.eigvalsh(evolve(spec, t).rho_s))
+        w = np.sort(np.linalg.eigvalsh(evolve_rho_s(spec, t)))
         assert np.abs(w - w0).max() < 1e-9
 
 
 def test_commutator_form_precondition_error():
     rng = np.random.default_rng(11)
     spec = random_product_spec(2, 2, rng)
-    with pytest.raises(PreconditionError) as err:
+    with pytest.raises(PreconditionError, match=r"measured residual \S+$") as err:
         effective_commutator_rhs(spec, 0.9)
-    assert err.value.residual > 1e-3
+    assert float(str(err.value).split()[-1]) > 1e-3
 
 
 # ------------------------------------------------------------ block mixture
@@ -201,15 +200,15 @@ def test_block_mixture_equal_blocks_keep_entropy():
     s0 = von_neumann_entropy(np.outer(c, c.conj()))
     result = commuting_block_evolution(spec, 2.1)
     assert result.residual < 1e-10
-    assert abs(von_neumann_entropy(evolve(spec, 2.1).rho_s) - s0) < 1e-9
+    assert abs(von_neumann_entropy(evolve_rho_s(spec, 2.1)) - s0) < 1e-9
 
 
 def test_block_mixture_precondition_error():
     rng = np.random.default_rng(16)
     spec = random_product_spec(2, 2, rng)
-    with pytest.raises(PreconditionError) as err:
+    with pytest.raises(PreconditionError, match=r"\[1 x H_E, H_SE\] norm is \S+$") as err:
         commuting_block_evolution(spec, 1.0)
-    assert err.value.commutator_norm > 1e-6
+    assert float(str(err.value).split()[-1]) > 1e-6
 
 
 def _hermitian_part(m):
@@ -282,8 +281,8 @@ def test_maximally_mixed_state_divisibility():
     # the full map does not factorise
     rng = np.random.default_rng(19)
     spec = maximally_mixed_spec(rng, 2, 3)
-    mid = np.tensordot(evolve(spec, 0.7).rho_s, supermatrix(spec, 1.3, 0.7))
-    assert np.abs(mid - evolve(spec, 1.3).rho_s).max() < 1e-10
+    mid = np.tensordot(evolve_rho_s(spec, 0.7), supermatrix(spec, 1.3, 0.7))
+    assert np.abs(mid - evolve_rho_s(spec, 1.3)).max() < 1e-10
 
 
 def test_maximally_mixed_precondition():
@@ -303,5 +302,5 @@ def test_commuting_case_map_divisibility_measured_only():
     defect = divisibility_defect(spec, 0.0, 0.7, 1.3)
     assert defect >= 0.0
     # the state-level relation can also stay broken for generic weights
-    mid = np.tensordot(evolve(spec, 0.7).rho_s, supermatrix(spec, 1.3, 0.7))
-    assert np.isfinite(mid - evolve(spec, 1.3).rho_s).all()
+    mid = np.tensordot(evolve_rho_s(spec, 0.7), supermatrix(spec, 1.3, 0.7))
+    assert np.isfinite(mid - evolve_rho_s(spec, 1.3)).all()

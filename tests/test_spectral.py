@@ -11,6 +11,7 @@ import scipy.special
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from markovlab.linalg import DomainError
 from markovlab.spectral import (
     BranchSingularityError,
     GreenProblem,
@@ -83,6 +84,18 @@ def test_tabulated_interpolation():
 def test_tabulated_rejects_bad_grid():
     with pytest.raises(ValueError, match="increasing"):
         SpectralDensity.tabulated([0.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("omega, values, arg", [
+    ([0.0, 1.0, 2.0], [0.0, 1.0], "values"),
+    ([0.0, 0.0, 1.0], [0.0, 1.0, 0.0], "omega"),
+    ([0.0], [1.0], "omega"),
+    ([0.0, 1.0, 2.0], [0.0, -1.0, 0.0], "values"),
+], ids=["length", "not-increasing", "one-point", "negative"])
+def test_tabulated_table_errors_name_their_argument(omega, values, arg):
+    with pytest.raises(DomainError) as err:
+        SpectralDensity.tabulated(omega, values)
+    assert err.value.arg == arg
 
 
 # ---------------------------------------------------------- memory kernel
