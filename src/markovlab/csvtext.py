@@ -15,11 +15,18 @@ corrected on the pair itself, never on the rounded digits, and the
 17-digit integer is s plus r rounded to the nearest integer.  Every
 step is one ufunc, so no step can be contracted into a fused multiply-add.
 
-Text.  Each cell owns a row of character slots; a layout code (notation,
-decimal exponent for fixed notation, significant digits, sign) picks the
-slots it uses from a small pattern table, and the unused slots, zero
-bytes, are deleted from the block in one pass.  The blocks of one table
-share their work arrays.
+Text.  Each cell owns 32 bytes, read as four uint64 words: the sign, the
+``0.000`` lead, the leading digit and its point; the other 16 digits as
+two words of ASCII from a table of the 4-digit groups 0000-9999; the
+``e``, the exponent and the separator.  The digit count comes from the
+trailing zeros of the last nonzero group.  A layout code (notation,
+decimal exponent for fixed notation, digit count, sign, row end) picks a
+pattern of fixed characters and byte masks.  In fixed notation with x >= 1
+the point falls among the 16 digits: the digits after it move one byte on,
+``(w << 8) | carry`` on the little-endian words, and per-position masks
+blend the point in.  The unused bytes, zeros, are deleted from the block in
+one ``bytes.translate`` pass.  The blocks of one table share their work
+arrays.
 
 Fallback domain (``'%.17g' %`` one cell at a time): NaN, +-inf, values
 with |v| outside [1e-270, 1e270] other than +-0, and near-ties whose
@@ -28,6 +35,8 @@ them).  Zeros take the fast path.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -71,36 +80,34 @@ def _power_table(k_min: int, k_max: int):
 _K_MIN = -256
 _POW_HI, _POW_LO, _POW_HH, _POW_HL = _power_table(_K_MIN, 289)
 
-#: The four ASCII decimal digits of 0..9999 interleaved with 0xFF, which
-#: matches four (digit, point) slot pairs, as one uint64 each.
-_QUAD_SLOTS = np.full((10000, 8), 0xFF, dtype=np.uint8)
-_QUAD_SLOTS[:, ::2] = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48
-_QUAD_SLOTS = _QUAD_SLOTS.view(np.uint64).ravel()
-#: Exponent sign and three digits for x in [-_X_MAX, _X_MAX], one uint32.
+_DIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)   # of 0..9999
+#: ASCII of the four decimal digits of 0..9999, first digit in the low
+#: byte, one uint32 each.
+_QUADS = np.add(_DIGITS.T, 48, order="C").view(np.uint32).ravel()
+#: Twice the number of trailing zero digits of each 4-digit group (0 has four).
+_TRAILING = functools.reduce(lambda twice, digit: (twice + 2) * (digit == 0), _DIGITS, 0)
+#: Decimal exponents are kept in [-_X_MAX, _X_MAX] and indexed from -_X_MAX.
 _X_MAX = 330
-#: 10**(12 - 4 j): a 17-digit integer // _GROUPS[j] % 10000 is its 4-digit group j.
-_GROUPS = 10 ** np.arange(12, -1, -4)
-_EXPONENTS = np.frombuffer(b"".join(b"%+04d" % x for x in range(-_X_MAX, _X_MAX + 1)),
-                           dtype=np.uint32)
 
-# Slots of one cell: sign, "0.000" lead, 17 digits each followed by a point
-# slot (the last one holds the "e"), exponent sign and three digits, the
-# separator and padding to a multiple of four bytes.  A pattern keeps a
-# fixed character, takes a computed byte where it holds 0xFF (by bitwise
-# and) and drops the slot where it holds 0.
-_WIDTH = 48
+# Bytes of one cell, read as four uint64 words: sign, the "0.000" lead, the
+# leading digit and its point; the other 16 digits, 4-digit group j in
+# uint32 column 2 + j; "e" (in fixed notation, the last digit that the
+# point moved), exponent sign and three digits, the separator and two pad
+# bytes.  A pattern keeps a fixed character, takes a computed byte where it
+# holds 0xFF (by bitwise and) and drops the byte where it holds 0.
+_WIDTH = 32
 _TOP = 6                                # the leading digit
-_QUAD_PAIRS = slice(8, 40)              # the other 16 (digit, point) pairs
-_EXP = slice(40, 44)                    # viewed as one uint32
-_SEP = 44
+_SEP = 29
 #: Layout classes: fixed notation for x = -4..16, then "e+dd", "e+ddd".
 _FIXED_CLASSES = 21
 _CODES = (_FIXED_CLASSES + 2) * 17 * 2
 
 
-def _patterns() -> np.ndarray:
+def _layouts():
     """Slot pattern of each layout code, ``(class * 17 + nd - 1) * 2 + sign``,
-    ending in ``,``; the codes from ``_CODES`` on end the row with ``\\n``."""
+    ending in ``,``; the codes from ``_CODES`` on end the row with ``\\n``.
+    Also the decimal exponent x of each code whose point falls among the
+    16 digits (fixed notation, 1 <= x < nd - 1), and 0 for the others."""
     cls, nd, neg = (c.ravel() for c in np.indices((_FIXED_CLASSES + 2, 17, 2)))
     nd = nd + 1
     x = cls - 4
@@ -109,29 +116,52 @@ def _patterns() -> np.ndarray:
     lead = fixed & (x < 0)
     expo = ~fixed
     nshow = np.where(whole, np.maximum(nd, x + 1), nd)
-    point = np.where(whole, np.where(nd > x + 1, x, -1), np.where(expo & (nd > 1), 0, -1))
     keep = np.zeros((_CODES, _WIDTH), dtype=bool)
     keep[:, 0] = neg == 1
     keep[:, 1:3] = lead[:, None]
     keep[:, 3:6] = lead[:, None] & (x[:, None] <= [-2, -3, -4])
-    keep[:, 6:40:2] = np.arange(17) < nshow[:, None]
-    keep[:, 7:39:2] = np.arange(16) == point[:, None]
-    keep[:, 39:41] = expo[:, None]
-    keep[:, 41] = cls == _FIXED_CLASSES + 1
-    keep[:, 42:44] = expo[:, None]
+    keep[:, _TOP] = True
+    keep[:, 7] = ((x == 0) | expo) & (nd > 1)
+    keep[:, 8:24] = np.arange(1, 17) < nshow[:, None]
+    keep[:, 24:27] = expo[:, None]
+    keep[:, 26] &= cls == _FIXED_CLASSES + 1
+    keep[:, 27:29] = expo[:, None]
     keep[:, _SEP] = True
-    chars = np.frombuffer(b"-0.000" + b"\xff." * 16 + b"\xffe" + b"\xff" * 4 + b",\0\0\0",
+    chars = np.frombuffer(b"-0.000\xff." + b"\xff" * 16 + b"e\xff\xff\xff\xff,\0\0",
                           dtype=np.uint8)
     rows = chars * keep
-    return np.concatenate([rows, np.where(rows == ord(","), ord("\n"), rows)])
+    rows = np.concatenate([rows, np.where(rows == ord(","), ord("\n"), rows)])
+    point = np.where(whole & (x >= 1) & (nd > x + 1), x, 0).astype(np.uint8)
+    return rows.view("<u8"), np.concatenate([point, point])
 
 
-_PATTERNS = _patterns()
-#: 34 * class - 2 for each decimal exponent x: adding 2 * nd + sign, and
-#: _CODES at a row end, gives the layout code.
+_PATTERNS, _POINT_AT = _layouts()
+#: 34 * class + 32 for each decimal exponent x: subtracting twice the
+#: trailing zero digits and adding the sign, and _CODES at a row end,
+#: gives the layout code.
 _CLASS_CODES = 34 * np.where(np.abs(np.arange(-_X_MAX, _X_MAX + 1)) < 100,
-                             _FIXED_CLASSES, _FIXED_CLASSES + 1) - 2
-_CLASS_CODES[_X_MAX - 4:_X_MAX + 17] = 34 * np.arange(_FIXED_CLASSES) - 2
+                             _FIXED_CLASSES, _FIXED_CLASSES + 1) + 32
+_CLASS_CODES[_X_MAX - 4:_X_MAX + 17] = 34 * np.arange(_FIXED_CLASSES) + 32
+#: Exponent sign and three digits for each x, after the "e" of the last word.
+_EXPONENTS = np.full((2 * _X_MAX + 1, 8), 0xFF, dtype=np.uint8)
+_EXPONENTS[:_X_MAX, 1] = ord("-")
+_EXPONENTS[_X_MAX:, 1] = ord("+")
+_EXPONENTS[:, 2:5] = _DIGITS[1:, np.abs(np.arange(-_X_MAX, _X_MAX + 1))].T + 48
+_EXPONENTS = _EXPONENTS.view("<u8").ravel()
+
+
+def _point_masks():
+    """Per x, over the 16 digit bytes as two uint64 words: the bytes kept in
+    place, the bytes taken one place on, and the point between them."""
+    at = np.arange(16)
+    x = np.arange(17)[:, None]
+    kept = np.where(at < x, 0xFF, 0).astype(np.uint8)
+    moved = np.where(at > x, 0xFF, 0).astype(np.uint8)
+    point = np.where(at == x, ord("."), 0).astype(np.uint8)
+    return (m.view("<u8") for m in (kept, moved, point))
+
+
+_KEPT, _MOVED, _POINT = _point_masks()
 
 
 def _scaled(a, k, work):
@@ -164,16 +194,22 @@ class _Work:
     """Work arrays of one table's blocks, sized for its largest block.
 
     Each block writes an array before reading it, so every block of the
-    table reuses them.  ``text`` holds ``_WIDTH`` character slots per cell
-    and ``chars`` views it as a (cells, ``_WIDTH``) uint8 array.
+    table reuses them.  ``text`` holds ``_WIDTH`` bytes per cell; ``chars``,
+    ``quads`` and ``words`` view it as (cells, ``_WIDTH``) uint8, uint32
+    and little-endian uint64 arrays, so the point shift moves the same
+    bytes on any machine.
     """
 
     def __init__(self, cells: int):
         self.text = bytearray(cells * _WIDTH)
         self.chars = np.frombuffer(self.text, dtype=np.uint8).reshape(cells, _WIDTH)
+        self.quads = self.chars.view(np.uint32)
+        self.words = self.chars.view("<u8")
         self.floats = np.empty((7, cells))
-        self.ints = np.empty((5, cells), dtype=np.int64)
-        self.slot = np.empty(cells, dtype=np.uint64)
+        self.ints = np.empty((9, cells), dtype=np.int64)
+        self.quad = np.empty(cells, dtype=np.uint32)
+        self.word = np.empty(cells, dtype="<u8")
+        self.point = np.empty(cells, dtype=np.uint8)
 
 
 def _block_text(v, row_end, work):
@@ -182,8 +218,7 @@ def _block_text(v, row_end, work):
     :class:`_Work`."""
     n = v.size
     a, *scaled = work.floats[:, :n]
-    x, d, nd, code, tmp = work.ints[:, :n]
-    slot = work.slot[:n]
+    x, d, code, top, tmp, *groups = work.ints[:, :n]
     np.abs(v, out=a)
     zero = a == 0.0
     fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
@@ -210,33 +245,50 @@ def _block_text(v, row_end, work):
         d[carry] = 10 ** 16
         x[carry] += 1
 
-    top = np.floor_divide(d, 10 ** 16, out=code)    # the leading digit
-    nd.fill(17)
-    even = (np.remainder(d, 10, out=tmp) == 0).nonzero()[0]
-    if even.size:
-        tail = np.empty((even.size, 17), dtype=np.uint8)
-        tail[:, 0] = 49                       # the leading digit is never 0
-        tail[:, 1:] = _QUAD_SLOTS[d[even, None] // _GROUPS % 10000].view(np.uint8)[:, ::2]
-        nd[even] = 17 - np.argmax(tail[:, ::-1] != 48, axis=1)
-    top[zero] = 0                             # a zero takes the layout of 1.0
-    top += 48
-    lead = top.astype(np.uint8)
+    # the leading digit and the 4-digit groups; m - (m // k) * k is m % k
+    # without numpy's element-by-element integer remainder
+    g0, g1, g2, g3 = groups
+    high8 = np.floor_divide(d, 10 ** 8, out=g1)
+    d -= np.multiply(high8, 10 ** 8, out=tmp)         # the low 8 digits
+    np.floor_divide(high8, 10 ** 8, out=top)
+    high8 -= np.multiply(top, 10 ** 8, out=tmp)       # the high 8 digits
+    np.floor_divide(high8, 10 ** 4, out=g0)
+    high8 -= np.multiply(g0, 10 ** 4, out=tmp)
+    np.floor_divide(d, 10 ** 4, out=g2)
+    np.subtract(d, np.multiply(g2, 10 ** 4, out=tmp), out=g3)
+
     x += _X_MAX
     code = _CLASS_CODES.take(x, out=code, mode="clip")
-    code += nd
-    code += nd
+    code -= _TRAILING.take(g3, out=tmp, mode="clip")
     code += np.signbit(v)
     code += row_end
-    # mode="clip" (every code is in range) writes into ``chars`` without a buffer
-    chars = _PATTERNS.take(code, axis=0, out=work.chars[:n], mode="clip")
-    chars[:, _TOP] &= lead
-    pairs = chars[:, _QUAD_PAIRS].view(np.uint64)
-    for j, group in enumerate(_GROUPS):
-        np.remainder(np.floor_divide(d, group, out=tmp), 10000, out=tmp)
-        pairs[:, j] &= _QUAD_SLOTS.take(tmp, out=slot, mode="clip")
-    exponent = chars[:, _EXP].view(np.uint32)
-    exponent &= _EXPONENTS[x, None]
+    rest = (g3 == 0).nonzero()[0]
+    for group in (g2, g1, g0):                # the last groups all zero: rare
+        if not rest.size:
+            break
+        part = group[rest]
+        code[rest] -= _TRAILING[part]
+        rest = rest[part == 0]
 
+    # mode="clip" (every code is in range) writes into ``words`` without a buffer
+    words = _PATTERNS.take(code, axis=0, out=work.words[:n], mode="clip")
+    top[zero] = 0                             # a zero takes the layout of 1.0
+    top += 48
+    work.chars[:n, _TOP] &= top.astype(np.uint8)
+    quads = work.quads[:n]
+    for j, group in enumerate(groups):
+        quads[:, 2 + j] &= _QUADS.take(group, out=work.quad[:n], mode="clip")
+    words[:, 3] &= _EXPONENTS.take(x, out=work.word[:n], mode="clip")
+    point = _POINT_AT.take(code, out=work.point[:n], mode="clip").nonzero()[0]
+    if point.size:                            # fixed notation, x >= 1: shift the
+        at = _POINT_AT[code[point]]           # digits after the point one byte on
+        digits = words[point, 1:3]
+        moved = digits << np.uint64(8)
+        moved[:, 1] |= digits[:, 0] >> np.uint64(56)
+        words[point, 3] |= digits[:, 1] >> np.uint64(56)
+        words[point, 1:3] = (digits & _KEPT[at]) | (moved & _MOVED[at]) | _POINT[at]
+
+    chars = work.chars[:n]
     for i in slow:
         cell = np.frombuffer(b"%.17g" % float(v[i]), dtype=np.uint8)
         chars[i, :_SEP] = 0

@@ -65,7 +65,8 @@ def tensor_product(a, b) -> np.ndarray:
     """Kronecker product with the slow-system / fast-environment convention.
 
     ``out[i*rb + k, j*cb + l] = a[i, j] * b[k, l]``, which is exactly
-    ``np.kron``.  Raises if the composite dimension exceeds ``MAX_COMPOSITE_DIM``.
+    ``np.kron``: the same broadcast multiply, without its ``expand_dims``
+    calls.  Raises if the composite dimension exceeds ``MAX_COMPOSITE_DIM``.
     """
     a = as_complex_matrix(a)
     b = as_complex_matrix(b)
@@ -74,7 +75,7 @@ def tensor_product(a, b) -> np.ndarray:
     if max(rows, cols) > MAX_COMPOSITE_DIM:
         raise ValueError(
             f"composite dimension {rows}x{cols} exceeds the limit {MAX_COMPOSITE_DIM}")
-    return np.kron(a, b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
 
 
 def _reshape_composite(m, d_sys: int, d_env: int) -> np.ndarray:

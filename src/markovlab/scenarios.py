@@ -70,7 +70,7 @@ class CheckRow:
 @dataclass
 class ScenarioResult:
     columns: list
-    rows: list
+    rows: np.ndarray            # 2-d float table, one row per CSV line
     checks: list = field(default_factory=list)
     info: list = field(default_factory=list)
 
@@ -316,9 +316,10 @@ def _run_amp_phase(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     # gives inf where abs raises OverflowError
     amps = np.array([[ap.a1, ap.a2, ap.a1 + ap.a2 - 1.0] for ap in aps])
     mags = np.hypot(amps.real, amps.imag)
-    rows = [[j1, *mag[:2], ap.phi1_rate.real, ap.phi1_rate.imag,
-             ap.phi2_rate.real, ap.phi2_rate.imag, ap.decays]
-            for j1, mag, ap in zip(j1_values, mags, aps)]
+    # complex128 (k, 2) viewed as float64 is (k, 4): re, im of phi1, then of phi2
+    rates = np.array([[ap.phi1_rate, ap.phi2_rate] for ap in aps], dtype=complex)
+    rows = np.column_stack([j1_values, mags[:, :2], rates.view(np.float64),
+                            [ap.decays for ap in aps]])
     checks = [CheckRow("amp_sum_defect", mags[:, 2].max(),
                        cfg.tolerance("amp_sum_defect", 1e-15))]
     # aps[0] stands for every j1 here: the branch side and the scale do not move
@@ -353,15 +354,14 @@ def _run_divisibility(cfg: ScenarioConfig, strict: bool,
     triples = _triples_from(cfg, pool)
     defect = entangled_divisibility if entangled else divisibility_defect
     with _keyed(ts="times"):
-        rows = [[t0, ts, t, defect(spec, t0, ts, t)] for (t0, ts, t) in triples]
-    defects = [r[3] for r in rows]
+        defects = [defect(spec, t0, ts, t) for (t0, ts, t) in triples]
     expect = cfg.values.get("expect", "divisible" if spec.d_e == 1 else "report")
     info = [f"dS: {spec.d_s}", f"dE: {spec.d_e}", f"expect: {expect}"]
     if entangled:
         info.append(f"env_purity_defect: {spec.initial.env_purity_defect():.6e}")
     else:
         info.insert(2, f"coupling_strength: {spec.coupling_strength!r}")
-    return ScenarioResult(["t0", "ts", "t", "defect"], rows,
+    return ScenarioResult(["t0", "ts", "t", "defect"], np.column_stack([triples, defects]),
                           _defect_checks(cfg, expect, defects), info)
 
 
@@ -388,7 +388,7 @@ def _run_entropy(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     spec, _ = _spec_from(cfg)
     grid = _grid_from(cfg, 5.0, 200)
     report = entropy_sie_check(spec, grid)
-    rows = [[t, s] for t, s in zip(grid.times(), report.entropy)]
+    rows = np.column_stack([grid.times(), report.entropy])
     info = [f"delta: {report.delta}", f"h_norm: {report.h_norm!r}",
             f"max_rate: {report.max_rate!r}", f"bound_ratio: {report.bound_ratio!r}"]
     if report.delta == 1:
@@ -420,7 +420,7 @@ def _run_witness(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     # cA already built the spec, so only cB can be at fault
     with _keyed(c="cB"):
         result = distinguishability_witness(c_a, c_b, spec, grid)
-    rows = [[t, d, r] for t, d, r in zip(result.times, result.distance, result.rate)]
+    rows = np.column_stack([result.times, result.distance, result.rate])
     default = 1e-8 if spec.d_e == 1 else math.inf
     checks = [CheckRow("max_rate", result.max_rate,
                        cfg.tolerance("backflow", default))]
@@ -453,16 +453,18 @@ def _run_sweep(cfg: ScenarioConfig, strict: bool) -> ScenarioResult:
     """
     base, key, values = (cfg.values[k] for k in ("base", "sweep_key", "sweep_values"))
     combined = ScenarioResult([key], [], info=[f"runs: {len(values)}"])
+    tables = []
     for v in values:
         child = ScenarioConfig(scenario=base, values={**cfg.values, key: v},
                                tolerance_overrides=cfg.tolerance_overrides)
         result = _RUNNERS[base](child, strict)
         combined.columns[1:] = result.columns
-        combined.rows.extend([float(v), *row] for row in result.rows)
+        tables.append(np.column_stack([np.full(len(result.rows), float(v)), result.rows]))
         combined.checks.extend(
             CheckRow(f"{key}={float(v):.17g}:{c.name}", c.measured, c.bound, c.mode)
             for c in result.checks)
         combined.info.extend(f"{key}={float(v):.17g}: {line}" for line in result.info)
+    combined.rows = np.concatenate(tables)
     return combined
 
 

@@ -1,6 +1,7 @@
 """The vectorised CSV writer against the per-row ``%`` join it replaced."""
 
 import inspect
+import itertools
 import math
 import struct
 import types
@@ -93,6 +94,68 @@ def test_hard_inputs_match_oracle(n_cols):
     assert _written(table) == reference_rows(table, n_cols)
 
 
+def _layout(text: str):
+    """(notation class, significant digits) of one ``'%.17g'`` cell: the
+    class is the decimal exponent in fixed notation and ``e2``/``e3`` by
+    exponent width."""
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    digits = mantissa.replace(".", "").lstrip("0").rstrip("0") or "0"
+    if exponent:
+        return f"e{len(exponent) - 1}", len(digits)
+    if mantissa.startswith("0."):
+        return -(len(mantissa) - len(mantissa[2:].lstrip("0")) - 1), len(digits)
+    return len(mantissa.split(".")[0]) - 1, len(digits)
+
+
+#: Decimal exponents of each notation class of the fast domain.
+LAYOUT_CLASSES = {**{x: [x] for x in range(-4, 17)},
+                  "e2": [x for x in range(-99, 100) if not -4 <= x <= 16],
+                  "e3": [x for x in range(-270, 271) if abs(x) >= 100]}
+
+
+def _layout_cells() -> list:
+    """One positive double per (class, digit count) layout that a double
+    reaches: dyadic literals first, then short decimal literals
+    ``<nd digits>e<k>`` searched for the layouts still missing."""
+    cells = {}
+    for m, e in itertools.product(range(1, 64, 2), range(-40, 60)):
+        v = math.ldexp(m, e)
+        cells.setdefault(_layout("%.17g" % v), v)
+    for (cls, xs), nd in itertools.product(LAYOUT_CLASSES.items(), range(1, 18)):
+        for x, t in itertools.product(xs, range(100)):
+            if (cls, nd) in cells:
+                break
+            digits = str(int("1" * nd) + t)
+            if len(digits) == nd and digits[-1] != "0":
+                v = float(f"{digits}e{x - nd + 1}")
+                cells.setdefault(_layout("%.17g" % v), v)
+    return list(cells.values())
+
+
+def _layout_table() -> np.ndarray:
+    """Each layout cell with both signs, once inside a row and once at its end."""
+    cells = np.array(_layout_cells())
+    return np.repeat(np.concatenate([cells, -cells])[:, None], 2, axis=1)
+
+
+def _layouts_covered(text: bytes) -> int:
+    """Distinct (class, digit count, sign, row end) layouts of a CSV text."""
+    seen = set()
+    for line in text.decode().splitlines():
+        cells = line.split(",")
+        seen.update((*_layout(c), c.startswith("-"), k == len(cells) - 1)
+                    for k, c in enumerate(cells))
+    return len(seen)
+
+
+def test_every_layout_matches_oracle():
+    table = _layout_table()
+    expected = reference_rows(table, 2)
+    # 21 fixed classes and 2 exponent widths, 17 digit counts, sign, row end
+    assert _layouts_covered(expected) == 23 * 17 * 2 * 2
+    assert _written(table) == expected
+
+
 def test_flag_and_integer_cells_and_empty_table(tmp_path):
     rows = [[0.5, True, 3, -0.0], [1e-300, False, -(2**63), 2**53 + 1],
             [np.float64(2.5), np.True_, 2**63 - 1, np.inf]]
@@ -123,10 +186,27 @@ MUTANTS = {
 }
 
 
+#: Mutants of the text layout: the point one byte late, and the trailing
+#: zeros of the third group read as the last group's.
+LAYOUT_MUTANTS = {
+    "point-off-by-one-byte": ("at = _POINT_AT[code[point]]", "at = _POINT_AT[code[point]] + 1"),
+    "trailing-zeros-of-wrong-group": ("_TRAILING.take(g3,", "_TRAILING.take(g2,"),
+}
+
+
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_property_and_hard_inputs_catch_mutant(name):
     mutant = _mutant(*MUTANTS[name])
     table = HARD.reshape(-1, 2)
+    assert _written(table, mutant) != reference_rows(table, 2)
+    with pytest.raises(AssertionError):
+        _property(mutant, phases=(Phase.generate,))()
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_MUTANTS))
+def test_property_and_layout_table_catch_mutant(name):
+    mutant = _mutant(*LAYOUT_MUTANTS[name])
+    table = _layout_table()
     assert _written(table, mutant) != reference_rows(table, 2)
     with pytest.raises(AssertionError):
         _property(mutant, phases=(Phase.generate,))()

@@ -52,6 +52,21 @@ def test_tensor_index_formula():
                     assert abs(out[i * 2 + al, j * 2 + be] - a[i, j] * b[al, be]) < 1e-14
 
 
+def test_tensor_matches_kron_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for (ra, ca), (rb, cb) in [((2, 3), (4, 1)), ((1, 1), (3, 3)), ((4, 4), (2, 5))]:
+        a, b = random_complex(rng, ra, ca), random_complex(rng, rb, cb)
+        # signed zeros in either part, and an identity factor as the callers pass
+        a.real[0, 0], b.imag[-1, -1] = -0.0, -0.0
+        a[-1, -1] = complex(0.0, -0.0)
+        for x, y in [(a, b), (b, a), (np.eye(ra), b), (a, np.eye(rb))]:
+            out, ref = tensor_product(x, y), np.kron(x.astype(complex), y.astype(complex))
+            assert out.shape == ref.shape and out.flags.c_contiguous
+            assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+            assert np.array_equal(np.signbit(out.real), np.signbit(ref.real))
+            assert np.array_equal(np.signbit(out.imag), np.signbit(ref.imag))
+
+
 def test_tensor_associative_and_mixed_product():
     rng = np.random.default_rng(1)
     a, b, c, d = (random_complex(rng, 2) for _ in range(4))
