@@ -41,6 +41,7 @@ from markovlab.dynamics import (
     WitnessResult,
     distinguishability_witness,
     divisibility_defect,
+    divisibility_defects,
     entangled_divisibility,
     entropy_sie_check,
     environment_stationarity,

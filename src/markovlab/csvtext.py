@@ -32,6 +32,9 @@ Fallback domain (``'%.17g' %`` one cell at a time): NaN, +-inf, values
 with |v| outside [1e-270, 1e270] other than +-0, and near-ties whose
 fraction lies within 1e-9 of one half (exact ties such as 2**-25 among
 them).  Zeros take the fast path.
+
+Small tables, of fewer than ``_SMALL_CELLS`` cells, are written by the
+definition itself: ``'%.17g' %`` of every cell, one ``%`` join per row.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ _SPLIT = 134217729.0
 #: Cells formatted per block; a table's work arrays (:class:`_Work`) hold
 #: one block, about 1.3 MB.
 _BLOCK_CELLS = 8192
+#: Tables of fewer cells are written by ``'%.17g' %`` itself, one ``%`` join
+#: per row: below this size the fixed cost of the numpy calls of a block is
+#: larger than formatting each cell.
+_SMALL_CELLS = 160
 
 
 def _split(a):
@@ -308,6 +315,11 @@ def csv_blocks(table):
     """
     table = np.asarray(table, dtype=np.float64)
     rows, cols = table.shape
+    if table.size < _SMALL_CELLS:
+        if rows:
+            line = b",".join([b"%.17g"] * cols) + b"\n"
+            yield b"".join([line % tuple(row) for row in table.tolist()])
+        return
     step = max(1, _BLOCK_CELLS // cols)
     row_end = np.zeros((min(rows, step), cols), dtype=np.int64)
     row_end[:, -1] = _CODES

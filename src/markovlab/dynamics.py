@@ -22,8 +22,10 @@ F with F F^dag = rho(0), and the states on a time grid form the stack
 psi(t) = V (exp(-i E t) * V^dag F) of shape (T, d, r).  Reduced states
 of S and E are a reshape and one batched matmul of that stack, and the
 time axis is walked in blocks of at most ``_TIME_BLOCK`` complex entries
-so memory stays flat on long grids.  The super matrix is one batched
-matmul, and maps compose as (d_s^2, d_s^2) matrices.
+so memory stays flat on long grids.  The super matrices of a stack of
+unitaries are one batched matmul, and maps compose as (d_s^2, d_s^2)
+matrices.  The divisibility defects of many time triples are evaluated
+as stacks too, in blocks that the same ``_TIME_BLOCK`` bounds.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np
 from markovlab.linalg import (
     MAX_COMPOSITE_DIM,
     DomainError,
+    density_factor,
     # unused here, but perfbench/spans.py wraps every module's binding of it
     # and perfbench/selftest.py reads this one
     partial_trace_env,
@@ -44,7 +47,6 @@ from markovlab.linalg import (
     trace_distance,
     trace_env_factored,
     trace_sys_factored,
-    validate_density_matrix,
     von_neumann_entropy,
 )
 from markovlab.spectral import TimeGrid
@@ -63,18 +65,12 @@ def _amplitudes(values, arg: str) -> np.ndarray:
     return values
 
 
-def _weights(m, arg: str, name: str) -> np.ndarray:
+def _weights(m, arg: str, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The checked weight matrix and its rank factor, from one eigh."""
     try:
-        return validate_density_matrix(m, name=name)
+        return density_factor(m, name=name)
     except ValueError as exc:
         raise DomainError(str(exc), arg) from exc
-
-
-def _psd_factor(m: np.ndarray) -> np.ndarray:
-    """G with G G^dag = m for positive semidefinite m; columns of weight > 0 only."""
-    w, v = np.linalg.eigh(m)
-    keep = w > 0.0
-    return v[:, keep] * np.sqrt(w[keep])
 
 
 #: the constructor argument that gives the system part of each kind of initial state
@@ -93,7 +89,9 @@ class InitialState:
     ``d_mat`` is the environment factor of a product-type state and None
     for an entangled one.  ``factor`` is a rank factor F of the composite
     state, F F^dag = rho_full(), formed on first use from the stored
-    system factor: the column c, sqrt(s_weights) or the column vec(a).
+    system factor (the column c, sqrt(s_weights) or the column vec(a))
+    and environment factor sqrt(d_mat).  Each weight matrix is checked
+    and factored by the same eigh; the square roots keep only weights > 0.
     """
 
     kind: str
@@ -101,18 +99,19 @@ class InitialState:
     env_weights: np.ndarray
     d_mat: np.ndarray | None
     sys_factor: np.ndarray = field(repr=False)
+    env_factor: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def product(cls, c, d_mat) -> "InitialState":
         c = _amplitudes(c, "c").ravel()
-        d_mat = _weights(d_mat, "d_mat", "environment weights")
-        return cls("product", np.outer(c, c.conj()), d_mat, d_mat, c[:, None])
+        d_mat, env = _weights(d_mat, "d_mat", "environment weights")
+        return cls("product", np.outer(c, c.conj()), d_mat, d_mat, c[:, None], env)
 
     @classmethod
     def mixed_product(cls, s_weights, d_mat) -> "InitialState":
-        s_weights = _weights(s_weights, "s_weights", "system weights")
-        d_mat = _weights(d_mat, "d_mat", "environment weights")
-        return cls("mixed-product", s_weights, d_mat, d_mat, _psd_factor(s_weights))
+        s_weights, sys = _weights(s_weights, "s_weights", "system weights")
+        d_mat, env = _weights(d_mat, "d_mat", "environment weights")
+        return cls("mixed-product", s_weights, d_mat, d_mat, sys, env)
 
     @classmethod
     def entangled(cls, a) -> "InitialState":
@@ -138,10 +137,10 @@ class InitialState:
 
     @cached_property
     def factor(self) -> np.ndarray:
-        """F with F F^dag = rho_full(); the square roots keep only weights > 0."""
+        """F with F F^dag = rho_full()."""
         if self.d_mat is None:
             return self.sys_factor
-        return np.kron(self.sys_factor, _psd_factor(self.d_mat))
+        return np.kron(self.sys_factor, self.env_factor)
 
     def env_purity_defect(self) -> float:
         d = self.env_weights
@@ -189,6 +188,44 @@ class CompositeSpec:
         """The one eigendecomposition of H that every evolution of this spec uses."""
         return Propagator(self)
 
+    @cached_property
+    def env_blocks(self) -> "EnvBlocks":
+        """The coupling and the environment weights in the eigenbasis of H_E."""
+        return EnvBlocks(self)
+
+
+class EnvBlocks:
+    """V H_SE and the environment weights in one eigenbasis of H_E.
+
+    A coupling that commutes with 1 x H_E is a direct sum of system blocks
+    B_a there: ``off_norm`` is the largest entry outside those blocks, and
+    ``eigvals``, ``eigvecs`` are the batched eigendecomposition of the
+    (d_e, d_s, d_s) stack H_S + B_a.  ``weights`` is the diagonal of the
+    rotated environment weights and ``weight_defect`` their largest entry
+    off it.  Like the propagator it holds no reference to the spec.
+    """
+
+    def __init__(self, spec: CompositeSpec):
+        _, rot = np.linalg.eigh(spec.h_e)
+        full_rot = tensor_product(np.eye(spec.d_s), rot)
+        h_int = full_rot.conj().T @ (spec.coupling_strength * spec.h_se) @ full_rot
+        blocks = h_int.reshape(spec.d_s, spec.d_e, spec.d_s, spec.d_e)
+        idx = np.arange(spec.d_e)
+        on_block = blocks[:, idx, :, idx]      # (d_e, d_s, d_s): B_a
+        blocks[:, idx, :, idx] = 0.0
+        self.off_norm = float(np.abs(blocks).max())
+        d_rot = rot.conj().T @ spec.initial.env_weights @ rot
+        self.weights = np.real(np.diag(d_rot))
+        self.weight_defect = float(np.abs(d_rot - np.diag(self.weights)).max())
+        self.eigvals, self.eigvecs = np.linalg.eigh(spec.h_s + on_block)
+
+
+def _blocks(n: int, width: int):
+    """Consecutive slices of range(n), each of at most ``_TIME_BLOCK // width``
+    items (but at least one), for items of ``width`` complex entries."""
+    step = max(1, _TIME_BLOCK // width)
+    return (slice(start, start + step) for start in range(0, n, step))
+
 
 class Propagator:
     """H = H_S x 1 + 1 x H_E + V H_SE and its shared eigendecomposition.
@@ -205,12 +242,20 @@ class Propagator:
                             + tensor_product(np.eye(spec.d_s), spec.h_e)
                             + spec.coupling_strength * spec.h_se)
         self.eigvals, self.eigvecs = np.linalg.eigh(self.hamiltonian)
+        self._eigvecs_h = self.eigvecs.conj().T
+
+    def unitaries(self, dts) -> np.ndarray:
+        """U(dt) for each dt as a (T, d, d) stack, from one gemm; exactly 1 at dt = 0."""
+        v = self.eigvecs
+        dts = np.asarray(dts, dtype=float)
+        phased = v * np.exp(-1j * self.eigvals * dts[:, None])[:, None, :]
+        u = (phased.reshape(-1, v.shape[0]) @ self._eigvecs_h).reshape(phased.shape)
+        if not dts.all():
+            u[dts == 0] = np.eye(v.shape[0])
+        return u
 
     def unitary(self, dt: float) -> np.ndarray:
-        if dt == 0:
-            return np.eye(self.hamiltonian.shape[0], dtype=complex)
-        v = self.eigvecs
-        return (v * np.exp(-1j * self.eigvals * dt)) @ v.conj().T
+        return self.unitaries([dt])[0]
 
     def rho_full(self, dt: float) -> np.ndarray:
         u = self.unitary(dt)
@@ -226,28 +271,32 @@ class Propagator:
         states of S or E (but at least one time).
         """
         v = self.eigvecs
-        coeffs = [v.conj().T @ f for f in factors]
+        coeffs = [self._eigvecs_h @ f for f in factors]
         width = max(v.shape[0] * sum(c.shape[1] for c in coeffs),
                     self.d_s ** 2, self.d_e ** 2)
-        step = max(1, _TIME_BLOCK // width)
-        for start in range(0, dts.size, step):
-            phases = np.exp(-1j * self.eigvals * dts[start:start + step, None])[:, :, None]
+        for part in _blocks(dts.size, width):
+            phases = np.exp(-1j * self.eigvals * dts[part, None])[:, :, None]
             yield [v @ (phases * c) for c in coeffs]
 
 
-def _supermatrix_entries(u: np.ndarray, d_weights: np.ndarray,
-                         d_s: int, d_e: int) -> np.ndarray:
-    """C[(i1, i2), (j1, j2)] as a (d_s^2, d_s^2) matrix.
+def _supermatrices(u: np.ndarray, d_weights: np.ndarray, d_s: int, d_e: int) -> np.ndarray:
+    """C[(i1, i2), (j1, j2)] of each unitary of a (T, d, d) stack, shape (T, d_s^2, d_s^2).
 
     With y[j1, g, i1, a2] = sum_a1 U[j1 g, i1 a1] d[a1, a2], the entry
     C[i1, i2, j1, j2] = sum_{g, a2} y[j1, g, i1, a2] U[j2 g, i2 a2]^*
-    is one batched matmul over (i1, i2) that writes C in place, without
-    a transposed copy of the d_s^4 result.
+    is one batched matmul over (T, i1, i2) that writes C in place, without
+    a transposed copy of the d_s^4 results.
     """
-    y = (u.reshape(-1, d_e) @ d_weights).reshape(d_s, d_e, d_s, d_e)
-    left = y.transpose(2, 0, 1, 3).reshape(d_s, 1, d_s, d_e * d_e)
-    right = u.conj().reshape(d_s, d_e, d_s, d_e).transpose(2, 1, 3, 0)
-    return (left @ right.reshape(1, d_s, d_e * d_e, d_s)).reshape(d_s * d_s, -1)
+    n = len(u)
+    y = (u.reshape(-1, d_e) @ d_weights).reshape(n, d_s, d_e, d_s, d_e)
+    left = y.transpose(0, 3, 1, 2, 4).reshape(n, d_s, 1, d_s, d_e * d_e)
+    right = u.conj().reshape(n, d_s, d_e, d_s, d_e).transpose(0, 3, 2, 4, 1)
+    return (left @ right.reshape(n, 1, d_s, d_e * d_e, d_s)).reshape(n, d_s * d_s, -1)
+
+
+def _require_product(spec: CompositeSpec):
+    if spec.initial.d_mat is None:
+        raise ValueError("the super matrix needs a product-type initial state")
 
 
 def supermatrix(spec: CompositeSpec, t: float, t0: float = 0.0) -> np.ndarray:
@@ -257,16 +306,64 @@ def supermatrix(spec: CompositeSpec, t: float, t0: float = 0.0) -> np.ndarray:
     delta_{i1 j1} delta_{i2 j2} at t = t0; reshaped to (d_s^2, d_s^2) it acts
     on row-vectorised weights from the right.
     """
-    if spec.initial.d_mat is None:
-        raise ValueError("the super matrix needs a product-type initial state")
-    entries = _supermatrix_entries(spec.propagator.unitary(t - t0), spec.initial.d_mat,
-                                   spec.d_s, spec.d_e)
+    _require_product(spec)
+    entries = _supermatrices(spec.propagator.unitaries([t - t0]), spec.initial.d_mat,
+                             spec.d_s, spec.d_e)
     return entries.reshape((spec.d_s,) * 4)
 
 
-def _check_triple(t0: float, ts: float, t: float):
-    if not (t0 <= ts <= t):
-        raise DomainError(f"need t0 <= ts <= t, got ({t0}, {ts}, {t})", "ts")
+def _triple_times(triples) -> np.ndarray:
+    """The t0, ts and t columns of (t0, ts, t) triples, each as a float array."""
+    for t0, ts, t in triples:
+        if not (t0 <= ts <= t):
+            raise DomainError(f"need t0 <= ts <= t, got ({t0}, {ts}, {t})", "ts")
+    return np.array(triples, dtype=float).reshape(-1, 3).T
+
+
+def _map_defects(spec: CompositeSpec, t0, ts, t) -> np.ndarray:
+    """Defects of a block of triples: compose into the first maps one row block
+    at a time, then subtract the whole-interval maps in place, so two maps
+    per triple are live at once."""
+    d_s = spec.d_s
+
+    def maps(dts):
+        return _supermatrices(spec.propagator.unitaries(dts), spec.initial.d_mat, d_s, spec.d_e)
+
+    defect = maps(ts - t0)
+    second = maps(t - ts)
+    for r in range(0, d_s * d_s, d_s):
+        defect[:, r:r + d_s] = defect[:, r:r + d_s] @ second
+    del second
+    defect -= maps(t - t0)
+    return np.abs(defect).max(axis=(1, 2))
+
+
+def _state_defects(spec: CompositeSpec, t0, ts, t) -> np.ndarray:
+    """Defects of a block of triples of an entangled spec."""
+    prop, initial, d_s, d_e = spec.propagator, spec.initial, spec.d_s, spec.d_e
+    dts = np.stack([ts - t0, t - t0], axis=1).ravel()
+    rho = np.concatenate([trace_env_factored(psi, d_s)
+                          for psi, in prop.states(dts, initial.factor)])
+    mid = _supermatrices(prop.unitaries(t - ts), initial.env_weights, d_s, d_e)
+    lhs = rho[0::2].reshape(-1, 1, d_s * d_s) @ mid
+    return np.abs(lhs.reshape(-1, d_s, d_s) - rho[1::2]).max(axis=(1, 2))
+
+
+def divisibility_defects(spec: CompositeSpec, triples) -> np.ndarray:
+    """Defect of each (t0, ts, t) triple, evaluated as memory-bounded stacks.
+
+    For a product-type spec each is :func:`divisibility_defect`, for an
+    entangled one :func:`entangled_divisibility`.  A block of triples holds
+    at most ``_TIME_BLOCK`` complex entries of unitaries and maps (but at
+    least one triple), so at most two d_s^4 maps are live per triple.
+    """
+    t0, ts, t = _triple_times(triples)
+    defects = _state_defects if spec.initial.d_mat is None else _map_defects
+    # a triple holds three unitaries and two maps, or two states, one unitary and a map
+    width = (2 if spec.initial.d_mat is None else 3) * max(spec.d_s ** 4,
+                                                            (spec.d_s * spec.d_e) ** 2)
+    return np.concatenate([defects(spec, t0[part], ts[part], t[part])
+                           for part in _blocks(t.size, width)] or [np.empty(0)])
 
 
 def divisibility_defect(spec: CompositeSpec, t0: float, ts: float, t: float) -> float:
@@ -277,17 +374,8 @@ def divisibility_defect(spec: CompositeSpec, t0: float, ts: float, t: float) -> 
     a single state, for any coupling strength, and is generically
     positive otherwise.
     """
-    _check_triple(t0, ts, t)
-    # compose into the first map one row block at a time, then subtract the
-    # whole-interval map in place: at most two d_s^4 maps are live at once
-    d2 = spec.d_s ** 2
-    defect = supermatrix(spec, ts, t0).reshape(d2, d2)
-    second = supermatrix(spec, t, ts).reshape(d2, d2)
-    for r in range(0, defect.shape[0], spec.d_s):
-        defect[r:r + spec.d_s] = defect[r:r + spec.d_s] @ second
-    del second
-    defect -= supermatrix(spec, t, t0).reshape(d2, d2)
-    return float(np.abs(defect).max())
+    _require_product(spec)
+    return float(divisibility_defects(spec, [(t0, ts, t)])[0])
 
 
 def entangled_divisibility(spec: CompositeSpec, t0: float, ts: float, t: float) -> float:
@@ -302,15 +390,7 @@ def entangled_divisibility(spec: CompositeSpec, t0: float, ts: float, t: float) 
     """
     if spec.initial.d_mat is not None:
         raise ValueError("entangled_divisibility needs an entangled initial state")
-    _check_triple(t0, ts, t)
-    prop = spec.propagator
-    rho_ts, rho_t = np.concatenate([
-        trace_env_factored(psi, spec.d_s)
-        for psi, in prop.states(np.array([ts - t0, t - t0]), spec.initial.factor)])
-    mid = _supermatrix_entries(prop.unitary(t - ts), spec.initial.env_weights,
-                               spec.d_s, spec.d_e)
-    lhs = rho_ts.reshape(-1) @ mid
-    return float(np.abs(lhs.reshape(spec.d_s, spec.d_s) - rho_t).max())
+    return float(divisibility_defects(spec, [(t0, ts, t)])[0])
 
 
 @dataclass(frozen=True)
@@ -386,12 +466,15 @@ def distinguishability_witness(state_a, state_b, spec: CompositeSpec,
         raise ValueError("the witness needs a product-type environment state")
     factors = []
     for state in (state_a, state_b):
-        initial = (InitialState.product(state, spec.initial.d_mat) if np.ndim(state) == 1
-                   else InitialState.mixed_product(state, spec.initial.d_mat))
-        if initial.d_s != spec.d_s:
-            raise DomainError(f"state dimension {initial.d_s} does not match d_s = {spec.d_s}",
-                              _STATE_ARG[initial.kind])
-        factors.append(initial.factor)
+        if np.ndim(state) == 1:
+            kind, sys_factor = "product", _amplitudes(state, "c")[:, None]
+        else:
+            kind = "mixed-product"
+            _, sys_factor = _weights(state, _STATE_ARG[kind], "system weights")
+        if len(sys_factor) != spec.d_s:
+            raise DomainError(f"state dimension {len(sys_factor)} does not match "
+                              f"d_s = {spec.d_s}", _STATE_ARG[kind])
+        factors.append(np.kron(sys_factor, spec.initial.env_factor))
     times = grid.times()
     dist = np.concatenate([
         trace_distance(trace_env_factored(psi_a, spec.d_s),

@@ -158,13 +158,35 @@ def trace_distance(a, b):
     return float(d) if d.ndim == 0 else d
 
 
-def validate_density_matrix(rho, *, name: str = "density matrix") -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity at HERM_TOL, TRACE_TOL, EIG_FLOOR."""
+def _unit_trace_hermitian(rho, name: str) -> np.ndarray:
     a = require_hermitian(rho, name)
     tr = complex(np.trace(a))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{name} trace {tr:.15g} deviates from 1 by more than {TRACE_TOL:.1e}")
-    wmin = float(np.linalg.eigvalsh(a).min())
+    return a
+
+
+def _require_floor(w: np.ndarray, name: str):
+    wmin = float(w.min())
     if wmin < EIG_FLOOR:
         raise PositivityError(f"{name} eigenvalue {wmin:.3e} below floor {EIG_FLOOR:.1e}")
+
+
+def validate_density_matrix(rho, *, name: str = "density matrix") -> np.ndarray:
+    """Check Hermiticity, unit trace and positivity at HERM_TOL, TRACE_TOL, EIG_FLOOR."""
+    a = _unit_trace_hermitian(rho, name)
+    _require_floor(np.linalg.eigvalsh(a), name)
     return a
+
+
+def density_factor(rho, *, name: str = "density matrix") -> tuple[np.ndarray, np.ndarray]:
+    """rho checked as by :func:`validate_density_matrix`, and G with G G^dag = rho.
+
+    One eigh gives both the positivity check and G: the eigenvectors of
+    weight > 0, each scaled by the square root of its weight.
+    """
+    a = _unit_trace_hermitian(rho, name)
+    w, v = np.linalg.eigh(a)
+    _require_floor(w, name)
+    keep = w > 0.0
+    return a, v[:, keep] * np.sqrt(w[keep])

@@ -167,33 +167,25 @@ def commuting_block_evolution(spec: CompositeSpec, t: float) -> BlockMixture:
 
     from one batched eigendecomposition of the (d_e, d_s, d_s) stack
     H_S + B_a.  Environment weights are rotated into the H_E eigenbasis
-    first.
+    first.  That decomposition is the spec's ``env_blocks``, formed once
+    per spec; the preconditions are checked on every call.
     """
     if spec.initial.d_mat is None:
         raise PreconditionError("block mixture needs a product-type initial state")
-    _, rot = np.linalg.eigh(spec.h_e)
-    full_rot = tensor_product(np.eye(spec.d_s), rot)
-    h_int = full_rot.conj().T @ (spec.coupling_strength * spec.h_se) @ full_rot
-    blocks = h_int.reshape(spec.d_s, spec.d_e, spec.d_s, spec.d_e)
-    idx = np.arange(spec.d_e)
-    on_block = blocks[:, idx, :, idx]      # (d_e, d_s, d_s): B_a
-    blocks[:, idx, :, idx] = 0.0
-    off_norm = float(np.abs(blocks).max())
-    if off_norm > 1e-10:
+    blocks = spec.env_blocks
+    if blocks.off_norm > 1e-10:
         raise PreconditionError(
             f"coupling is not block diagonal in the environment eigenbasis "
-            f"(off-block norm {off_norm:.3e}); [1 x H_E, H_SE] norm is "
+            f"(off-block norm {blocks.off_norm:.3e}); [1 x H_E, H_SE] norm is "
             f"{env_coupling_commutator_norm(spec):.3e}")
-    d_rot = rot.conj().T @ spec.initial.d_mat @ rot
-    d_diag = np.real(np.diag(d_rot))
-    if float(np.abs(d_rot - np.diag(d_diag)).max()) > 1e-10:
+    if blocks.weight_defect > 1e-10:
         raise PreconditionError(
             "environment weights are not diagonal in the H_E eigenbasis "
             "(degenerate H_E with mismatched weights)")
-    w, v = np.linalg.eigh(spec.h_s + on_block)
+    w, v = blocks.eigvals, blocks.eigvecs
     u = (v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
     orbits = u @ spec.initial.rho_s0 @ u.conj().swapaxes(1, 2)
-    rho = (d_diag[:, None, None] * orbits).sum(axis=0)
+    rho = (blocks.weights[:, None, None] * orbits).sum(axis=0)
     residual = float(np.abs(rho - evolve_rho_s(spec, t)).max())
     return BlockMixture(rho_s=rho, residual=residual)
 

@@ -35,8 +35,7 @@ from markovlab.dynamics import (
     CompositeSpec,
     InitialState,
     distinguishability_witness,
-    divisibility_defect,
-    entangled_divisibility,
+    divisibility_defects,
     entropy_sie_check,
     environment_stationarity,
 )
@@ -352,9 +351,8 @@ def _run_divisibility(cfg: ScenarioConfig, strict: bool,
     """Defects over time triples; ``entangled`` starts from joint amplitudes."""
     spec, pool = _spec_from(cfg, entangled=entangled)
     triples = _triples_from(cfg, pool)
-    defect = entangled_divisibility if entangled else divisibility_defect
     with _keyed(ts="times"):
-        defects = [defect(spec, t0, ts, t) for (t0, ts, t) in triples]
+        defects = divisibility_defects(spec, triples).tolist()
     expect = cfg.values.get("expect", "divisible" if spec.d_e == 1 else "report")
     info = [f"dS: {spec.d_s}", f"dE: {spec.d_e}", f"expect: {expect}"]
     if entangled:

@@ -1,4 +1,5 @@
-"""The vectorised CSV writer against the per-row ``%`` join it replaced."""
+"""The CSV writer against the per-row ``%`` join: its vectorised path, and the
+join itself, which writes tables below ``csvtext._SMALL_CELLS`` cells."""
 
 import inspect
 import itertools
@@ -50,8 +51,16 @@ SPECIAL_CELLS = st.one_of(
 
 @st.composite
 def tables(draw):
-    """Random float64 bit patterns, with drawn special cells at random places."""
-    shape = (draw(st.integers(0, 40)), draw(st.integers(1, 20)))
+    """Random float64 bit patterns, with drawn special cells at random places.
+
+    Half the draws are below the writer's small-table bound and half above it,
+    where the vectorised path writes them.
+    """
+    cols = draw(st.integers(1, 20))
+    least = -(-csvtext._SMALL_CELLS // cols)       # fewest rows of a large table
+    rows = (st.integers(least, least + 40) if draw(st.booleans())
+            else st.integers(0, least - 1))
+    shape = (draw(rows), cols)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     table = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
     special = draw(st.lists(SPECIAL_CELLS, max_size=min(table.size, 24)))
@@ -150,10 +159,21 @@ def _layouts_covered(text: bytes) -> int:
 
 def test_every_layout_matches_oracle():
     table = _layout_table()
+    assert table.size >= csvtext._SMALL_CELLS         # the vectorised path
     expected = reference_rows(table, 2)
     # 21 fixed classes and 2 exponent widths, 17 digit counts, sign, row end
     assert _layouts_covered(expected) == 23 * 17 * 2 * 2
     assert _written(table) == expected
+
+
+def test_small_tables_write_special_cells_as_the_definition():
+    cells = [-0.0, 0.0, math.nan, math.inf, -math.inf, 2.0**-25, -(2.0**-25), 0.5,
+             2.5, 1e16 + 2, 5e-324, 1.7976931348623157e308, 0.1, -123.25, 1e-5, 1e17]
+    for n_cols in (1, 2, 4, 8):
+        table = np.array(cells[:16 // n_cols * n_cols]).reshape(-1, n_cols)
+        assert table.size < csvtext._SMALL_CELLS
+        assert _written(table) == reference_rows(table, n_cols)
+    assert _written(np.array([[-0.0, math.nan, math.inf]])) == b"-0,nan,inf\n"
 
 
 def test_flag_and_integer_cells_and_empty_table(tmp_path):
@@ -198,6 +218,7 @@ LAYOUT_MUTANTS = {
 def test_property_and_hard_inputs_catch_mutant(name):
     mutant = _mutant(*MUTANTS[name])
     table = HARD.reshape(-1, 2)
+    assert table.size >= csvtext._SMALL_CELLS         # the vectorised path
     assert _written(table, mutant) != reference_rows(table, 2)
     with pytest.raises(AssertionError):
         _property(mutant, phases=(Phase.generate,))()
@@ -207,6 +228,7 @@ def test_property_and_hard_inputs_catch_mutant(name):
 def test_property_and_layout_table_catch_mutant(name):
     mutant = _mutant(*LAYOUT_MUTANTS[name])
     table = _layout_table()
+    assert table.size >= csvtext._SMALL_CELLS         # the vectorised path
     assert _written(table, mutant) != reference_rows(table, 2)
     with pytest.raises(AssertionError):
         _property(mutant, phases=(Phase.generate,))()

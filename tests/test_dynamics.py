@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -13,6 +14,7 @@ from markovlab.dynamics import (
     InitialState,
     distinguishability_witness,
     divisibility_defect,
+    divisibility_defects,
     entangled_divisibility,
     entropy_sie_check,
     environment_stationarity,
@@ -29,7 +31,7 @@ from markovlab.linalg import (
     validate_density_matrix,
     von_neumann_entropy,
 )
-from markovlab.master import evolve_rho_s
+from markovlab.master import commuting_block_evolution, evolve_rho_s
 from markovlab.sampling import (
     random_amplitudes,
     random_env_weights,
@@ -67,6 +69,26 @@ def test_initial_state_validation():
         InitialState.product([1.0, 0.0], np.array([[0.5, 0.4], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="normalized"):
         InitialState.entangled(np.ones((2, 2)))
+
+
+def test_each_weight_matrix_is_checked_and_factored_by_one_eigh():
+    rng = np.random.default_rng(3)
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+            mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        state = InitialState.mixed_product(random_env_weights(3, rng), random_env_weights(2, rng))
+        factor = state.factor
+        assert (eigh.call_count, eigvalsh.call_count) == (2, 0)
+        spec = CompositeSpec(d_s=3, d_e=2, h_s=random_hermitian(3, rng),
+                             h_e=random_hermitian(2, rng), h_se=random_hermitian(6, rng),
+                             initial=state)
+        spec.propagator
+        eigh.reset_mock()
+        # the witness reuses the spec's environment factor: one eigh for the
+        # mixed state, none for the amplitudes or the environment weights
+        distinguishability_witness(random_amplitudes(3, rng), random_env_weights(3, rng),
+                                   spec, TimeGrid(0.0, 1.0, 4))
+        assert eigh.call_count == 1
+    assert np.abs(factor @ factor.conj().T - state.rho_full()).max() < 1e-15
 
 
 def test_initial_state_env_weights_and_purity():
@@ -207,9 +229,20 @@ def test_evolve_schmidt_symmetry():
                    - von_neumann_entropy(partial_trace_sys(rho, 2, 3))) < 1e-9
 
 
+def _block_spec(rng):
+    """A coupling sum_a B_a x |a><a| that commutes with a diagonal H_E."""
+    h_se = sum(np.kron(random_hermitian(3, rng), np.diag(np.eye(2)[a])) for a in range(2))
+    return CompositeSpec(d_s=3, d_e=2, h_s=random_hermitian(3, rng),
+                         h_e=np.diag([0.3, -0.8]).astype(complex), h_se=h_se,
+                         initial=InitialState.product(random_amplitudes(3, rng),
+                                                      random_env_weights(2, rng)))
+
+
 def test_spec_and_its_cached_propagator_are_freed_without_the_cycle_collector():
-    spec = random_product_spec(3, 2, np.random.default_rng(4))
+    spec = _block_spec(np.random.default_rng(4))
     assert spec.propagator.unitary(0.5).shape == (6, 6)
+    assert commuting_block_evolution(spec, 0.5).residual < 1e-10
+    assert {"propagator", "env_blocks"} <= set(vars(spec))
     ref = weakref.ref(spec)
     gc.disable()
     try:
@@ -338,6 +371,67 @@ def test_divisibility_degenerate_splits_are_exact():
     spec = random_product_spec(2, 3, rng)
     assert divisibility_defect(spec, 0.0, 0.0, 1.3) < 1e-12
     assert divisibility_defect(spec, 0.0, 1.3, 1.3) < 1e-12
+
+
+def supermatrix_einsum_oracle(u, d, d_s, d_e):
+    """The loop oracle's sum as one einsum: C[i1, i2, j1, j2]."""
+    u4 = u.reshape(d_s, d_e, d_s, d_e)
+    return np.einsum("ab,xgia,ygjb->ijxy", d, u4, u4.conj())
+
+
+def _defect_oracle(spec, t0, ts, t):
+    """A triple's defect from the einsum oracle maps and the dense reference states."""
+    prop, d_s, d_e = spec.propagator, spec.d_s, spec.d_e
+    if spec.initial.d_mat is None:
+        rho = [partial_trace_env(prop.rho_full(dt), d_s, d_e) for dt in (ts - t0, t - t0)]
+        mid = supermatrix_einsum_oracle(prop.unitary(t - ts), spec.initial.env_weights,
+                                        d_s, d_e)
+        return np.abs(np.tensordot(rho[0], mid) - rho[1]).max()
+    first, second, whole = (supermatrix_einsum_oracle(prop.unitary(dt), spec.initial.d_mat,
+                                                      d_s, d_e)
+                            for dt in (ts - t0, t - ts, t - t0))
+    return np.abs(whole - np.einsum("ijab,abkl->ijkl", first, second)).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["product", "entangled"]), data=st.data())
+def test_stacked_defects_match_oracle_and_one_triple_calls(kind, data):
+    spec, rng = _drawn_spec(data, kind)
+    d_s, d_e = spec.d_s, spec.d_e
+    if data.draw(st.booleans()):
+        u = spec.propagator.unitary(0.9)
+        weights = spec.initial.env_weights
+        assert np.abs(supermatrix_einsum_oracle(u, weights, d_s, d_e)
+                      - supermatrix_loop_oracle(u, weights, d_s, d_e)).max() < 1e-14
+    # triples of both kinds of degenerate split among generic ones
+    n = data.draw(st.integers(3, 12))
+    t0 = rng.uniform(0.0, 1.0, n)
+    ts = t0 + rng.uniform(0.0, 2.0, n)
+    t = ts + rng.uniform(0.0, 2.0, n)
+    ts[0], t[1] = t0[0], ts[1]
+    triples = list(zip(t0.tolist(), ts.tolist(), t.tolist()))
+    # a block budget of ``chunk`` triples, so the stack crosses block boundaries
+    chunk = data.draw(st.integers(1, n - 1))
+    width = (2 if kind == "entangled" else 3) * max(d_s ** 4, (d_s * d_e) ** 2)
+    with mock.patch.object(dynamics, "_TIME_BLOCK", width * chunk):
+        stacked = divisibility_defects(spec, triples)
+    oracle = [_defect_oracle(spec, *triple) for triple in triples]
+    assert np.abs(stacked - oracle).max() < 1e-13
+    one = entangled_divisibility if kind == "entangled" else divisibility_defect
+    assert np.array_equal(stacked, [one(spec, *triple) for triple in triples])
+
+
+def test_one_triple_defect_holds_at_most_two_maps():
+    spec = random_product_spec(16, 4, np.random.default_rng(5))
+    spec.propagator
+    one_map = 16 ** 4 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        divisibility_defect(spec, 0.0, 0.7, 1.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 2 * one_map < peak < 3 * one_map
 
 
 def test_divisibility_rejects_bad_triple():

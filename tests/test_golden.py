@@ -1,7 +1,7 @@
 """The seed-0 bench configs against their recorded outputs (tests/golden/).
 
 Under the recording's fingerprint every CSV and summary must match byte for
-byte.  Elsewhere (another numpy, BLAS, thread count or CPU feature set) only
+byte.  Elsewhere (another numpy, BLAS or CPU feature set) only
 the exit statuses and the PASS/FAIL lines must match, and the test reports
 the reduced comparison as a skip.
 """

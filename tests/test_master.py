@@ -211,6 +211,23 @@ def test_block_mixture_precondition_error():
     assert float(str(err.value).split()[-1]) > 1e-6
 
 
+def test_block_mixture_repeated_calls_equal_a_fresh_spec():
+    times = [0.0, 0.4, 1.3, 0.4, 2.9]
+    spec = commuting_spec(np.random.default_rng(19), 3, 4)
+    repeated = [commuting_block_evolution(spec, t) for t in times]
+    for t, got in zip(times, repeated):
+        fresh = commuting_block_evolution(commuting_spec(np.random.default_rng(19), 3, 4), t)
+        assert np.array_equal(got.rho_s, fresh.rho_s)
+        assert got.residual == fresh.residual
+
+
+def test_block_mixture_precondition_error_on_every_call():
+    spec = random_product_spec(2, 3, np.random.default_rng(20))
+    for t in (1.0, 1.0, 2.0):
+        with pytest.raises(PreconditionError, match="not block diagonal"):
+            commuting_block_evolution(spec, t)
+
+
 def _hermitian_part(m):
     return 0.5 * (m + m.conj().T)
 
