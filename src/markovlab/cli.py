@@ -1,11 +1,11 @@
 """Command line front end.
 
-    markovlab --config experiment.cfg [--out DIR] [--scenario NAME]
-              [--strict] [--seed INT]
+    markovlab --config experiment.cfg [--out DIR] [--scenario NAME] [--seed INT]
 
 Reads a scenario configuration, runs it and writes a CSV table plus a
 PASS/FAIL summary into the output directory.  Exit status 0 means every
-check passed, 1 a scientific check failed, 2 a usage or parse error.
+check passed, 1 a scientific check failed (for ``green``, a step too
+coarse for ``tol_march_error``), 2 a usage or parse error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import sys
 
 from markovlab.config import ConfigError, parse_config
 from markovlab.scenarios import run_scenario
-from markovlab.spectral import StepSizeError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,8 +25,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory (default: .)")
     parser.add_argument("--scenario", default=None,
                         help="override the scenario named in the configuration")
-    parser.add_argument("--strict", action="store_true",
-                        help="treat step-size guard violations as fatal")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the integer seed key")
     return parser
@@ -51,10 +48,7 @@ def main(argv=None) -> int:
         cfg = parse_config(text, scenario_override=args.scenario)
         if args.seed is not None:
             cfg.values["seed"] = args.seed
-        return run_scenario(cfg, out_dir=args.out, strict=args.strict)
-    except StepSizeError as exc:
-        print(f"stability error: {exc}", file=sys.stderr)
-        return 1
+        return run_scenario(cfg, out_dir=args.out)
     except ValueError as exc:
         # ConfigError and any domain validation problem with the inputs
         print(f"config error: {exc}", file=sys.stderr)

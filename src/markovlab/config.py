@@ -60,7 +60,7 @@ SCHEMAS = {
     "green": _Schema(
         required=frozenset({"es", "j0"}),
         optional=frozenset({"j1", "e0", "gamma", "omega_cut", "out"}) | _GRID_KEYS,
-        tolerances=frozenset({"decay_residual"})),
+        tolerances=frozenset({"march_error"})),
     "green-analytic": _Schema(
         required=frozenset({"es", "j0", "j1", "e0", "gamma"}),
         optional=frozenset({"out"}) | _GRID_KEYS,

@@ -158,14 +158,15 @@ _EXPONENTS = _EXPONENTS.view("<u8").ravel()
 
 
 def _point_masks():
-    """Per x, over the 16 digit bytes as two uint64 words: the bytes kept in
-    place, the bytes taken one place on, and the point between them."""
+    """Per digit word, then per x, over the 16 digit bytes as two uint64
+    words: the bytes kept in place, the bytes taken one place on, and the
+    point between them."""
     at = np.arange(16)
     x = np.arange(17)[:, None]
     kept = np.where(at < x, 0xFF, 0).astype(np.uint8)
     moved = np.where(at > x, 0xFF, 0).astype(np.uint8)
     point = np.where(at == x, ord("."), 0).astype(np.uint8)
-    return (m.view("<u8") for m in (kept, moved, point))
+    return (np.ascontiguousarray(m.view("<u8").T) for m in (kept, moved, point))
 
 
 _KEPT, _MOVED, _POINT = _point_masks()
@@ -214,9 +215,6 @@ class _Work:
         self.words = self.chars.view("<u8")
         self.floats = np.empty((7, cells))
         self.ints = np.empty((9, cells), dtype=np.int64)
-        self.quad = np.empty(cells, dtype=np.uint32)
-        self.word = np.empty(cells, dtype="<u8")
-        self.point = np.empty(cells, dtype=np.uint8)
 
 
 def _block_text(v, row_end, work):
@@ -283,26 +281,30 @@ def _block_text(v, row_end, work):
     top += 48
     work.chars[:n, _TOP] &= top.astype(np.uint8)
     quads = work.quads[:n]
-    for j, group in enumerate(groups):
-        quads[:, 2 + j] &= _QUADS.take(group, out=work.quad[:n], mode="clip")
-    words[:, 3] &= _EXPONENTS.take(x, out=work.word[:n], mode="clip")
-    point = _POINT_AT.take(code, out=work.point[:n], mode="clip").nonzero()[0]
+    for j, group in enumerate(groups):               # tmp is free from here on
+        quads[:, 2 + j] &= _QUADS.take(group, out=tmp.view(np.uint32)[:n], mode="clip")
+    words[:, 3] &= _EXPONENTS.take(x, out=tmp.view("<u8"), mode="clip")
+    at = _POINT_AT.take(code, out=tmp.view(np.uint8)[:n], mode="clip")
+    point = at.nonzero()[0]
     if point.size:                            # fixed notation, x >= 1: shift the
-        at = _POINT_AT[code[point]]           # digits after the point one byte on
-        digits = words[point, 1:3]
-        moved = digits << np.uint64(8)
-        moved[:, 1] |= digits[:, 0] >> np.uint64(56)
-        words[point, 3] |= digits[:, 1] >> np.uint64(56)
-        words[point, 1:3] = (digits & _KEPT[at]) | (moved & _MOVED[at]) | _POINT[at]
+        at = at.take(point)                   # digits after the point one byte on
+        flat = work.words.reshape(-1)
+        lo_at = 4 * point + 1                 # the two digit words, then the "e" word
+        lo, hi = flat.take(lo_at), flat.take(lo_at + 1)
+        flat.put(lo_at + 2, flat.take(lo_at + 2) | (hi >> np.uint64(56)))
+        moved = (hi << np.uint64(8)) | (lo >> np.uint64(56))
+        flat.put(lo_at + 1, (hi & _KEPT[1].take(at)) | (moved & _MOVED[1].take(at))
+                 | _POINT[1].take(at))
+        moved = lo << np.uint64(8)
+        flat.put(lo_at, (lo & _KEPT[0].take(at)) | (moved & _MOVED[0].take(at))
+                 | _POINT[0].take(at))
 
     chars = work.chars[:n]
     for i in slow:
         cell = np.frombuffer(b"%.17g" % float(v[i]), dtype=np.uint8)
         chars[i, :_SEP] = 0
         chars[i, :cell.size] = cell
-    if n < len(work.chars):                   # a last, shorter block
-        return chars.tobytes().translate(None, b"\0")
-    return work.text.translate(None, b"\0")
+    return chars.tobytes().translate(None, b"\0")
 
 
 def csv_blocks(table):

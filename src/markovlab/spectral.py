@@ -482,9 +482,10 @@ def _pole_scan(rows: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _solve_levels(problem: GreenProblem, strict: bool = False,
-                  stacklevel: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """g1 and g2 of every level, (T, n) each: the march of :func:`solve_green`.
+def _solve_levels(problem: GreenProblem, strict: bool = False, stacklevel: int = 2,
+                  estimate: bool = False) -> tuple:
+    """g1 and g2 of every level, (T, n) each: the march of :func:`solve_green`,
+    then :func:`_march_error` with ``estimate`` (else None).
 
     A :class:`StepSizeWarning` names the frame ``stacklevel`` levels up.
     """
@@ -497,23 +498,52 @@ def _solve_levels(problem: GreenProblem, strict: bool = False,
         if strict:
             raise StepSizeError(msg)
         warnings.warn(msg, StepSizeWarning, stacklevel=stacklevel)
+    with np.errstate(all="ignore"):    # a value beyond the float range fails below
+        g1, g2, kern = _march(problem, h, grid.steps)
+        if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
+            density = problem.density    # name the largest of the scales that form the march
+            scales = {"es": np.abs(problem.es).max(), "j0": density.j0,
+                      "j1": density.j1, "gamma": density.gamma}
+            raise DomainError("the march leaves the float range", max(scales, key=scales.get))
+        return g1, g2, _march_error(problem, g1, g2, kern) if estimate else None
+
+
+def _march(problem: GreenProblem, h: float, steps: int, kern: np.ndarray | None = None):
+    """g1, g2 and the sampled smooth kernel on ``steps`` steps of ``h``: the
+    recursive filter for an exponential kernel (None), else the Toeplitz
+    solve of ``kern``, sampled at lags 0, h, .., steps h where not given."""
     j0 = problem.density.delta_weight()
     m_coef = -(1j * problem.es + j0)
     form = _exponential_form(problem.density)
-    with np.errstate(all="ignore"):    # a value beyond the float range fails below
-        if form is None:
-            kern = kernel_on_grid(problem.density, h * np.arange(grid.steps + 1))
-            g1, g2 = _toeplitz_levels(m_coef, kern, h, j0)
-        else:
-            g1, g2 = _recursive_levels(m_coef, *form, h, j0, grid.steps)
-    if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
-        density = problem.density    # name the largest of the scales that form the march
-        scales = {"es": np.abs(problem.es).max(), "j0": density.j0,
-                  "j1": density.j1, "gamma": density.gamma}
-        raise DomainError("the march leaves the float range", max(scales, key=scales.get))
+    if form is not None:
+        g1, g2 = _recursive_levels(m_coef, *form, h, j0, steps)
+    else:
+        if kern is None:
+            kern = kernel_on_grid(problem.density, h * np.arange(steps + 1))
+        g1, g2 = _toeplitz_levels(m_coef, kern, h, j0)
     g1[0] = 1.0
     g2[0] = 0.0
-    return g1, g2
+    return g1, g2, kern
+
+
+def _march_error(problem: GreenProblem, g1: np.ndarray, g2: np.ndarray,
+                 kern: np.ndarray | None) -> float:
+    """Step-halving estimate of the largest error of g1 and g2: the trapezoid
+    march has an O(h^2) error expansion (Linz, Analytical and Numerical Methods
+    for Volterra Equations, SIAM 1985, ch. 7), so it is |g(h) - g(2h)| / 3 on
+    the longest even prefix, the 2h march taking every other sample of
+    ``kern``, or (4/3) |g(h) - g(h/2)| below 4 steps.  Off the float range, inf.
+    """
+    h, steps = problem.grid.h, problem.grid.steps
+    if steps >= 4:
+        n = steps // 2
+        other = _march(problem, 2.0 * h, n, None if kern is None else kern[:2 * n + 1:2])[:2]
+        pairs, factor = zip((g1[:2 * n + 1:2], g2[:2 * n + 1:2]), other), 1.0 / 3.0
+    else:
+        fine = _march(problem, 0.5 * h, 2 * steps)[:2]
+        pairs, factor = zip((g1, g2), (g[::2] for g in fine)), 4.0 / 3.0
+    error = factor * np.max([np.abs(a - b).max() for a, b in pairs])
+    return float(error) if np.isfinite(error) else math.inf
 
 
 def solve_green(problem: GreenProblem, strict: bool = False) -> GreenSolution:
@@ -526,7 +556,7 @@ def solve_green(problem: GreenProblem, strict: bool = False) -> GreenSolution:
     G1 history.  Both use the trapezoid march: a recursive filter for a
     single exponential or zero smooth kernel, else a Toeplitz solve.
     """
-    g1, g2 = _solve_levels(problem, strict, stacklevel=3)
+    g1, g2, _ = _solve_levels(problem, strict, stacklevel=3)
     return GreenSolution(g1=_embed_diagonal(g1), g2=_embed_diagonal(g2))
 
 

@@ -8,8 +8,9 @@ perfbench batches at seed 0, written once by ``--configs`` from
 ``perfbench/workloads.py``; the tests read only the committed files.
 ``manifest.json`` holds each run's exit status, the sha256 of its CSV and
 summary, its PASS/FAIL lines, and the fingerprint of the environment that
-recorded them.  Every re-record names the files whose bytes moved, and why,
-in CHANGES.md.
+recorded them.  A re-record prints each new run, and for each moved run
+which of its status, CSV, summary and verdicts moved.  Every re-record
+names the files whose bytes moved, and why, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -124,7 +125,9 @@ def main(argv=None) -> int:
         if config_id not in old:
             print(f"new: {config_id}")
         elif old[config_id] != entry:
-            print(f"moved: {config_id}")
+            moved = [k for k in ("status", "csv", "summary", "verdicts")
+                     if old[config_id].get(k) != entry[k]]
+            print(f"moved: {config_id} ({', '.join(moved)})")
     with open(MANIFEST, "w", encoding="utf-8") as fh:
         json.dump({"fingerprint": fingerprint(), "runs": runs}, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -179,12 +179,13 @@ def test_green_run_traces_at_most_three_tables(tmp_path):
 
 
 def test_flat_green_with_vanishing_g1_exits_one_without_runtime_warning(tmp_path):
-    # at e = 0, h j0 / 2 = 1 puts the Cayley pole at zero: g1 vanishes after one step
+    # at e = 0, h j0 / 2 = 1 puts the Cayley pole at zero: g1 vanishes after one
+    # step, and the march at h / 2 (two steps below 4) tells the error
     text = "scenario = green\nes = [0.0]\nj0 = 4\nt1 = 1\nsteps = 2\nout = z.csv\n"
     with pytest.warns(StepSizeWarning):
         assert run_cli(tmp_path, text) == 1
     summary = (tmp_path / "out" / "z.summary.txt").read_text()
-    assert "decay_residual     measured inf" in summary
+    assert "march_error  measured 2.716049e-01  <= 1.000000e-03  FAIL\n" in summary
 
 
 def test_green_analytic_scenario(tmp_path):
@@ -446,20 +447,33 @@ def test_run_scenario_unknown(tmp_path):
         run_scenario(ScenarioConfig(scenario="nope"), out_dir=str(tmp_path))
 
 
-def test_cli_strict_step_guard_exits_one(tmp_path):
-    text = """
-scenario = green
-es = [50.0]
-j0 = 0.2
-t1 = 10.0
-steps = 100
-out = g.csv
-"""
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert run_cli(tmp_path, text, out="loose") == 0
-    assert run_cli(tmp_path, text, out="strict", extra=("--strict",)) == 1
+def test_coarse_green_step_exits_one_without_a_flag(tmp_path, capsys):
+    # h * scale = 5: the measured march error fails the default bound
+    text = "scenario = green\nes = [50.0]\nj0 = 0.2\nt1 = 10.0\nsteps = 100\nout = g.csv\n"
+    with pytest.warns(StepSizeWarning):
+        assert run_cli(tmp_path, text) == 1
+    summary = (tmp_path / "out" / "g.summary.txt").read_text().splitlines()
+    assert [line.split()[0] for line in summary[5:]] == ["march_error", "result:"]
+    assert summary[5].endswith("FAIL") and float(summary[5].split()[2]) > 0.5
+    capsys.readouterr()
+    assert run_cli(tmp_path, text, extra=("--strict",)) == 2
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
+
+
+def test_green_beyond_the_step_size_domain_fails_its_march_error(tmp_path):
+    # h * scale = 2.5e8, far outside the step-size domain of the march
+    text = "scenario = green\nes = [1e10]\nj0 = 0.1\nt1 = 5\nsteps = 200\nout = g.csv\n"
+    with pytest.warns(StepSizeWarning):
+        assert run_cli(tmp_path, text) == 1
+    line = (tmp_path / "out" / "g.summary.txt").read_text().splitlines()[5]
+    assert line.startswith("march_error") and line.endswith("FAIL")
+    assert float(line.split()[2]) >= 0.5
+
+
+def test_removed_decay_tolerance_exits_two_naming_the_key(tmp_path, capsys):
+    text = "scenario = green\nes = [0.5]\nj0 = 0.1\ntol_decay_residual = 1e-3\n"
+    assert run_cli(tmp_path, text) == 2
+    assert "line 4: key 'tol_decay_residual': unknown tolerance" in capsys.readouterr().err
 
 
 def test_cli_scenario_override_flag(tmp_path):
@@ -670,20 +684,23 @@ def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, text, expected):
     assert expected in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("levels, j0, t1, key", [
-    ("1e300", "0.1", "1", "es"),
-    ("0.5, -1e300", "0.1", "1", "es"),
-    ("0.5", "1e300", "1", "j0"),
-    ("0", "0", "1e300", "t1"),
+@pytest.mark.parametrize("levels, j0, t1, status", [
+    ("1e300", "0.1", "1", 1),
+    ("0.5, -1e300", "0.1", "1", 1),
+    ("0.5", "1e300", "1", 1),
+    ("0", "0", "1e300", 0),
 ])
-def test_green_decay_bound_beyond_float_range_exits_two(tmp_path, capsys, levels, j0, t1, key):
-    # the flat-background decay bound h^2 scale^3 T cannot be formed
+def test_green_at_float_range_magnitudes_reads_march_error(tmp_path, levels, j0, t1, status):
+    # a flat background at magnitudes near the float range writes finite cells,
+    # and the march error tells a coarse step (exit 1) from an exact one (exit 0)
     text = f"scenario = green\nes = [{levels}]\nj0 = {j0}\nt1 = {t1}\nsteps = 20\n"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StepSizeWarning)
-        assert run_cli(tmp_path, text) == 2
-    assert f"key {key!r}" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "green.csv").exists()
+        assert run_cli(tmp_path, text) == status
+    table = np.loadtxt(tmp_path / "out" / "green.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.isfinite(table).all()
+    line = (tmp_path / "out" / "green.summary.txt").read_text().splitlines()[5]
+    assert line.startswith("march_error") and line.endswith("FAIL" if status else "PASS")
 
 
 @pytest.mark.parametrize("scenario, j1, gamma, key", [
@@ -699,6 +716,20 @@ def test_resonance_beyond_float_range_exits_two(tmp_path, capsys, scenario, j1, 
         assert run_cli(tmp_path, text) == 2
     assert f"key {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "res.csv").exists()
+
+
+def test_green_march_of_twice_the_step_beyond_float_range_reads_inf(tmp_path):
+    # at gamma = 1e157 the march at h stays in the float range (1e160 leaves it: exit 2
+    # above), but the march at 2h leaves it, so the estimate reads inf
+    text = ("scenario = green\nes = [0.5]\nj0 = 0.1\nj1 = 0.2\ne0 = 0.3\ngamma = 1e157\n"
+            "t1 = 5\nsteps = 200\nout = res.csv\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepSizeWarning)
+        assert run_cli(tmp_path, text) == 1
+    table = np.loadtxt(tmp_path / "out" / "res.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(table).all()
+    summary = (tmp_path / "out" / "res.summary.txt").read_text()
+    assert "march_error  measured inf  <= 1.000000e-03  FAIL\n" in summary
 
 
 def test_stationarity_huge_coupling_exits_zero_with_finite_output(tmp_path):
@@ -797,10 +828,9 @@ def test_green_scenarios_never_load_scipy_signal(tmp_path):
        j0=st.floats(0.0, 3.0), j1=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
        e0=st.floats(-5.0, 5.0), gamma=st.floats(0.01, 5.0),
        omega_cut=st.one_of(st.just(math.inf), st.floats(0.01, 20.0)),
-       t1=st.floats(0.01, 30.0), steps=st.integers(2, 400),
-       strict=st.booleans())
+       t1=st.floats(0.01, 30.0), steps=st.integers(2, 400))
 def test_green_configs_exit_cleanly_with_finite_output(tmp_path_factory, es, j0, j1, e0,
-                                                       gamma, omega_cut, t1, steps, strict):
+                                                       gamma, omega_cut, t1, steps):
     # flat, infinite and finite cut-off configs run both march paths through the CLI
     text = (f"scenario = green\nes = [{', '.join(map(repr, es))}]\nj0 = {j0!r}\n"
             f"j1 = {j1!r}\ne0 = {e0!r}\ngamma = {gamma!r}\nomega_cut = {omega_cut!r}\n"
@@ -810,7 +840,7 @@ def test_green_configs_exit_cleanly_with_finite_output(tmp_path_factory, es, j0,
     cfg.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StepSizeWarning)
-        status = main(["--config", str(cfg), "--out", str(out), *(["--strict"] * strict)])
+        status = main(["--config", str(cfg), "--out", str(out)])
     assert status in (0, 1, 2)
     if status == 0:
         table = np.loadtxt(out / "green.csv", delimiter=",", skiprows=1, ndmin=2)
@@ -955,8 +985,8 @@ def spectral_configs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(text=spectral_configs(), strict=st.booleans())
-def test_spectral_configs_at_extreme_magnitudes_exit_cleanly(tmp_path_factory, text, strict):
+@given(text=spectral_configs())
+def test_spectral_configs_at_extreme_magnitudes_exit_cleanly(tmp_path_factory, text):
     # a configuration error names its key, and exit 0 means every cell is finite
     out = tmp_path_factory.mktemp("spectral")
     cfg = out / "spectral.cfg"
@@ -965,7 +995,7 @@ def test_spectral_configs_at_extreme_magnitudes_exit_cleanly(tmp_path_factory, t
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("ignore", StepSizeWarning)
-        status = main(["--config", str(cfg), "--out", str(out), *(["--strict"] * strict)])
+        status = main(["--config", str(cfg), "--out", str(out)])
     assert status in (0, 1, 2)
     if status == 2:
         assert "key '" in err.getvalue()

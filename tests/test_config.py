@@ -92,8 +92,8 @@ def test_bad_grid_parses_and_the_run_exits_two_naming_the_key(tmp_path, capsys):
 
 
 def test_tolerance_overrides():
-    cfg = parse_config(MINIMAL_GREEN + "tol_decay_residual = 1e-5\n")
-    assert cfg.tolerance("decay_residual", 1.0) == 1e-5
+    cfg = parse_config(MINIMAL_GREEN + "tol_march_error = 1e-5\n")
+    assert cfg.tolerance("march_error", 1.0) == 1e-5
     with pytest.raises(ConfigError, match="unknown tolerance"):
         parse_config(MINIMAL_GREEN + "tol_nonsense = 1e-5\n")
 
@@ -122,7 +122,8 @@ HEADS = {"green": "scenario = green\nes = [1.0]\nj0 = 0.2\n",
     ("green", "j1 = nan", "j1"),
     ("green", "t1 = inf", "t1"),
     ("green", "t0 = -inf", "t0"),
-    ("green", "tol_decay_residual = nan", "tol_decay_residual"),
+    pytest.param("green", "tol_march_error = nan", "tol_march_error",
+                 id="green-tol_march_error"),
     ("divisibility", "c = [0.6, nan]", "c"),
     ("divisibility", "c = [0.6+0i, 0.8+nani]", "c"),
     ("divisibility", "times = [0.0, inf, 1.0]", "times"),
@@ -151,8 +152,8 @@ def test_parse_rejects_integer_beyond_float_range_naming_key_and_line(scenario, 
 
 
 def test_inf_allowed_for_cutoff_tolerances_and_swept_cutoff():
-    cfg = parse_config(MINIMAL_GREEN + "tol_decay_residual = inf\n")
-    assert np.isinf(cfg.tolerance("decay_residual", 1.0))
+    cfg = parse_config(MINIMAL_GREEN + "tol_march_error = inf\n")
+    assert np.isinf(cfg.tolerance("march_error", 1.0))
     cfg = parse_config("scenario = sweep\nbase = green\nsweep_key = omega_cut\n"
                        "sweep_values = [10.0, inf]\nes = [1.0]\nj0 = 0.2\n")
     assert np.isinf(cfg.values["sweep_values"][1])

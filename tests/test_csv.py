@@ -209,7 +209,7 @@ MUTANTS = {
 #: Mutants of the text layout: the point one byte late, and the trailing
 #: zeros of the third group read as the last group's.
 LAYOUT_MUTANTS = {
-    "point-off-by-one-byte": ("at = _POINT_AT[code[point]]", "at = _POINT_AT[code[point]] + 1"),
+    "point-off-by-one-byte": ("at = at.take(point)", "at = at.take(point) + 1"),
     "trailing-zeros-of-wrong-group": ("_TRAILING.take(g3,", "_TRAILING.take(g2,"),
 }
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.signal
 import scipy.special
 from hypothesis import assume, example, given, settings
@@ -31,6 +32,7 @@ from markovlab.spectral import (
     _pole_powers,
     _pole_scan,
     _scaled_exp1,
+    _solve_levels,
     _trapezoid_convolution,
 )
 
@@ -482,6 +484,92 @@ def test_solve_green_step_guard():
     assert record[0].filename == __file__       # the warning names the caller
     with pytest.raises(StepSizeError):
         solve_green(prob, strict=True)
+
+
+def _exact_levels(es, j0: float, j1: float, e0: float, gamma: float, grid: TimeGrid):
+    """Exact g1 and g2, (T, n) each, for the kernel j0 delta(s) + a exp(-r s),
+    a = j1 gamma / 2, r = i e0 + gamma (j1 = 0 is the flat background).
+
+    With K the smooth part, u = K * g1, y = K * g2 and w = K * conj(g1),
+    the two memory equations are the linear ODE z' = A z for z = (conj g1,
+    conj u, g2, y, w) from z(0) = (1, 0, 0, 0, 0): one matrix exponential
+    per time and level.
+    """
+    amp, rate = 0.5 * j1 * gamma, 1j * e0 + gamma
+    m = -(1j * np.asarray(es, dtype=float) + j0)
+    a = np.zeros((m.size, 5, 5), dtype=complex)
+    a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1] = m.conj(), -1.0, amp, np.conj(-rate)
+    a[:, 2, 0], a[:, 2, 2], a[:, 2, 3], a[:, 2, 4] = j0, m, -1.0, 1.0
+    a[:, 3, 2], a[:, 3, 3] = amp, -rate
+    a[:, 4, 0], a[:, 4, 4] = amp, -rate
+    z = scipy.linalg.expm((grid.times() - grid.t0)[:, None, None, None] * a)[..., 0]
+    return z[..., 0].conj(), z[..., 2]
+
+
+def test_exact_levels_match_the_closed_forms():
+    es, grid = np.array([0.0, 0.7, -1.3]), TimeGrid(0.0, 6.0, 300)
+    g1, g2 = _exact_levels(es, 0.25, 0.0, 0.0, 1.0, grid)
+    flat = analytic_green_const(es, 0.25, grid)
+    assert np.abs(g1 - np.diagonal(flat.g1, axis1=1, axis2=2)).max() < 1e-12
+    assert np.abs(g2 - np.diagonal(flat.g2, axis1=1, axis2=2)).max() < 1e-12
+    g1, _ = _exact_levels(es, 0.1, 1.0, 1.0, 0.2, grid)
+    resonant = analytic_green1_lorentzian(es, 0.1, 1.0, 1.0, 0.2, grid)
+    assert np.abs(g1 - np.diagonal(resonant.g1, axis1=1, axis2=2)).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(es=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+       j0=st.floats(0.0, 1.0), j1=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+       e0=st.floats(-3.0, 3.0), gamma=st.floats(0.05, 3.0),
+       steps=st.integers(64, 1000), h_frac=st.floats(0.01, 0.5))
+def test_march_error_estimates_the_true_error(es, j0, j1, e0, gamma, steps, h_frac):
+    # the step-halving estimate against the exact error of g1 and g2 on flat
+    # and Lorentzian kernels; the absolute slack covers march roundoff
+    es = np.array(es)
+    density = (SpectralDensity.constant(j0) if j1 == 0.0
+               else SpectralDensity.lorentzian(j0, j1, e0, gamma))
+    scale = max(float(np.abs(es).max() + density.peak()), 1.0)
+    grid = TimeGrid(0.0, h_frac * 0.1 / scale * steps, steps)
+    g1, g2, estimate = _solve_levels(GreenProblem(es=es, density=density, grid=grid),
+                                     estimate=True)
+    want1, want2 = _exact_levels(es, j0, j1, e0, gamma, grid)
+    error = max(np.abs(g1 - want1).max(), np.abs(g2 - want2).max())
+    assert 0.9 * error - 1e-12 <= estimate <= 1.1 * error + 1e-12
+
+
+def test_march_error_falls_fourfold_when_the_steps_double_on_a_finite_cut_off():
+    density = SpectralDensity.lorentzian(0.2, 1.0, 0.1, 0.5, omega_cut=2.0)
+    errors = [_solve_levels(GreenProblem(es=np.array([0.3, -0.6]), density=density,
+                                         grid=TimeGrid(0.0, 4.0, steps)), estimate=True)[2]
+              for steps in (160, 320, 640)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.8 < coarse / fine < 4.2
+
+
+@pytest.mark.parametrize("density", [SpectralDensity.lorentzian(0.2, 1.0, 0.1, 0.5),
+                                     SpectralDensity.lorentzian(0.2, 1.0, 0.1, 0.5, 2.0)],
+                         ids=["recursive", "toeplitz"])
+@pytest.mark.parametrize("steps", [2, 3, 4, 5, 9])
+def test_march_error_compares_the_times_both_grids_share(density, steps):
+    # the 2h march of an odd count covers the longest even prefix; below 4
+    # steps the other march takes h / 2.  h = 1/64 keeps every grid end exact.
+    h, es = 1.0 / 64.0, np.array([0.4, -0.9])
+
+    def levels(n_steps, step):
+        return _solve_levels(GreenProblem(es=es, density=density,
+                                          grid=TimeGrid(0.0, n_steps * step, n_steps)))[:2]
+
+    g1, g2, estimate = _solve_levels(GreenProblem(es=es, density=density,
+                                                  grid=TimeGrid(0.0, steps * h, steps)),
+                                     estimate=True)
+    if steps >= 4:
+        n = steps // 2
+        ours, other, factor = (g1[:2 * n + 1:2], g2[:2 * n + 1:2]), levels(n, 2 * h), 1 / 3
+    else:
+        fine = levels(2 * steps, h / 2)
+        ours, other, factor = (g1, g2), [g[::2] for g in fine], 4 / 3
+    want = factor * max(np.abs(a - b).max() for a, b in zip(ours, other))
+    assert estimate == pytest.approx(want, rel=1e-12)
 
 
 # ----------------------------------------------------------- closed forms
