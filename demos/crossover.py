@@ -15,17 +15,16 @@ import numpy as np
 from markovlab import amplitude_phase
 
 j1_values = np.concatenate(([0.0], np.logspace(-2, 6, 17)))
-aps = [amplitude_phase(es_level=1.5, j0=0.1, j1=j1, e0=1.0, gamma=0.2)
-       for j1 in j1_values.tolist()]
+ap = amplitude_phase(es_level=1.5, j0=0.1, j1=j1_values, e0=1.0, gamma=0.2)
+a1, a2 = np.abs(ap.a1), np.abs(ap.a2)
 
 print("      j1      |A1|      |A2|   Re(phi1)   Re(phi2)  decays")
-for j1, ap in zip(j1_values, aps):
-    print(f"{j1:10.3g}  {abs(ap.a1):8.5f}  {abs(ap.a2):8.5f}  "
-          f"{ap.phi1_rate.real:9.5f}  {ap.phi2_rate.real:9.5f}  {str(ap.decays):>6}")
+for row in zip(j1_values, a1, a2, ap.phi1_rate.real, ap.phi2_rate.real, ap.decays):
+    print("{:10.3g}  {:8.5f}  {:8.5f}  {:9.5f}  {:9.5f}  {!s:>6}".format(*row))
 
 print("\nendpoints:")
-print(f"  |A1| at j1 = 0:   {abs(aps[0].a1)}  (exactly 1)")
-print(f"  |A1| at j1 -> inf: {abs(aps[-1].a1):.5f}  (approaches 1/2)")
-total = aps[0].phi1_rate + aps[0].phi2_rate
+print(f"  |A1| at j1 = 0:   {a1[0]}  (exactly 1)")
+print(f"  |A1| at j1 -> inf: {a1[-1]:.5f}  (approaches 1/2)")
+total = ap.phi1_rate[0] + ap.phi2_rate[0]
 print(f"  Re(phi1 + phi2) = {total.real:.6f} for every j1 "
       "(the root sum never moves)")

@@ -68,7 +68,7 @@ SCHEMAS = {
     "amp-phase": _Schema(
         required=frozenset({"es_level", "j0", "e0", "gamma", "j1_values"}),
         optional=frozenset({"out"}),
-        tolerances=frozenset({"amp_sum_defect", "endpoint_defect", "half_defect"})),
+        tolerances=frozenset({"half_defect"})),
     "divisibility": _Schema(
         required=frozenset({"dS", "dE"}),
         optional=(_SPEC_KEYS | _TRIPLE_KEYS | frozenset({"expect", "out"})),

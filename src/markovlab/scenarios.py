@@ -286,28 +286,19 @@ def _run_amp_phase(cfg: ScenarioConfig) -> ScenarioResult:
     es_level, j0, e0, gamma, j1_values = (
         cfg.values[k] for k in ("es_level", "j0", "e0", "gamma", "j1_values"))
     with _keyed(j1="j1_values", es="es_level"):
-        aps = [amplitude_phase(es_level, j0, j1, e0, gamma) for j1 in j1_values.tolist()]
+        ap = amplitude_phase(es_level, j0, j1_values, e0, gamma)
     columns = ["j1", "abs_a1", "abs_a2", "re_phi1_rate", "im_phi1_rate",
                "re_phi2_rate", "im_phi2_rate", "decays"]
-    # |a1|, |a2|, |a1 + a2 - 1|: np.hypot is abs(complex) to the last bit, and
-    # gives inf where abs raises OverflowError
-    amps = np.array([[ap.a1, ap.a2, ap.a1 + ap.a2 - 1.0] for ap in aps])
+    # np.hypot is the scalar abs(complex) to the last bit; np.abs is not
+    amps = np.stack([ap.a1, ap.a2], axis=1)
     mags = np.hypot(amps.real, amps.imag)
     # complex128 (k, 2) viewed as float64 is (k, 4): re, im of phi1, then of phi2
-    rates = np.array([[ap.phi1_rate, ap.phi2_rate] for ap in aps], dtype=complex)
-    rows = np.column_stack([j1_values, mags[:, :2], rates.view(np.float64),
-                            [ap.decays for ap in aps]])
-    checks = [CheckRow("amp_sum_defect", mags[:, 2].max(),
-                       cfg.tolerance("amp_sum_defect", 1e-15))]
-    # aps[0] stands for every j1 here: the branch side and the scale do not move
-    if np.any(j1_values == 0.0):
-        k = int(np.argmax(j1_values == 0.0))
-        want1, want2 = (1.0, 0.0) if aps[0].upper_branch else (0.0, 1.0)
-        endpoint = max(abs(mags[k, 0] - want1), abs(mags[k, 1] - want2))
-        checks.append(CheckRow("endpoint_defect", endpoint,
-                               cfg.tolerance("endpoint_defect", 0.0)))
-    scale = max(abs(aps[0].e_minus), abs(aps[0].v), gamma)
-    if j1_values.max() >= 1e5 * scale:
+    rates = np.stack([ap.phi1_rate, ap.phi2_rate], axis=1)
+    rows = np.column_stack([j1_values, mags, rates.view(np.float64), ap.decays])
+    # a2 = 1 - a1 and the j1 = 0 amplitudes are exact by construction: the one
+    # check that can fail is the equal two-branch limit at large j1
+    checks = []
+    if j1_values.max() >= 1e5 * max(abs(ap.e_minus), abs(ap.v), gamma):
         k = int(np.argmax(j1_values))
         half = max(abs(mags[k, 0] - 0.5), abs(mags[k, 1] - 0.5))
         checks.append(CheckRow("half_defect", half, cfg.tolerance("half_defect", 1e-2)))

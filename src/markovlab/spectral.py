@@ -482,24 +482,11 @@ def _pole_scan(rows: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _solve_levels(problem: GreenProblem, strict: bool = False, stacklevel: int = 2,
-                  estimate: bool = False) -> tuple:
+def _solve_levels(problem: GreenProblem, estimate: bool = False) -> tuple:
     """g1 and g2 of every level, (T, n) each: the march of :func:`solve_green`,
-    then :func:`_march_error` with ``estimate`` (else None).
-
-    A :class:`StepSizeWarning` names the frame ``stacklevel`` levels up.
-    """
-    grid = problem.grid
-    h = grid.h
-    scale = float(np.max(np.abs(problem.es)) + problem.density.peak())
-    if h * scale >= 0.1:
-        msg = (f"step h = {h:.3e} is coarse for energy scale {scale:.3e} "
-               f"(h * scale = {h * scale:.3e} >= 0.1)")
-        if strict:
-            raise StepSizeError(msg)
-        warnings.warn(msg, StepSizeWarning, stacklevel=stacklevel)
+    then :func:`_march_error` with ``estimate`` (else None)."""
     with np.errstate(all="ignore"):    # a value beyond the float range fails below
-        g1, g2, kern = _march(problem, h, grid.steps)
+        g1, g2, kern = _march(problem, problem.grid.h, problem.grid.steps)
         if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
             density = problem.density    # name the largest of the scales that form the march
             scales = {"es": np.abs(problem.es).max(), "j0": density.j0,
@@ -555,8 +542,20 @@ def solve_green(problem: GreenProblem, strict: bool = False) -> GreenSolution:
     The G2 equation is driven by the conjugate of the already computed
     G1 history.  Both use the trapezoid march: a recursive filter for a
     single exponential or zero smooth kernel, else a Toeplitz solve.
+
+    A step with h * scale >= 0.1, scale = max |e| + max J, warns
+    (:class:`StepSizeWarning`), or raises :class:`StepSizeError` when
+    ``strict``.
     """
-    g1, g2, _ = _solve_levels(problem, strict, stacklevel=3)
+    h = problem.grid.h
+    scale = float(np.max(np.abs(problem.es)) + problem.density.peak())
+    if h * scale >= 0.1:
+        msg = (f"step h = {h:.3e} is coarse for energy scale {scale:.3e} "
+               f"(h * scale = {h * scale:.3e} >= 0.1)")
+        if strict:
+            raise StepSizeError(msg)
+        warnings.warn(msg, StepSizeWarning, stacklevel=2)
+    g1, g2, _ = _solve_levels(problem)
     return GreenSolution(g1=_embed_diagonal(g1), g2=_embed_diagonal(g2))
 
 
@@ -587,8 +586,7 @@ def _const_levels(es: np.ndarray, j0: float, grid: TimeGrid) -> tuple[np.ndarray
     return g1, g2
 
 
-def _resonant_branches(es, j0: float, j1: float, e0: float, gamma: float,
-                       axis: float = 1.0):
+def _resonant_branches(es, j0: float, j1, e0: float, gamma: float, axis: float = 1.0):
     """Both branches of the resonant g1 = a1 exp(phi1 dt) + a2 exp(phi2 dt).
 
     For the kernel (axis j1 gamma / 2) exp(-(i e0 + gamma) s), with
@@ -603,36 +601,38 @@ def _resonant_branches(es, j0: float, j1: float, e0: float, gamma: float,
     j1 gamma), and :class:`BranchSingularityError` names the critical
     j1 = -z^2 / (2 axis gamma) on the caller's axis.  Where z^2, 2 axis j1
     gamma or their sum leaves the float range, a DomainError names the
-    largest of es, e0, j0, gamma and j1.  Returns (R, a1, a2, phi1,
-    phi2), elementwise in ``es``.
+    largest of es, e0, j0, gamma and j1.  Errors are raised for j1 > 0
+    only, the float range before the double root.  Returns (R, a1, a2,
+    phi1, phi2), elementwise in ``es`` broadcast against ``j1``.
     """
     es = np.asarray(es, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
+    j1 = np.asarray(j1, dtype=float)
+    endpoint = j1 == 0
+    with np.errstate(all="ignore"):
         z = (es - e0) - 1j * (j0 - gamma)
         zz = z * z
         strength = 2.0 * axis * j1 * gamma
         size = np.abs(zz) + strength     # bounds |R^2|
-    if j1 == 0:
-        ratio = np.where(_upper_branch(es - e0, j0 - gamma), 1.0, -1.0)
-        # adding 0.0 clears signed zeros, so arg R stays in (-pi/2, pi/2]
-        r = ratio * z + 0.0
-    else:
-        if not np.isfinite(size).all():
+        over = ~(np.isfinite(size) | endpoint)
+        if np.any(over):
             scales = {"es": np.abs(es).max(), "e0": abs(e0), "j0": j0, "gamma": gamma,
-                      "j1": j1}
+                      "j1": np.broadcast_to(j1, over.shape)[over].max()}
             raise DomainError("R^2 = ((e - e0) - i (j0 - gamma))^2 + 2 axis j1 gamma "
                               "leaves the float range", max(scales, key=scales.get))
         # adding 0j turns a -0 imaginary part into +0: the cut maps to +i
         rr = zz + (strength + 0j)
-        r = np.sqrt(rr)
-        bad = np.abs(rr) <= 1e-13 * size
+        bad = (np.abs(rr) <= 1e-13 * size) & ~endpoint
         if np.any(bad):
             k = int(np.argmax(bad))
-            crit = -np.ravel(z)[k] ** 2 / (2.0 * axis * gamma)
-            raise BranchSingularityError(
-                f"degenerate characteristic roots at level {k} (e = {np.ravel(es)[k]}): "
-                f"critical j1 = {crit:.6g}", critical_j1=complex(crit))
-        ratio = z / r
+            e, zk = (np.broadcast_to(x, bad.shape).flat[k] for x in (es, z))
+            crit = -zk ** 2 / (2.0 * axis * gamma)
+            raise BranchSingularityError(f"degenerate characteristic roots at e = {e}: "
+                                         f"critical j1 = {crit:.6g}", critical_j1=complex(crit))
+        exact = np.where(_upper_branch(es - e0, j0 - gamma), 1.0, -1.0)
+        # adding 0.0 clears signed zeros, so arg R stays in (-pi/2, pi/2]
+        r = np.where(endpoint, exact * z + 0.0, np.sqrt(rr))
+        # z = R = 0 at j1 = 0 where e = e0 and j0 = gamma: the ratio there is exact
+        ratio = np.where(endpoint, exact, z / r)
     a1 = 0.5 * (1.0 + ratio)
     base = (es + e0) - 1j * (j0 + gamma)
     return r, a1, 1.0 - a1, -0.5j * (base + r), -0.5j * (base - r)
@@ -678,7 +678,8 @@ class AmplitudePhase:
     when w > c_mag.  The branches merge where R vanishes (e_minus = 0 and
     j1 = v^2 / (4 gamma)); :func:`amplitude_phase` raises
     :class:`BranchSingularityError` wherever |R|^2 <= 1e-13
-    (|e_minus - i v|^2 + 4 j1 gamma).
+    (|e_minus - i v|^2 + 4 j1 gamma).  For an array of j1, every field
+    but e_minus, v and w is an array over it.
     """
 
     a1: complex
@@ -691,13 +692,8 @@ class AmplitudePhase:
     w: float
 
     @property
-    def decays(self) -> bool:
+    def decays(self):
         return self.w > self.c_mag
-
-    @property
-    def upper_branch(self) -> bool:
-        """Level above the resonance: (a1, a2) = (1, 0) at j1 = 0, else (0, 1)."""
-        return bool(_upper_branch(self.e_minus, self.v))
 
 
 def _upper_branch(e_minus, v):
@@ -705,17 +701,20 @@ def _upper_branch(e_minus, v):
     return (e_minus > 0) | ((e_minus == 0) & (v <= 0))
 
 
-def amplitude_phase(es_level: float, j0: float, j1: float, e0: float,
+def amplitude_phase(es_level: float, j0: float, j1, e0: float,
                     gamma: float) -> AmplitudePhase:
     """Amplitude and per-time phase coefficients of the two-branch form.
 
     The branches of :func:`_resonant_branches` on axis 2: this call alone
-    puts sqrt(z^2 + 4 j1 gamma) on the amp-phase axis.  a2 = 1 - a1
-    exactly, and the j1 = 0 path returns the endpoint amplitudes exactly.
+    puts sqrt(z^2 + 4 j1 gamma) on the amp-phase axis.  ``j1`` is a
+    scalar, which gives numpy scalar fields, or a 1-d array (see
+    :class:`AmplitudePhase`).  a2 = 1 - a1 exactly, and every j1 = 0
+    entry takes the endpoint amplitudes exactly.
     """
-    SpectralDensity.lorentzian(j0, j1, e0, gamma)   # the domain is the density's
+    j1 = np.asarray(j1, dtype=float)
+    # the domain is the density's; the smallest j1 stands for all
+    SpectralDensity.lorentzian(j0, np.min(j1, initial=0.0), e0, gamma)
     r, a1, a2, phi1, phi2 = _resonant_branches(es_level, j0, j1, e0, gamma, axis=2.0)
-    return AmplitudePhase(a1=complex(a1), a2=complex(a2),
-                          phi1_rate=complex(phi1), phi2_rate=complex(phi2),
-                          c_mag=float(abs(r)), e_minus=es_level - e0,
+    return AmplitudePhase(a1=a1[()], a2=a2[()], phi1_rate=phi1[()], phi2_rate=phi2[()],
+                          c_mag=np.abs(r)[()], e_minus=es_level - e0,
                           v=j0 - gamma, w=j0 + gamma)

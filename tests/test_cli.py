@@ -20,7 +20,6 @@ from markovlab.scenarios import run_scenario
 from markovlab.spectral import (
     GreenProblem,
     SpectralDensity,
-    StepSizeWarning,
     TimeGrid,
     solve_green,
 )
@@ -182,7 +181,8 @@ def test_flat_green_with_vanishing_g1_exits_one_without_runtime_warning(tmp_path
     # at e = 0, h j0 / 2 = 1 puts the Cayley pole at zero: g1 vanishes after one
     # step, and the march at h / 2 (two steps below 4) tells the error
     text = "scenario = green\nes = [0.0]\nj0 = 4\nt1 = 1\nsteps = 2\nout = z.csv\n"
-    with pytest.warns(StepSizeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert run_cli(tmp_path, text) == 1
     summary = (tmp_path / "out" / "z.summary.txt").read_text()
     assert "march_error  measured 2.716049e-01  <= 1.000000e-03  FAIL\n" in summary
@@ -450,7 +450,8 @@ def test_run_scenario_unknown(tmp_path):
 def test_coarse_green_step_exits_one_without_a_flag(tmp_path, capsys):
     # h * scale = 5: the measured march error fails the default bound
     text = "scenario = green\nes = [50.0]\nj0 = 0.2\nt1 = 10.0\nsteps = 100\nout = g.csv\n"
-    with pytest.warns(StepSizeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert run_cli(tmp_path, text) == 1
     summary = (tmp_path / "out" / "g.summary.txt").read_text().splitlines()
     assert [line.split()[0] for line in summary[5:]] == ["march_error", "result:"]
@@ -463,7 +464,8 @@ def test_coarse_green_step_exits_one_without_a_flag(tmp_path, capsys):
 def test_green_beyond_the_step_size_domain_fails_its_march_error(tmp_path):
     # h * scale = 2.5e8, far outside the step-size domain of the march
     text = "scenario = green\nes = [1e10]\nj0 = 0.1\nt1 = 5\nsteps = 200\nout = g.csv\n"
-    with pytest.warns(StepSizeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert run_cli(tmp_path, text) == 1
     line = (tmp_path / "out" / "g.summary.txt").read_text().splitlines()[5]
     assert line.startswith("march_error") and line.endswith("FAIL")
@@ -618,8 +620,7 @@ HUGE_E0 = "e0 = 6.97e201\nj0 = 0.001\ngamma = 0.13\n"
     ("scenario = master-check\ndS = 2\nseed = 1\nt_max = 0\n", "key 't_max'"),
     ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\ntimes = [0, 1, 0.5]\n", "key 'times'"),
     pytest.param("scenario = green\nes = [1.5e182]\nj0 = 0.0012\nj1 = 5.1e258\ne0 = 2.7\n"
-                 "gamma = 0.0245\nomega_cut = 1.2e-62\nt1 = 5\nsteps = 200\n", "key 'j1'",
-                 marks=pytest.mark.filterwarnings("ignore::markovlab.spectral.StepSizeWarning")),
+                 "gamma = 0.0245\nomega_cut = 1.2e-62\nt1 = 5\nsteps = 200\n", "key 'j1'"),
     ("scenario = green-analytic\nes = [0.2097]\nj1 = 1.1e-205\n" + HUGE_E0, "key 'e0'"),
     ("scenario = amp-phase\nes_level = 0.2097\nj1_values = [1.1e-205]\n" + HUGE_E0, "key 'e0'"),
     ("scenario = amp-phase\nes_level = 0\nj0 = 0\ne0 = 0\ngamma = 1e155\nj1_values = [1e153]\n",
@@ -632,6 +633,10 @@ HUGE_E0 = "e0 = 6.97e201\nj0 = 0.001\ngamma = 0.13\n"
     ("scenario = green\nes = [0.5]\nj0 = [0.1]\n", "line 3: key 'j0'"),
     ("scenario = amp-phase\nes_level = 1.5\nj0 = 0.1\ne0 = 1.0\ngamma = 0.2\n"
      "j1_values = []\n", "line 6: key 'j1_values'"),
+    (AMP_PHASE + "gamma = 0.5\nj1_values = [0, 1]\ntol_amp_sum_defect = 1e-15\n",
+     "line 7: key 'tol_amp_sum_defect': unknown tolerance"),
+    (AMP_PHASE + "gamma = 0.5\nj1_values = [0, 1]\ntol_endpoint_defect = 0\n",
+     "line 7: key 'tol_endpoint_defect': unknown tolerance"),
     ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\ncoupling_strength = 1+2i\n",
      "line 5: key 'coupling_strength'"),
     ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\ntimes = [[0, 1, 2]]\n",
@@ -674,6 +679,7 @@ HUGE_E0 = "e0 = 6.97e201\nj0 = 0.001\ngamma = 0.13\n"
         "master-check-t_max", "times-order", "cut-off-march-overflow", "analytic-huge-e0",
         "amp-phase-huge-e0", "amp-phase-huge-gamma", "amp-phase-huge-j1",
         "fractional-dS", "fractional-steps", "scalar-es", "vector-j0", "empty-j1_values",
+        "removed-amp-sum-tolerance", "removed-endpoint-tolerance",
         "complex-coupling", "matrix-times", "matrix-cA", "vector-a", "unknown-expect",
         "sweep-missing-dE", "nested-sweep-value", "empty-entry", "ragged-matrix",
         "unclosed-vector", "out-parent-directory", "out-subdirectory", "times-and-n_triples",
@@ -694,9 +700,7 @@ def test_green_at_float_range_magnitudes_reads_march_error(tmp_path, levels, j0,
     # a flat background at magnitudes near the float range writes finite cells,
     # and the march error tells a coarse step (exit 1) from an exact one (exit 0)
     text = f"scenario = green\nes = [{levels}]\nj0 = {j0}\nt1 = {t1}\nsteps = 20\n"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", StepSizeWarning)
-        assert run_cli(tmp_path, text) == status
+    assert run_cli(tmp_path, text) == status
     table = np.loadtxt(tmp_path / "out" / "green.csv", delimiter=",", skiprows=1, ndmin=2)
     assert np.isfinite(table).all()
     line = (tmp_path / "out" / "green.summary.txt").read_text().splitlines()[5]
@@ -711,9 +715,7 @@ def test_resonance_beyond_float_range_exits_two(tmp_path, capsys, scenario, j1, 
     # the recursive march's filter coefficients leave the float range
     text = (f"scenario = {scenario}\nes = [0.5]\nj0 = 0.1\nj1 = {j1}\ne0 = 0.3\n"
             f"gamma = {gamma}\nt1 = 5\nsteps = 200\nout = res.csv\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", StepSizeWarning)
-        assert run_cli(tmp_path, text) == 2
+    assert run_cli(tmp_path, text) == 2
     assert f"key {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "res.csv").exists()
 
@@ -723,9 +725,7 @@ def test_green_march_of_twice_the_step_beyond_float_range_reads_inf(tmp_path):
     # above), but the march at 2h leaves it, so the estimate reads inf
     text = ("scenario = green\nes = [0.5]\nj0 = 0.1\nj1 = 0.2\ne0 = 0.3\ngamma = 1e157\n"
             "t1 = 5\nsteps = 200\nout = res.csv\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", StepSizeWarning)
-        assert run_cli(tmp_path, text) == 1
+    assert run_cli(tmp_path, text) == 1
     table = np.loadtxt(tmp_path / "out" / "res.csv", delimiter=",", skiprows=1)
     assert np.isfinite(table).all()
     summary = (tmp_path / "out" / "res.summary.txt").read_text()
@@ -838,9 +838,7 @@ def test_green_configs_exit_cleanly_with_finite_output(tmp_path_factory, es, j0,
     out = tmp_path_factory.mktemp("green")
     cfg = out / "green.cfg"
     cfg.write_text(text)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", StepSizeWarning)
-        status = main(["--config", str(cfg), "--out", str(out)])
+    status = main(["--config", str(cfg), "--out", str(out)])
     assert status in (0, 1, 2)
     if status == 0:
         table = np.loadtxt(out / "green.csv", delimiter=",", skiprows=1, ndmin=2)
@@ -992,9 +990,7 @@ def test_spectral_configs_at_extreme_magnitudes_exit_cleanly(tmp_path_factory, t
     cfg = out / "spectral.cfg"
     cfg.write_text(text)
     err = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("ignore", StepSizeWarning)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         status = main(["--config", str(cfg), "--out", str(out)])
     assert status in (0, 1, 2)
     if status == 2:

@@ -758,6 +758,44 @@ def test_amplitude_phase_rejects_negative_j1():
         amplitude_phase(1.0, 0.1, -1.0, 1.0, 0.2)
 
 
+@settings(max_examples=300, deadline=None)
+@given(side=st.sampled_from([-1.0, 0.0, 1.0]), offset=st.floats(1e-3, 3.0),
+       e0=st.floats(-3.0, 3.0), gamma=st.floats(0.05, 3.0),
+       j0=st.one_of(st.none(), st.floats(0.0, 3.0)),
+       j1=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e8)), min_size=1, max_size=12))
+def test_amplitude_phase_over_an_array_equals_the_scalar_calls(side, offset, e0, gamma, j0, j1):
+    # levels above, below and at e0; j0 = gamma (None) puts z = R = 0 at e = e0 and j1 = 0
+    es_level = e0 + side * offset
+    j0 = gamma if j0 is None else j0
+    try:
+        each = [amplitude_phase(es_level, j0, x, e0, gamma) for x in j1]
+    except BranchSingularityError:
+        with pytest.raises(BranchSingularityError):
+            amplitude_phase(es_level, j0, np.array(j1), e0, gamma)
+        return
+    ap = amplitude_phase(es_level, j0, np.array(j1), e0, gamma)
+    for name in ("a1", "a2", "phi1_rate", "phi2_rate", "c_mag", "decays"):
+        want = np.array([getattr(one, name) for one in each])
+        assert getattr(ap, name).tobytes() == want.tobytes(), name
+
+
+def test_amplitude_phase_error_precedence():
+    # over an array of j1: the domain, then the float range, then the double
+    # root, whatever the order of the entries; only j1 > 0 enters the last two
+    e, j0, e0, gamma = 1.0, 0.1, 1.0, 0.5
+    crit = (gamma - j0) ** 2 / (4.0 * gamma)     # 0.08 on the amp-phase axis
+    with pytest.raises(DomainError, match="nonnegative"):
+        amplitude_phase(e, j0, [crit, 1e308, -1.0], e0, gamma)
+    with pytest.raises(DomainError, match="float range") as err:
+        amplitude_phase(e, j0, [crit, 1e308], e0, gamma)
+    assert err.value.arg == "j1"
+    with pytest.raises(BranchSingularityError, match="at e = 1.0: critical j1 = 0.08"):
+        amplitude_phase(e, j0, [0.0, 1.0, crit], e0, gamma)
+    # z = R = 0 at j1 = 0 with e = e0 and j0 = gamma: the exact endpoint, no error
+    ap = amplitude_phase(e, gamma, [0.0, 1.0], e0, gamma)
+    assert (abs(ap.a1[0]), abs(ap.a2[0])) == (1.0, 0.0)
+
+
 # ----------------------------------------------------------------- grids
 
 
