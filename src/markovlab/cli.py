@@ -1,11 +1,12 @@
 """Command line front end.
 
-    markovlab --config experiment.cfg [--out DIR] [--scenario NAME] [--seed INT]
+    markovlab --config experiment.cfg [--out DIR]
 
 Reads a scenario configuration, runs it and writes a CSV table plus a
 PASS/FAIL summary into the output directory.  Exit status 0 means every
 check passed, 1 a scientific check failed (for ``green``, a step too
-coarse for ``tol_march_error``), 2 a usage or parse error.
+coarse for ``tol_march_error``), 2 a usage or configuration error: a bad
+key or value, an input beyond the float range, or a size beyond memory.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run open-quantum-system scenarios from a configuration file.")
     parser.add_argument("--config", required=True, help="path to the configuration file")
     parser.add_argument("--out", default=".", help="output directory (default: .)")
-    parser.add_argument("--scenario", default=None,
-                        help="override the scenario named in the configuration")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the integer seed key")
     return parser
 
 
@@ -45,13 +42,13 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        cfg = parse_config(text, scenario_override=args.scenario)
-        if args.seed is not None:
-            cfg.values["seed"] = args.seed
-        return run_scenario(cfg, out_dir=args.out)
+        return run_scenario(parse_config(text), out_dir=args.out)
     except ValueError as exc:
         # ConfigError and any domain validation problem with the inputs
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -281,7 +281,7 @@ class ScenarioConfig:
         return self.tolerance_overrides.get(name, default)
 
 
-def parse_config(text: str, scenario_override: str | None = None) -> ScenarioConfig:
+def parse_config(text: str) -> ScenarioConfig:
     """Parse a scenario configuration; no range rule is checked here."""
     raw: dict = {}
     lines_of: dict = {}
@@ -314,8 +314,6 @@ def parse_config(text: str, scenario_override: str | None = None) -> ScenarioCon
         raw[key] = value
         lines_of[key] = lineno
 
-    if scenario_override is not None:
-        scenario = scenario_override
     if scenario is None:
         raise ConfigError("missing 'scenario' key")
     if scenario not in SCHEMAS:

@@ -30,6 +30,7 @@ as stacks too, in blocks that the same ``_TIME_BLOCK`` bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -243,11 +244,18 @@ class Propagator:
                             + spec.coupling_strength * spec.h_se)
         self.eigvals, self.eigvecs = np.linalg.eigh(self.hamiltonian)
         self._eigvecs_h = self.eigvecs.conj().T
+        self._e_max = float(np.abs(self.eigvals).max())
+
+    def _check_phases(self, dts: np.ndarray):
+        """DomainError naming ``dt`` unless every phase E dt is in the float range."""
+        if not math.isfinite(self._e_max * float(np.abs(dts).max(initial=0.0))):
+            raise DomainError("the phases E dt leave the float range", "dt")
 
     def unitaries(self, dts) -> np.ndarray:
         """U(dt) for each dt as a (T, d, d) stack, from one gemm; exactly 1 at dt = 0."""
         v = self.eigvecs
         dts = np.asarray(dts, dtype=float)
+        self._check_phases(dts)
         phased = v * np.exp(-1j * self.eigvals * dts[:, None])[:, None, :]
         u = (phased.reshape(-1, v.shape[0]) @ self._eigvecs_h).reshape(phased.shape)
         if not dts.all():
@@ -270,6 +278,7 @@ class Propagator:
         entries over all factors, and as many in a stack of reduced
         states of S or E (but at least one time).
         """
+        self._check_phases(dts)
         v = self.eigvecs
         coeffs = [self._eigvecs_h @ f for f in factors]
         width = max(v.shape[0] * sum(c.shape[1] for c in coeffs),
@@ -317,6 +326,8 @@ def _triple_times(triples) -> np.ndarray:
     for t0, ts, t in triples:
         if not (t0 <= ts <= t):
             raise DomainError(f"need t0 <= ts <= t, got ({t0}, {ts}, {t})", "ts")
+        if not math.isfinite(float(t) - float(t0)):
+            raise DomainError(f"the span t - t0 of ({t0}, {ts}, {t}) leaves the float range", "ts")
     return np.array(triples, dtype=float).reshape(-1, 3).T
 
 

@@ -130,7 +130,7 @@ def _summary_text(scenario: str, csv_name: str, result: ScenarioResult) -> str:
 
 #: config key of each argument a domain object names that the config spells otherwise
 _CONFIG_KEYS = {"d_s": "dS", "d_e": "dE", "h_s": "hS", "h_e": "hE", "h_se": "hSE",
-                "s_weights": "smat", "d_mat": "dmat"}
+                "s_weights": "smat", "d_mat": "dmat", "dt": "t1"}
 
 
 @contextmanager
@@ -221,6 +221,11 @@ def _span_from(cfg: ScenarioConfig, count_key: str, count_default: int) -> tuple
     if not t_max > 0:
         raise ConfigError("need t_max > 0", key="t_max")
     return n, t_max
+
+
+def _times_key(cfg: ScenarioConfig) -> str:
+    """The key that spans the random or given times of a triples or master-check run."""
+    return "times" if "times" in cfg.values else "t_max"
 
 
 def _triples_from(cfg: ScenarioConfig, pool: _SeedPool) -> list:
@@ -319,7 +324,7 @@ def _run_divisibility(cfg: ScenarioConfig, entangled: bool = False) -> ScenarioR
     """Defects over time triples; ``entangled`` starts from joint amplitudes."""
     spec, pool = _spec_from(cfg, entangled=entangled)
     triples = _triples_from(cfg, pool)
-    with _keyed(ts="times"):
+    with _keyed(ts="times", dt=_times_key(cfg)):
         defects = divisibility_defects(spec, triples).tolist()
     expect = cfg.values.get("expect", "divisible" if spec.d_e == 1 else "report")
     info = [f"dS: {spec.d_s}", f"dE: {spec.d_e}", f"expect: {expect}"]
@@ -340,7 +345,8 @@ def _run_master_check(cfg: ScenarioConfig) -> ScenarioResult:
     if times is None:
         n, t_max = _span_from(cfg, "n_times", 10)
         times = np.sort(pool.rng("times").uniform(0.0, t_max, size=n))
-    residual, drift = commutator_residuals(spec, times)
+    with _keyed(dt=_times_key(cfg)):
+        residual, drift = commutator_residuals(spec, times)
     rows = np.column_stack([times, residual, drift])
     checks = [
         CheckRow("residual_max", float(residual.max()), cfg.tolerance("residual", 1e-10)),

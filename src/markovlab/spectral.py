@@ -283,6 +283,8 @@ class TimeGrid:
             raise DomainError(f"need t1 > t0, got [{self.t0}, {self.t1}]", "t1")
         if self.steps < 2:
             raise DomainError("need at least 2 steps", "steps")
+        if not math.isfinite((self.t1 - self.t0) / self.steps):
+            raise DomainError(f"the step of [{self.t0}, {self.t1}] leaves the float range", "t1")
 
     @property
     def h(self) -> float:
@@ -488,9 +490,9 @@ def _solve_levels(problem: GreenProblem, estimate: bool = False) -> tuple:
     with np.errstate(all="ignore"):    # a value beyond the float range fails below
         g1, g2, kern = _march(problem, problem.grid.h, problem.grid.steps)
         if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
-            density = problem.density    # name the largest of the scales that form the march
+            density = problem.density    # name the largest of the factors that form the march
             scales = {"es": np.abs(problem.es).max(), "j0": density.j0,
-                      "j1": density.j1, "gamma": density.gamma}
+                      "j1": density.j1, "gamma": density.gamma, "t1": problem.grid.h}
             raise DomainError("the march leaves the float range", max(scales, key=scales.get))
         return g1, g2, _march_error(problem, g1, g2, kern) if estimate else None
 

@@ -108,15 +108,17 @@ def test_failed_write_keeps_previous_outputs(tmp_path, monkeypatch, capsys):
         raise OSError("disk full")
 
     monkeypatch.setattr(scenarios, "csv_blocks", failing_blocks)
-    assert run_cli(tmp_path, DIV_UNIQUE, extra=("--seed", "21")) == 1
+    assert run_cli(tmp_path, DIV_UNIQUE.replace("seed = 7", "seed = 21")) == 1
     assert "i/o error: disk full" in capsys.readouterr().err
     assert _files(tmp_path / "out") == before
 
 
-def test_cli_seed_flag_overrides(tmp_path):
-    assert run_cli(tmp_path, DIV_UNIQUE, out="a", extra=("--seed", "21")) == 0
-    assert run_cli(tmp_path, DIV_UNIQUE, out="b") == 0
-    assert (tmp_path / "a" / "div.csv").read_bytes() != (tmp_path / "b" / "div.csv").read_bytes()
+@pytest.mark.parametrize("flag", [("--seed", "21"), ("--scenario", "entropy")])
+def test_cli_takes_no_config_overrides(tmp_path, capsys, flag):
+    # the config file is a run's whole input
+    assert run_cli(tmp_path, DIV_UNIQUE, extra=flag) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_parse_error_exit_two(tmp_path):
@@ -478,18 +480,6 @@ def test_removed_decay_tolerance_exits_two_naming_the_key(tmp_path, capsys):
     assert "line 4: key 'tol_decay_residual': unknown tolerance" in capsys.readouterr().err
 
 
-def test_cli_scenario_override_flag(tmp_path):
-    text = """
-scenario = stationarity
-dS = 2
-dE = 2
-seed = 5
-steps = 50
-"""
-    assert run_cli(tmp_path, text, extra=("--scenario", "entropy")) == 0
-    assert (tmp_path / "out" / "entropy.csv").exists()
-
-
 def test_cli_bad_amplitudes_exit_two(tmp_path):
     text = """
 scenario = witness
@@ -566,6 +556,14 @@ ANALYTIC = "scenario = green-analytic\nes = [1.0]\nj0 = 0.1\nj1 = 0.8\ne0 = 1.0\
 AMP_PHASE = "scenario = amp-phase\nes_level = 1.0\nj0 = 0.1\ne0 = 1.0\n"
 #: (e - e0)^2 leaves the float range: e0 is at fault, not j1
 HUGE_E0 = "e0 = 6.97e201\nj0 = 0.001\ngamma = 0.13\n"
+#: (t1 - t0) / steps leaves the float range
+STEP_OVERFLOW = "scenario = entropy\ndS = 2\ndE = 2\nseed = 1\nt0 = -1e308\nt1 = 1e308\nsteps = 4\n"
+#: the step h = 2.5e299 is the factor of the march beyond the float range, not j1
+MARCH_STEP = ("scenario = green\nes = [0.1]\nj0 = 0.1\nj1 = 1\ne0 = 0\ngamma = 1\n"
+              "t1 = 1e300\nsteps = 4\n")
+#: E t, not E or t alone, leaves the float range
+HUGE_PHASE = ("scenario = witness\ndS = 2\ndE = 2\nseed = 1\ncoupling_strength = 1e200\n"
+              "t1 = 1e200\nsteps = 4\n")
 
 
 @pytest.mark.parametrize("text, expected", [
@@ -667,6 +665,26 @@ HUGE_E0 = "e0 = 6.97e201\nj0 = 0.001\ngamma = 0.13\n"
      "line 8: key 'coupling_strength'"),
     ("scenario = sweep\nbase = divisibility\nsweep_key = bogus\nsweep_values = [1, 2]\n"
      "dS = 2\ndE = 1\nseed = 1\nout = sweep.csv\n", "line 3: key 'bogus'"),
+    (STEP_OVERFLOW, "key 't1'"),
+    (STEP_OVERFLOW.replace("entropy", "stationarity"), "key 't1'"),
+    (STEP_OVERFLOW.replace("entropy", "witness") + "cA = [1, 0]\ncB = [0, 1]\n", "key 't1'"),
+    ("scenario = green\nes = [0.1]\nj0 = 0.1\nt0 = -1e308\nt1 = 1e308\nsteps = 4\n",
+     "key 't1'"),
+    (MARCH_STEP, "key 't1'"),
+    (MARCH_STEP.replace("green", "green-analytic"), "key 't1'"),
+    (MARCH_STEP + "omega_cut = 2\n", "key 't1'"),
+    ("scenario = divisibility\ndS = 2\ndE = 2\nseed = 1\ncoupling_strength = 1e200\n"
+     "t_max = 1e200\n", "key 't_max'"),
+    ("scenario = entangled\ndS = 2\ndE = 2\nseed = 1\ncoupling_strength = 1e200\n"
+     "times = [0, 1, 1e200]\n", "key 'times'"),
+    (HUGE_PHASE.replace("witness", "entropy"), "key 't1'"),
+    (HUGE_PHASE + "cA = [1, 0]\ncB = [0, 1]\n", "key 't1'"),
+    ("scenario = master-check\ndS = 2\nseed = 1\ncoupling_strength = 1e200\n"
+     "times = [1e200]\n", "key 'times'"),
+    ("scenario = master-check\ndS = 2\nseed = 1\ncoupling_strength = 1e200\n"
+     "t_max = 1e200\n", "key 't_max'"),
+    ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\ntimes = [-1e308, 0, 1e308]\n",
+     "key 'times'"),
 ], ids=["vector-sweep-key", "sweep-vector-sweep-key", "numeric-out", "negative-dS",
         "zero-dE", "empty-times", "hS-shape", "hE-shape", "hSE-shape", "c-length",
         "cA-length", "cB-length", "a-shape", "dmat-shape", "smat-shape",
@@ -683,11 +701,26 @@ HUGE_E0 = "e0 = 6.97e201\nj0 = 0.001\ngamma = 0.13\n"
         "complex-coupling", "matrix-times", "matrix-cA", "vector-a", "unknown-expect",
         "sweep-missing-dE", "nested-sweep-value", "empty-entry", "ragged-matrix",
         "unclosed-vector", "out-parent-directory", "out-subdirectory", "times-and-n_triples",
-        "times-and-n_times", "smat-and-c", "swept-key-in-body", "sweep-unknown-key"])
+        "times-and-n_times", "smat-and-c", "swept-key-in-body", "sweep-unknown-key",
+        "entropy-step-overflow", "stationarity-step-overflow", "witness-step-overflow",
+        "green-step-overflow", "green-march-step", "analytic-march-step",
+        "cut-off-march-step", "divisibility-huge-phase", "entangled-huge-phase",
+        "entropy-huge-phase", "witness-huge-phase", "master-check-huge-phase",
+        "master-check-t_max-huge-phase", "times-span-overflow"])
 def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, text, expected):
     # a value of the wrong kind is a parse error, so its line is named too
     assert run_cli(tmp_path, text) == 2
     assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "scenario = green\nes = [0.1]\nj0 = 0.1\nsteps = 10000000000000000\n",
+    "scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\nn_triples = 10000000000000000\n",
+], ids=["green-steps", "divisibility-n_triples"])
+def test_size_beyond_any_address_space_exits_two(tmp_path, capsys, text):
+    # 10**16 elements are past 64 PiB: the allocation fails at once, on any machine
+    assert run_cli(tmp_path, text) == 2
+    assert "config error: out of memory: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("levels, j0, t1, status", [
@@ -933,23 +966,33 @@ def state_configs(draw):
     return "\n".join(lines + ["out = state.csv", ""]), bad_value + bad_size + bad_shape + bad_cb
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=state_configs())
-def test_state_configs_exit_cleanly_and_name_the_bad_input(tmp_path_factory, case):
-    text, bad = case
-    out = tmp_path_factory.mktemp("state")
-    cfg = out / "state.cfg"
+def _run_drawn(tmp_path_factory, name, text):
+    """Run a drawn config through the CLI in a fresh directory.
+
+    Returns the exit status, which must be 0, 1 or 2, the stderr text and a
+    reader of the written table.
+    """
+    out = tmp_path_factory.mktemp(name)
+    cfg = out / f"{name}.cfg"
     cfg.write_text(text)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         status = main(["--config", str(cfg), "--out", str(out)])
     assert status in (0, 1, 2)
+    return status, err.getvalue(), lambda: np.loadtxt(out / f"{name}.csv", delimiter=",",
+                                                      skiprows=1, ndmin=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=state_configs())
+def test_state_configs_exit_cleanly_and_name_the_bad_input(tmp_path_factory, case):
+    text, bad = case
+    status, err, table = _run_drawn(tmp_path_factory, "state", text)
     if bad:
         assert status == 2
-        assert f"key {bad[0]!r}" in err.getvalue()
+        assert f"key {bad[0]!r}" in err
     if status == 0:
-        table = np.loadtxt(out / "state.csv", delimiter=",", skiprows=1, ndmin=2)
-        assert np.isfinite(table).all()
+        assert np.isfinite(table()).all()
 
 
 def _magnitudes():
@@ -975,7 +1018,7 @@ def spectral_configs(draw):
                   f"j1_values = {_vector(draw(st.lists(value, min_size=1, max_size=4)))}"]
     else:
         lines += [f"es = {_vector(draw(st.lists(value, min_size=1, max_size=3)))}",
-                  f"j1 = {draw(value)!r}", f"t1 = {draw(st.floats(0.01, 30.0))!r}",
+                  f"j1 = {draw(value)!r}", f"t1 = {draw(value)!r}",
                   f"steps = {draw(st.integers(2, 200))}"]
     if scenario == "green":
         lines.append(f"omega_cut = {draw(st.one_of(st.just(math.inf), value))!r}")
@@ -986,15 +1029,56 @@ def spectral_configs(draw):
 @given(text=spectral_configs())
 def test_spectral_configs_at_extreme_magnitudes_exit_cleanly(tmp_path_factory, text):
     # a configuration error names its key, and exit 0 means every cell is finite
-    out = tmp_path_factory.mktemp("spectral")
-    cfg = out / "spectral.cfg"
-    cfg.write_text(text)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        status = main(["--config", str(cfg), "--out", str(out)])
-    assert status in (0, 1, 2)
+    status, err, table = _run_drawn(tmp_path_factory, "spectral", text)
     if status == 2:
-        assert "key '" in err.getvalue()
+        assert "key '" in err
     if status == 0:
-        table = np.loadtxt(out / "spectral.csv", delimiter=",", skiprows=1, ndmin=2)
-        assert np.isfinite(table).all()
+        assert np.isfinite(table()).all()
+
+
+def _basis_vector(n, k):
+    return _vector([1.0 if i == k else 0.0 for i in range(n)])
+
+
+@st.composite
+def dynamics_configs(draw):
+    """A dynamics config, or a sweep of one over coupling_strength, whose times
+    and coupling are extreme magnitudes."""
+    base = draw(st.sampled_from(["entropy", "stationarity", "witness", "master-check",
+                                 "divisibility", "entangled"]))
+    value = _magnitudes()
+    d_s = draw(st.integers(1, 3))
+    d_e = 1 if base == "master-check" else draw(st.integers(1, 3))
+    lines = [f"dS = {d_s}", f"dE = {d_e}", f"seed = {draw(st.integers(0, 2**32 - 1))}"]
+    if base == "witness":
+        lines += [f"cA = {_basis_vector(d_s, 0)}", f"cB = {_basis_vector(d_s, d_s - 1)}"]
+    if base in ("entropy", "stationarity", "witness"):
+        lines += [f"t0 = {draw(value)!r}", f"t1 = {draw(value)!r}",
+                  f"steps = {draw(st.integers(2, 12))}"]
+    elif draw(st.booleans()):
+        # master-check takes a list of times, the triples scenarios one triple
+        low, high = (1, 4) if base == "master-check" else (3, 3)
+        times = draw(st.lists(value, min_size=low, max_size=high))
+        lines.append(f"times = {_vector(sorted(times))}")
+    else:
+        count_key = "n_times" if base == "master-check" else "n_triples"
+        lines += [f"{count_key} = {draw(st.integers(1, 4))}", f"t_max = {draw(value)!r}"]
+    if draw(st.booleans()):
+        values = draw(st.lists(value, min_size=1, max_size=3))
+        lines = ["scenario = sweep", f"base = {base}", "sweep_key = coupling_strength",
+                 f"sweep_values = {_vector(values)}"] + lines
+    else:
+        lines = [f"scenario = {base}", f"coupling_strength = {draw(value)!r}"] + lines
+    return "\n".join(lines + ["out = dynamics.csv", ""])
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=dynamics_configs())
+def test_dynamics_configs_at_extreme_magnitudes_exit_cleanly(tmp_path_factory, text):
+    # a span, step or phase beyond the float range names its key, and a run
+    # that writes its table (exit 0 or 1) writes only finite cells
+    status, err, table = _run_drawn(tmp_path_factory, "dynamics", text)
+    if status == 2:
+        assert "key '" in err
+    else:
+        assert np.isfinite(table()).all()

@@ -98,12 +98,6 @@ def test_tolerance_overrides():
         parse_config(MINIMAL_GREEN + "tol_nonsense = 1e-5\n")
 
 
-def test_scenario_override_revalidates():
-    # the same keys are invalid under another scenario's schema
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config(MINIMAL_GREEN, scenario_override="divisibility")
-
-
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config("\n# comment only\n" + MINIMAL_GREEN + "\n   \n")
     assert cfg.scenario == "green"
