@@ -174,6 +174,11 @@ class CompositeSpec:
             if np.shape(mat) != (dim, dim):
                 raise DomainError(f"{arg} has shape {np.shape(mat)}, not {(dim, dim)}", arg)
             object.__setattr__(self, arg, require_hermitian(mat, arg))
+        # d * max|H| bounds every eigenvalue of H; Python floats overflow to inf silently
+        scales = {arg: float(np.abs(getattr(self, arg)).max()) for arg in ("h_s", "h_e", "h_se")}
+        scales["coupling_strength"] = abs(float(self.coupling_strength)) * scales.pop("h_se")
+        if not math.isfinite(self.d_s * self.d_e * sum(scales.values())):
+            raise DomainError("H leaves the float range", max(scales, key=scales.get))
 
     @staticmethod
     def check_dimensions(d_s: int, d_e: int):

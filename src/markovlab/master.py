@@ -1,16 +1,19 @@
 """Master-equation structure checks for the reduced dynamics.
 
 The exact derivative of the reduced state is always available as
-d rho_S / dt = Tr_E(-i [H, rho(t)]).  This module classifies the three
-environment/coupling structures under which that derivative collapses
-to a time-local generator acting in S space alone, and provides an
-independent oracle for each:
+d rho_S / dt = Tr_E(-i [H, rho(t)]).  It collapses to a time-local
+generator acting in S space alone for three structures, each decided by
+one predicate that both :func:`classify_sufficient_conditions` and the
+structure's independent oracle call:
 
   * one-state environment: the generator is the commutator with
     H_eff = H_S + V <eta|H_SE|eta>, so the reduced motion is unitary;
-  * [1 x H_E, H_SE] = 0 with environment weights diagonal in the H_E
-    eigenbasis: the reduced state is a fixed mixture of unitary orbits
-    generated by the per-environment-level coupling blocks;
+  * commuting coupling: product-type data, with V H_SE block diagonal and
+    the weights diagonal, to 1e-10, in the H_E eigenbasis of ``env_blocks``.
+    rho_S(t) is then a fixed mixture of unitary orbits, one per level.
+    For a degenerate H_E that basis is the one ``eigh`` returns: the test
+    can miss a block structure that only another eigenbasis shows, but it
+    never reports one that the oracle rejects;
   * maximally mixed initial data: rho(0) is proportional to the
     identity, commutes with any H, and never moves.
 """
@@ -22,14 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from markovlab.dynamics import CompositeSpec
-from markovlab.linalg import (
-    partial_trace_env,
-    tensor_product,
-    trace_env_factored,
-)
+from markovlab.linalg import partial_trace_env, tensor_product, trace_env_factored
 from markovlab.spectral import TimeGrid
 
-_COMMUTE_TOL = 1e-12
+_BLOCK_TOL = 1e-10
 _STATE_TOL = 1e-12
 
 
@@ -47,30 +46,41 @@ def exact_rho_dot(spec: CompositeSpec, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SufficientConditions:
+    """The structures a spec has, each by the predicate its oracle checks.
+
+    ``commuting_he_hse`` is exactly what :func:`commuting_block_evolution` accepts:
+    product-type data, coupling block diagonal and weights diagonal in the eigenbasis
+    ``eigh`` gives H_E (for a degenerate H_E, blocks only another basis shows are missed).
+    """
+
     unique_env_state: bool
     commuting_he_hse: bool
     maximally_mixed: bool
 
 
-def env_coupling_commutator_norm(spec: CompositeSpec) -> float:
-    """Max entry of [1 x H_E, V * H_SE]."""
-    he_full = tensor_product(np.eye(spec.d_s), spec.h_e)
-    h_int = spec.coupling_strength * spec.h_se
-    return float(np.abs(he_full @ h_int - h_int @ he_full).max())
+def _unique_env_state(spec: CompositeSpec) -> bool:
+    return spec.d_e == 1
+
+
+def _commuting(spec: CompositeSpec) -> bool:
+    """Product-type data with coupling and weights block diagonal in ``env_blocks``."""
+    if spec.initial.d_mat is None:
+        return False
+    blocks = spec.env_blocks
+    return max(blocks.off_norm, blocks.weight_defect) <= _BLOCK_TOL
+
+
+def _maximally_mixed(spec: CompositeSpec) -> bool:
+    init = spec.initial
+    return init.d_mat is not None and bool(
+        np.abs(init.rho_s0 - np.eye(spec.d_s) / spec.d_s).max() < _STATE_TOL
+        and np.abs(init.d_mat - np.eye(spec.d_e) / spec.d_e).max() < _STATE_TOL)
 
 
 def classify_sufficient_conditions(spec: CompositeSpec) -> SufficientConditions:
-    unique = spec.d_e == 1
-    commuting = env_coupling_commutator_norm(spec) < _COMMUTE_TOL
-    mixed = False
-    if spec.initial.d_mat is not None:
-        rho_s0 = spec.initial.rho_s0
-        mixed = bool(
-            np.abs(rho_s0 - np.eye(spec.d_s) / spec.d_s).max() < _STATE_TOL
-            and np.abs(spec.initial.d_mat - np.eye(spec.d_e) / spec.d_e).max() < _STATE_TOL
-        )
-    return SufficientConditions(unique_env_state=unique, commuting_he_hse=commuting,
-                                maximally_mixed=mixed)
+    return SufficientConditions(unique_env_state=_unique_env_state(spec),
+                                commuting_he_hse=_commuting(spec),
+                                maximally_mixed=_maximally_mixed(spec))
 
 
 @dataclass(frozen=True)
@@ -138,7 +148,7 @@ def effective_commutator_rhs(spec: CompositeSpec, t: float) -> CommutatorForm:
     rho_s = trace_env_factored(psi, spec.d_s)[0]
     rhs = -1j * (h_eff @ rho_s - rho_s @ h_eff)
     residual = float(_commutator_residuals(spec, psi, h_eff)[0])
-    if spec.d_e != 1:
+    if not _unique_env_state(spec):
         raise PreconditionError(
             f"the commutator form is only exact for a one-state environment "
             f"(d_e = {spec.d_e}); measured residual {residual:.3e}")
@@ -168,20 +178,14 @@ def commuting_block_evolution(spec: CompositeSpec, t: float) -> BlockMixture:
     from one batched eigendecomposition of the (d_e, d_s, d_s) stack
     H_S + B_a.  Environment weights are rotated into the H_E eigenbasis
     first.  That decomposition is the spec's ``env_blocks``, formed once
-    per spec; the preconditions are checked on every call.
+    per spec; its precondition, ``commuting_he_hse``, is checked on every call.
     """
-    if spec.initial.d_mat is None:
-        raise PreconditionError("block mixture needs a product-type initial state")
     blocks = spec.env_blocks
-    if blocks.off_norm > 1e-10:
+    if not _commuting(spec):
         raise PreconditionError(
-            f"coupling is not block diagonal in the environment eigenbasis "
-            f"(off-block norm {blocks.off_norm:.3e}); [1 x H_E, H_SE] norm is "
-            f"{env_coupling_commutator_norm(spec):.3e}")
-    if blocks.weight_defect > 1e-10:
-        raise PreconditionError(
-            "environment weights are not diagonal in the H_E eigenbasis "
-            "(degenerate H_E with mismatched weights)")
+            f"spec is not in the commuting class (needs product-type data, here "
+            f"{spec.initial.kind}, and weights diagonal in the H_E eigenbasis, here off by "
+            f"{blocks.weight_defect:.3e}); off-block norm {blocks.off_norm:.3e}")
     w, v = blocks.eigvals, blocks.eigvecs
     u = (v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
     orbits = u @ spec.initial.rho_s0 @ u.conj().swapaxes(1, 2)
@@ -202,21 +206,17 @@ def maximally_mixed_invariance(spec: CompositeSpec, grid: TimeGrid) -> MixedInva
     rho(0) = 1 / (d_s d_e) commutes with every Hamiltonian, so rho_S(t)
     must stay 1 / d_s on the whole grid.  The closure identity
     sum_{i, a, g} <j1 g|U|i a> <j2 g|U|i a>^* = d_e delta_{j1 j2} is
-    Tr_E(U U^dag) = d_e 1, and rho_S(t) = Tr_E(U U^dag) / (d_s d_e), so
-    one stack of U(t) over the grid gives both defects.
+    Tr_E(U U^dag) = d_e 1, and rho_S(t) = Tr_E(U U^dag) / (d_s d_e), so the
+    one closure defect d = max |Tr_E(U U^dag) - d_e 1| over the grid is the
+    unitarity defect and d / (d_s d_e) the drift of rho_S.
     """
-    conds = classify_sufficient_conditions(spec)
-    if not conds.maximally_mixed:
+    if not _maximally_mixed(spec):
         raise PreconditionError(
             "spec is not maximally mixed (need rho_S(0) = 1/d_s and "
             "environment weights 1/d_e)")
     dim = spec.d_s * spec.d_e
-    eye_s = np.eye(spec.d_s)
-    max_defect = 0.0
-    unitarity_defect = 0.0
-    for u, in spec.propagator.states(grid.times() - grid.t0, np.eye(dim, dtype=complex)):
-        closure = trace_env_factored(u, spec.d_s)
-        max_defect = max(max_defect, float(np.abs(closure / dim - eye_s / spec.d_s).max()))
-        unitarity_defect = max(unitarity_defect, float(
-            np.abs(closure - spec.d_e * eye_s).max()))
-    return MixedInvariance(max_defect=max_defect, unitarity_defect=unitarity_defect)
+    target = spec.d_e * np.eye(spec.d_s)
+    defect = max(float(np.abs(trace_env_factored(u, spec.d_s) - target).max())
+                 for u, in spec.propagator.states(grid.times() - grid.t0,
+                                                  np.eye(dim, dtype=complex)))
+    return MixedInvariance(max_defect=defect / dim, unitarity_defect=defect)

@@ -320,12 +320,6 @@ class GreenSolution:
     g1: np.ndarray
     g2: np.ndarray | None = None
 
-    def __post_init__(self):
-        if np.abs(self.g1[0] - np.eye(self.g1.shape[1])).max() != 0.0:
-            raise ValueError("g1 must equal the identity exactly at t0")
-        if self.g2 is not None and np.abs(self.g2[0]).max() != 0.0:
-            raise ValueError("g2 must vanish exactly at t0")
-
 
 def _embed_diagonal(levels: np.ndarray) -> np.ndarray:
     n_times, n_lev = levels.shape
@@ -601,15 +595,20 @@ def _resonant_branches(es, j0: float, j1, e0: float, gamma: float, axis: float =
     :func:`_upper_branch`), so (a1, a2) is exactly (1, 0) or (0, 1).
     For j1 > 0 the branches merge where |R|^2 <= 1e-13 (|z|^2 + 2 axis
     j1 gamma), and :class:`BranchSingularityError` names the critical
-    j1 = -z^2 / (2 axis gamma) on the caller's axis.  Where z^2, 2 axis j1
-    gamma or their sum leaves the float range, a DomainError names the
-    largest of es, e0, j0, gamma and j1.  Errors are raised for j1 > 0
-    only, the float range before the double root.  Returns (R, a1, a2,
-    phi1, phi2), elementwise in ``es`` broadcast against ``j1``.
+    j1 = -z^2 / (2 axis gamma) on the caller's axis.  A DomainError names
+    the largest of es, e0, j0, gamma and j1 where z^2, 2 axis j1 gamma or
+    their sum leaves the float range (for j1 > 0 only, before the double
+    root), and at any j1 where |R|, a1 or a phase is not finite.  Returns
+    (R, a1, a2, phi1, phi2), elementwise in ``es`` broadcast against ``j1``.
     """
     es = np.asarray(es, dtype=float)
     j1 = np.asarray(j1, dtype=float)
     endpoint = j1 == 0
+
+    def largest(j1_max):
+        scales = {"es": np.abs(es).max(), "e0": abs(e0), "j0": j0, "gamma": gamma, "j1": j1_max}
+        return max(scales, key=scales.get)
+
     with np.errstate(all="ignore"):
         z = (es - e0) - 1j * (j0 - gamma)
         zz = z * z
@@ -617,10 +616,9 @@ def _resonant_branches(es, j0: float, j1, e0: float, gamma: float, axis: float =
         size = np.abs(zz) + strength     # bounds |R^2|
         over = ~(np.isfinite(size) | endpoint)
         if np.any(over):
-            scales = {"es": np.abs(es).max(), "e0": abs(e0), "j0": j0, "gamma": gamma,
-                      "j1": np.broadcast_to(j1, over.shape)[over].max()}
             raise DomainError("R^2 = ((e - e0) - i (j0 - gamma))^2 + 2 axis j1 gamma "
-                              "leaves the float range", max(scales, key=scales.get))
+                              "leaves the float range",
+                              largest(np.broadcast_to(j1, over.shape)[over].max()))
         # adding 0j turns a -0 imaginary part into +0: the cut maps to +i
         rr = zz + (strength + 0j)
         bad = (np.abs(rr) <= 1e-13 * size) & ~endpoint
@@ -635,9 +633,13 @@ def _resonant_branches(es, j0: float, j1, e0: float, gamma: float, axis: float =
         r = np.where(endpoint, exact * z + 0.0, np.sqrt(rr))
         # z = R = 0 at j1 = 0 where e = e0 and j0 = gamma: the ratio there is exact
         ratio = np.where(endpoint, exact, z / r)
-    a1 = 0.5 * (1.0 + ratio)
-    base = (es + e0) - 1j * (j0 + gamma)
-    return r, a1, 1.0 - a1, -0.5j * (base + r), -0.5j * (base - r)
+        a1 = 0.5 * (1.0 + ratio)
+        base = (es + e0) - 1j * (j0 + gamma)
+        phi1, phi2 = -0.5j * (base + r), -0.5j * (base - r)
+        if not all(np.isfinite(x).all() for x in (np.abs(r), a1, phi1, phi2)):
+            raise DomainError("the branches R, a1, phi1 or phi2 leave the float range",
+                              largest(j1.max(initial=0.0)))
+    return r, a1, 1.0 - a1, phi1, phi2
 
 
 def analytic_green1_lorentzian(es, j0: float, j1: float, e0: float, gamma: float,

@@ -685,6 +685,14 @@ HUGE_PHASE = ("scenario = witness\ndS = 2\ndE = 2\nseed = 1\ncoupling_strength =
      "t_max = 1e200\n", "key 't_max'"),
     ("scenario = divisibility\ndS = 2\ndE = 1\nseed = 1\ntimes = [-1e308, 0, 1e308]\n",
      "key 'times'"),
+    # V H_SE beyond the float range, named before H is formed (a RuntimeWarning is an error)
+    ("scenario = divisibility\ndS = 3\ndE = 3\nseed = 1\ncoupling_strength = 1.7e308\n",
+     "key 'coupling_strength'"),
+    ("scenario = divisibility\ndS = 2\ndE = 2\nseed = 1\ncoupling_strength = 1e308\n",
+     "key 'coupling_strength'"),
+    # at j1 = 0 the phases -i (base +- R) / 2 leave the float range, not R^2
+    ("scenario = amp-phase\nes_level = 0\nj0 = 0\ne0 = 0\ngamma = 1e308\nj1_values = [0]\n",
+     "key 'gamma'"),
 ], ids=["vector-sweep-key", "sweep-vector-sweep-key", "numeric-out", "negative-dS",
         "zero-dE", "empty-times", "hS-shape", "hE-shape", "hSE-shape", "c-length",
         "cA-length", "cB-length", "a-shape", "dmat-shape", "smat-shape",
@@ -706,7 +714,8 @@ HUGE_PHASE = ("scenario = witness\ndS = 2\ndE = 2\nseed = 1\ncoupling_strength =
         "green-step-overflow", "green-march-step", "analytic-march-step",
         "cut-off-march-step", "divisibility-huge-phase", "entangled-huge-phase",
         "entropy-huge-phase", "witness-huge-phase", "master-check-huge-phase",
-        "master-check-t_max-huge-phase", "times-span-overflow"])
+        "master-check-t_max-huge-phase", "times-span-overflow", "coupling-overflow-3x3",
+        "coupling-overflow-2x2", "amp-phase-endpoint-overflow"])
 def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, text, expected):
     # a value of the wrong kind is a parse error, so its line is named too
     assert run_cli(tmp_path, text) == 2
@@ -996,9 +1005,10 @@ def test_state_configs_exit_cleanly_and_name_the_bad_input(tmp_path_factory, cas
 
 
 def _magnitudes():
-    """Zero, or a signed value whose magnitude is log-uniform on [1e-300, 1e300]."""
+    """Zero, or a signed value whose magnitude is log-uniform on [1e-300, 10**308.25],
+    up to the float maximum."""
     signed = st.builds(lambda sign, exp: sign * 10.0 ** exp,
-                       st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0))
+                       st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 308.25))
     return st.one_of(st.just(0.0), signed)
 
 

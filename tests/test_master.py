@@ -206,7 +206,7 @@ def test_block_mixture_equal_blocks_keep_entropy():
 def test_block_mixture_precondition_error():
     rng = np.random.default_rng(16)
     spec = random_product_spec(2, 2, rng)
-    with pytest.raises(PreconditionError, match=r"\[1 x H_E, H_SE\] norm is \S+$") as err:
+    with pytest.raises(PreconditionError, match=r"off-block norm \S+$") as err:
         commuting_block_evolution(spec, 1.0)
     assert float(str(err.value).split()[-1]) > 1e-6
 
@@ -224,7 +224,7 @@ def test_block_mixture_repeated_calls_equal_a_fresh_spec():
 def test_block_mixture_precondition_error_on_every_call():
     spec = random_product_spec(2, 3, np.random.default_rng(20))
     for t in (1.0, 1.0, 2.0):
-        with pytest.raises(PreconditionError, match="not block diagonal"):
+        with pytest.raises(PreconditionError, match="not in the commuting class"):
             commuting_block_evolution(spec, t)
 
 
@@ -232,19 +232,21 @@ def _hermitian_part(m):
     return 0.5 * (m + m.conj().T)
 
 
-@settings(max_examples=60, deadline=None)
-@given(dims=st.sampled_from([(a, b) for a in range(1, 17) for b in range(1, 17)
-                             if a * b <= 16]),
-       seed=st.integers(0, 2**32 - 1), rotate=st.booleans(),
-       coupling=st.floats(0.1, 3.0), t=st.floats(0.0, 5.0), data=st.data())
-def test_block_mixture_matches_reference_path(dims, seed, rotate, coupling, t, data):
-    # H_E = W diag(levels) W^dag, degenerate when two integer levels coincide.
-    # Coupling sum_k B_k x P_k and weights sum_k p_k P_k / rank P_k go through
-    # the spectral projectors P_k, so they are block diagonal (and diagonal)
-    # in whichever eigenbasis of H_E the oracle picks
-    d_s, d_e = dims
-    rng = np.random.default_rng(seed)
-    levels = np.array(data.draw(st.lists(st.integers(0, 3), min_size=d_e, max_size=d_e)))
+_DIMS = [(a, b) for a in range(1, 17) for b in range(1, 17) if a * b <= 16]
+
+
+def _eigenspace_pieces(rng, d_s, levels, rotate, within=False):
+    """H_E = W diag(levels) W^dag, a coupling and weights built on its eigenspaces.
+
+    H_E is degenerate when two integer levels coincide.  Coupling
+    sum_k B_k x P_k and weights sum_k p_k P_k / rank P_k go through the
+    spectral projectors P_k, so they are block diagonal (and diagonal) in
+    whichever eigenbasis of H_E the oracle picks.  With ``within`` each P_k
+    in the coupling becomes a random Hermitian M_k on its eigenspace: the
+    coupling still commutes with H_E, but it is block diagonal in a given
+    eigenbasis only where the eigenspaces are one-dimensional.
+    """
+    d_e = len(levels)
     w = np.eye(d_e, dtype=complex)
     if rotate:
         w = np.linalg.qr(rng.standard_normal((d_e, d_e))
@@ -254,16 +256,61 @@ def test_block_mixture_matches_reference_path(dims, seed, rotate, coupling, t, d
     for level in np.unique(levels):
         cols = w[:, levels == level]
         proj = _hermitian_part(cols @ cols.conj().T)
-        h_se += np.kron(random_hermitian(d_s, rng), proj)
+        env = cols @ random_hermitian(cols.shape[1], rng) @ cols.conj().T if within else proj
+        h_se += np.kron(random_hermitian(d_s, rng), _hermitian_part(env))
         d_mat += (rng.random() + 0.05) * proj / cols.shape[1]
-    spec = CompositeSpec(d_s=d_s, d_e=d_e, h_s=random_hermitian(d_s, rng),
-                         h_e=_hermitian_part((w * levels) @ w.conj().T),
-                         h_se=_hermitian_part(h_se), coupling_strength=coupling,
-                         initial=InitialState.product(random_amplitudes(d_s, rng),
-                                                      d_mat / np.trace(d_mat).real))
+    return (_hermitian_part((w * levels) @ w.conj().T), _hermitian_part(h_se),
+            d_mat / np.trace(d_mat).real)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.sampled_from(_DIMS), seed=st.integers(0, 2**32 - 1), rotate=st.booleans(),
+       coupling=st.floats(0.1, 3.0), t=st.floats(0.0, 5.0), data=st.data())
+def test_block_mixture_matches_reference_path(dims, seed, rotate, coupling, t, data):
+    d_s, d_e = dims
+    rng = np.random.default_rng(seed)
+    levels = np.array(data.draw(st.lists(st.integers(0, 3), min_size=d_e, max_size=d_e)))
+    h_e, h_se, d_mat = _eigenspace_pieces(rng, d_s, levels, rotate)
+    spec = CompositeSpec(d_s=d_s, d_e=d_e, h_s=random_hermitian(d_s, rng), h_e=h_e,
+                         h_se=h_se, coupling_strength=coupling,
+                         initial=InitialState.product(random_amplitudes(d_s, rng), d_mat))
     result = commuting_block_evolution(spec, t)
     assert np.abs(result.rho_s - evolve_rho_s(spec, t)).max() < 1e-12
     assert abs(np.trace(result.rho_s) - 1.0) < 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["generic", "projectors", "within-eigenspace",
+                             "non-diagonal-weights", "entangled"]),
+       dims=st.sampled_from(_DIMS), seed=st.integers(0, 2**32 - 1), rotate=st.booleans(),
+       data=st.data())
+def test_commuting_class_is_the_block_mixture_precondition(kind, dims, seed, rotate, data):
+    # the classifier reports the commuting class exactly when its oracle accepts
+    # the spec; a coupling that merely commutes with H_E (a degenerate H_E with
+    # eigenspace-mixing blocks), weights off the diagonal and entangled data are not in it
+    d_s, d_e = dims
+    rng = np.random.default_rng(seed)
+    if kind == "generic":
+        spec = random_product_spec(d_s, d_e, rng)
+    else:
+        top = 1 if kind == "within-eigenspace" else 3
+        levels = np.array(data.draw(st.lists(st.integers(0, top), min_size=d_e, max_size=d_e)))
+        h_e, h_se, d_mat = _eigenspace_pieces(rng, d_s, levels, rotate,
+                                              within=kind == "within-eigenspace")
+        if kind == "non-diagonal-weights":
+            d_mat = random_env_weights(d_e, rng)
+        initial = (InitialState.entangled(random_amplitudes(d_s * d_e, rng).reshape(d_s, d_e))
+                   if kind == "entangled"
+                   else InitialState.product(random_amplitudes(d_s, rng), d_mat))
+        spec = CompositeSpec(d_s=d_s, d_e=d_e, h_s=random_hermitian(d_s, rng), h_e=h_e,
+                             h_se=h_se, initial=initial)
+    try:
+        commuting_block_evolution(spec, 1.3)
+    except PreconditionError:
+        accepted = False
+    else:
+        accepted = True
+    assert classify_sufficient_conditions(spec).commuting_he_hse == accepted
 
 
 # --------------------------------------------------------- maximally mixed
